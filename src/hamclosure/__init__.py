@@ -49,11 +49,7 @@ from .graphs import (
     path_graph,
     sample_graphs,
 )
-from .hamiltonicity import (
-    HamiltonicityCertificate,
-    is_hamiltonian,
-    verify_closure_preservation,
-)
+from .hamiltonicity import HamiltonicityCertificate, is_hamiltonian
 from .heaviness import (
     HeavyPair,
     a_heavy_pairs,
@@ -81,5 +77,6 @@ from .regions import (
     generalized_claw_or_net,
     validate_generalized,
 )
+from .verify import verify_closure_preservation
 
 __version__ = "0.1.0"

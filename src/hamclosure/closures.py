@@ -28,7 +28,7 @@ from .errors import (
     NonUniqueMinimumError,
     PreconditionError,
 )
-from .graphs import Edge, Graph, _bits
+from .graphs import Edge, Graph, _bits, component_masks, flood
 from .heaviness import o_heavy_pairs
 from .patterns import PatternKind, has_induced
 from .heaviness import is_pattern_o_heavy
@@ -160,16 +160,7 @@ def _r_eligible_inner(g: Graph, x: int) -> bool:
         return False
     if g.is_clique_mask(mask):
         return False
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    frontier = seen
-    while frontier:
-        reach = 0
-        for v in _bits(frontier):
-            reach |= g.row(v)
-        frontier = reach & mask & ~seen
-        seen |= frontier
-    return seen == mask
+    return flood(g.rows, mask & -mask, mask) == mask
 
 
 def r_eligible(g: Graph, x: int) -> bool:
@@ -224,21 +215,7 @@ def _bc_components(g: Graph, x: int) -> tuple[list[int], list[int]]:
     for u, v in bc_local(g, x):
         aug[u] |= 1 << v
         aug[v] |= 1 << u
-    comps = []
-    remaining = mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= aug[v]
-            frontier = reach & mask & ~seen
-            seen |= frontier
-        comps.append(seen)
-        remaining &= ~seen
-    return comps, aug
+    return component_masks(aug, mask), aug
 
 
 def _c_eligible_inner(g: Graph, x: int, mode: EligibilityMode) -> bool:

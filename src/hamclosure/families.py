@@ -11,17 +11,23 @@ Membership is checked by certificate: generators build a certificate and
 validate it with the same clause checkers the recognizer uses, so a
 successful generate() is a proof of membership and recognize() round-trips
 by construction search.
+
+The composed families' clauses live in two tables: ``FAMILY_SPECS``, one
+``FamilySpec`` row per family (rule for K, whether K' exists, allowed
+glues, counting clauses, heavy-pair condition), and ``GLUES``, one row per
+glue tag (base family, host clique(s), attachment rule). The certificate
+checker, the recognizer and the generator all read these rows.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .closures import EligibilityMode, c_closure
-from .errors import InputError, ParameterError
-from .graphs import Graph, _bits, is_2_connected, is_connected, maximal_cliques
+from .errors import BudgetError, InputError, ParameterError
+from .graphs import Graph, _bits, component_masks, is_2_connected, is_connected, maximal_cliques
 from .heaviness import heavy_vertices, is_a_heavy_pair, is_pattern_o_heavy
 from .patterns import PatternKind, has_induced, net_profile
 
@@ -45,8 +51,6 @@ class FamilyKind(Enum):
 
 P_HEAVY_UNION = frozenset({FamilyKind.C1N, FamilyKind.C2N, FamilyKind.C1NP, FamilyKind.C2NP})
 PQ_HEAVY_UNION = P_HEAVY_UNION | {FamilyKind.C1NPQ, FamilyKind.C2NPQ}
-
-COMPONENT_KINDS = ("c1n", "c2n", "c3nq", "c1n_prime", "c2n_bridge")
 
 
 @dataclass(frozen=True)
@@ -463,7 +467,7 @@ def is_c2n(g: Graph) -> CycleCert | None:
         nonlocal states
         states += 1
         if states > _CYCLE_SEARCH_CAP:
-            raise AssertionError("cycle decomposition search exceeded its state cap")
+            raise BudgetError("cycle decomposition search exceeded its state cap")
         last = cells[-1]
         if len(cells) >= 3 and covered == set(range(g.n)):
             closing = _junction_between(g, last, cells[0], cells[1:-1])
@@ -544,26 +548,124 @@ def is_c3nq(g: Graph) -> C3NQCert | None:
     return None
 
 
+# -- composed families: clause tables -----------------------------------------
+
+
+@dataclass(frozen=True)
+class Glue:
+    """One way a component may attach: together with its host clique(s) it
+    induces a member of the base family ``base``. With one host, every
+    outside neighbor of the component lies in it; with two, the outside
+    neighbors meet both."""
+
+    base: FamilyKind
+    hosts: tuple[str, ...]  # "K" and/or "K'"
+    misplaced: str  # checker message when the attachment rule fails
+
+
+_OUTSIDE_K = "component attaches outside the core clique"
+
+# keyed by component tag, in option order: recognized certificates prefer
+# earlier tags
+GLUES = {
+    "c3nq": Glue(FamilyKind.C3NQ, ("K",), _OUTSIDE_K),
+    "c1n": Glue(FamilyKind.C1N, ("K",), _OUTSIDE_K),
+    "c2n": Glue(FamilyKind.C2N, ("K",), _OUTSIDE_K),
+    "c1n_prime": Glue(FamilyKind.C1N, ("K'",), "component attaches outside the secondary clique"),
+    "c2n_bridge": Glue(FamilyKind.C2N, ("K", "K'"), "bridge component must touch both cliques"),
+}
+
+
+@dataclass(frozen=True)
+class CountClause:
+    """Between ``lo`` and ``hi`` components glue with a tag in ``tags``
+    (every component when ``tags`` is None). With ``only_with`` set, the
+    clause binds only when there are exactly that many components."""
+
+    message: str
+    tags: frozenset[str] | None = None
+    lo: int = 0
+    hi: int | None = None
+    only_with: int | None = None
+
+    def covers(self, tag: str) -> bool:
+        return self.tags is None or tag in self.tags
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """The clauses of one composed family.
+
+    K is a maximal clique holding every heavy vertex when ``k_holds_heavy``,
+    else a clique spanning at least half the graph. With ``two_clique`` a
+    maximal clique K' meets K in exactly one vertex u0. Every component of
+    G - K - K' glues by one tag of ``glues``, the tags meet every clause of
+    ``counts``, and each clique named in ``heavy_pairs`` passes its
+    heavy-pair condition: frontier triples without K', triples anchored at
+    u0 with it.
+    """
+
+    kind: FamilyKind
+    k_holds_heavy: bool
+    two_clique: bool
+    glues: tuple[str, ...]  # in GLUES order
+    counts: tuple[CountClause, ...]
+    heavy_pairs: tuple[tuple[str, str], ...]  # (clique, message when it fails)
+    min_components: int = 0  # below this, the recognizer drops K (and K') before any glue search
+
+
+_BRIDGE = CountClause("at least one bridge component required", frozenset({"c2n_bridge"}), lo=1)
+_TWO_ON_PRIME = CountClause(
+    "exactly two components must attach to the secondary clique",
+    frozenset({"c1n_prime", "c2n_bridge"}), lo=2, hi=2,
+)
+_PATH = CountClause("at least one path-attachment component required", frozenset({"c3nq"}), lo=1)
+_PRIME_HEAVY = ("K'", "secondary-clique heavy-pair condition fails")
+
+FAMILY_SPECS = {
+    spec.kind: spec
+    for spec in (
+        FamilySpec(
+            FamilyKind.C1NP, k_holds_heavy=True, two_clique=False, glues=("c1n", "c2n"),
+            counts=(
+                CountClause("at least two components required", lo=2),
+                CountClause("with exactly two components one must be a cycle",
+                      frozenset({"c2n"}), lo=1, only_with=2),
+            ),
+            heavy_pairs=(("K", "frontier-triple heavy-pair condition fails"),),
+            min_components=2,
+        ),
+        FamilySpec(
+            FamilyKind.C2NP, k_holds_heavy=True, two_clique=True,
+            glues=("c1n", "c2n", "c1n_prime", "c2n_bridge"),
+            counts=(_BRIDGE, _TWO_ON_PRIME),
+            heavy_pairs=(_PRIME_HEAVY, ("K", "core-clique heavy-pair condition fails")),
+        ),
+        FamilySpec(
+            FamilyKind.C1NPQ, k_holds_heavy=False, two_clique=False,
+            glues=("c3nq", "c1n", "c2n"), counts=(_PATH,), heavy_pairs=(), min_components=1,
+        ),
+        FamilySpec(
+            FamilyKind.C2NPQ, k_holds_heavy=False, two_clique=True,
+            glues=("c3nq", "c1n", "c2n", "c1n_prime", "c2n_bridge"),
+            counts=(_BRIDGE, _TWO_ON_PRIME, _PATH), heavy_pairs=(_PRIME_HEAVY,),
+        ),
+    )
+}
+
+
+def _count_problems(spec: FamilySpec, tags) -> list[str]:
+    problems = []
+    for clause in spec.counts:
+        if clause.only_with not in (None, len(tags)):
+            continue
+        count = sum(map(clause.covers, tags))
+        if count < clause.lo or (clause.hi is not None and count > clause.hi):
+            problems.append(clause.message)
+    return problems
+
+
 # -- composed families: shared helpers ----------------------------------------
-
-
-def _components_within(g: Graph, allowed: set[int]) -> list[frozenset[int]]:
-    allowed_mask = sum(1 << v for v in allowed)
-    out = []
-    remaining = allowed_mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        seen = 1 << start
-        frontier = seen
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= g.row(v)
-            frontier = reach & allowed_mask & ~seen
-            seen |= frontier
-        out.append(frozenset(_bits(seen)))
-        remaining &= ~seen
-    return out
 
 
 def _neighbors_of_set(g: Graph, vs) -> set[int]:
@@ -572,6 +674,18 @@ def _neighbors_of_set(g: Graph, vs) -> set[int]:
     for v in vs:
         mask |= g.row(v)
     return set(_bits(mask & ~inner))
+
+
+def _attaches(outside: set[int], cliques) -> bool:
+    if len(cliques) == 1:
+        return outside <= set(cliques[0])
+    return all(outside & set(c) for c in cliques)
+
+
+def _base_search(kind: FamilyKind, g: Graph):
+    # resolved through the module attributes on every call, so a wrapper
+    # installed on is_c1n, is_c2n or is_c3nq also sees the glue searches
+    return {FamilyKind.C1N: is_c1n, FamilyKind.C2N: is_c2n, FamilyKind.C3NQ: is_c3nq}[kind](g)
 
 
 def _map_cert(cert, table):
@@ -605,45 +719,25 @@ def _map_cert(cert, table):
     raise InputError(f"cannot map certificate of type {type(cert).__name__}")
 
 
-def _glue_search(g: Graph, vertices, searcher):
+def _glue_search(g: Graph, vertices, base: FamilyKind):
     """Run a base-family search on an induced subgraph, mapped back."""
     ordered = sorted(vertices)
-    sub = g.induced(ordered)
-    cert = searcher(sub)
+    cert = _base_search(base, g.induced(ordered))
     if cert is None:
         return None
     return _map_cert(cert, ordered)
 
 
-def _glue_chain(g: Graph, comp, host) -> ChainCert | None:
-    return _glue_search(g, set(comp) | set(host), is_c1n)
-
-
-def _glue_cycle(g: Graph, comp, hosts) -> CycleCert | None:
-    verts = set(comp)
-    for h in hosts:
-        verts |= set(h)
-    return _glue_search(g, verts, is_c2n)
-
-
-def _glue_c3nq(g: Graph, comp, host) -> C3NQCert | None:
-    return _glue_search(g, set(comp) | set(host), is_c3nq)
+_CERT_CHECKERS = {
+    ChainCert: check_chain_cert, CycleCert: check_cycle_cert, C3NQCert: check_c3nq_cert,
+}
 
 
 def _check_sub_cert(g: Graph, vertices, cert) -> list[str]:
     ordered = sorted(vertices)
-    index = {v: i for i, v in enumerate(ordered)}
     sub = g.induced(ordered)
-    local = _map_cert(cert, index)
-    if isinstance(local, ChainCert):
-        return check_chain_cert(sub, ChainCert(sub.n, local.cells, local.matchings))
-    if isinstance(local, CycleCert):
-        return check_cycle_cert(sub, CycleCert(sub.n, local.cells, local.junctions))
-    return check_c3nq_cert(
-        sub,
-        C3NQCert(sub.n, local.clique, local.a1, local.c2, local.c3,
-                 local.b2, local.a2, local.a3, local.b3),
-    )
+    local = _map_cert(cert, {v: i for i, v in enumerate(ordered)})
+    return _CERT_CHECKERS[type(local)](sub, replace(local, n=sub.n))
 
 
 def _frontier_of(g: Graph, clique) -> list[int]:
@@ -710,50 +804,39 @@ def cond_anchored_pairs(g: Graph, clique, u0: int) -> bool:
     return True
 
 
-# -- composed-family certificate checkers -------------------------------------
+# -- composed-family certificate checker --------------------------------------
 
 
-def _comp_tag_checks(g, comp, k_set, kp_set) -> list[str]:
-    problems = []
-    nh = _neighbors_of_set(g, comp.vertices)
-    if comp.glue in ("c1n", "c2n", "c3nq"):
-        if not nh <= k_set:
-            problems.append("component attaches outside the core clique")
-        hosts = k_set
-    elif comp.glue == "c1n_prime":
-        if kp_set is None or not nh <= kp_set:
-            problems.append("component attaches outside the secondary clique")
-        hosts = kp_set or set()
-    elif comp.glue == "c2n_bridge":
-        if kp_set is None or not (nh & k_set and nh & kp_set):
-            problems.append("bridge component must touch both cliques")
-        hosts = k_set | (kp_set or set())
-    else:
-        return [f"unknown component glue {comp.glue!r}"]
-    problems += _check_sub_cert(g, set(comp.vertices) | hosts, comp.sub)
-    return problems
+def _heavy_pairs_hold(g: Graph, clique, u0: int | None) -> bool:
+    return cond_frontier_triples(g, clique) if u0 is None else cond_anchored_pairs(g, clique, u0)
+
+
+def _comp_tag_checks(g: Graph, comp: ComponentCert, hosts) -> list[str]:
+    glue = GLUES[comp.glue]
+    cliques = [hosts[h] for h in glue.hosts]
+    problems = [] if _attaches(_neighbors_of_set(g, comp.vertices), cliques) else [glue.misplaced]
+    return problems + _check_sub_cert(g, set(comp.vertices).union(*cliques), comp.sub)
 
 
 def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> list[str]:
+    spec = FAMILY_SPECS[family]
     problems = []
     k_set = set(cert.k_clique)
-    kmask = sum(1 << v for v in k_set)
+    kmask = _cell_mask(k_set)
     if not g.is_clique_mask(kmask):
         problems.append("K is not a clique")
     kp_set = set(cert.k_prime) if cert.k_prime else None
-    if family in (FamilyKind.C1NP, FamilyKind.C2NP):
-        heavy = set(heavy_vertices(g))
-        if not heavy <= k_set:
+    if spec.k_holds_heavy:
+        if not set(heavy_vertices(g)) <= k_set:
             problems.append("K must contain every heavy vertex")
         if any(g.row(v) & kmask == kmask for v in range(g.n) if v not in k_set):
             problems.append("K must be a maximal clique")
-    if family in (FamilyKind.C1NPQ, FamilyKind.C2NPQ):
-        if 2 * len(k_set) < g.n:
-            problems.append("K must span at least half the graph")
-    if family in (FamilyKind.C2NP, FamilyKind.C2NPQ):
+    elif 2 * len(k_set) < g.n:
+        problems.append("K must span at least half the graph")
+    if spec.two_clique:
         if kp_set is None or cert.u0 is None:
             return ["secondary clique and shared vertex required"]
-        kpmask = sum(1 << v for v in kp_set)
+        kpmask = _cell_mask(kp_set)
         if not g.is_clique_mask(kpmask):
             problems.append("K' is not a clique")
         if any(g.row(v) & kpmask == kpmask for v in range(g.n) if v not in kp_set):
@@ -762,129 +845,32 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
             problems.append("K and K' must share exactly the anchor vertex")
     elif kp_set is not None:
         problems.append("this family takes no secondary clique")
-    removed = k_set | (kp_set or set())
-    actual_comps = {frozenset(c) for c in _components_within(g, set(range(g.n)) - removed)}
-    cert_comps = {frozenset(c.vertices) for c in cert.components}
-    if actual_comps != cert_comps:
+    outside = g.full_mask & ~_cell_mask(k_set | (kp_set or set()))
+    if set(component_masks(g.rows, outside)) != {_cell_mask(c.vertices) for c in cert.components}:
         problems.append("certificate components do not match the graph's components")
-    allowed = {
-        FamilyKind.C1NP: {"c1n", "c2n"},
-        FamilyKind.C2NP: {"c1n", "c2n", "c1n_prime", "c2n_bridge"},
-        FamilyKind.C1NPQ: {"c1n", "c2n", "c3nq"},
-        FamilyKind.C2NPQ: {"c1n", "c2n", "c3nq", "c1n_prime", "c2n_bridge"},
-    }[family]
+    hosts = {"K": cert.k_clique, "K'": cert.k_prime}
     for comp in cert.components:
-        if comp.glue not in allowed:
+        if comp.glue not in spec.glues:
             problems.append(f"component glue {comp.glue!r} not allowed in {family.value}")
             continue
-        problems += _comp_tag_checks(g, comp, k_set, kp_set)
-
-    tags = [c.glue for c in cert.components]
-    if family is FamilyKind.C1NP:
-        if len(tags) < 2:
-            problems.append("at least two components required")
-        if len(tags) == 2 and "c2n" not in tags:
-            problems.append("with exactly two components one must glue as a cycle")
-        if not cond_frontier_triples(g, cert.k_clique):
-            problems.append("frontier-triple heavy-pair condition fails")
-    elif family is FamilyKind.C2NP:
-        if tags.count("c2n_bridge") < 1:
-            problems.append("at least one bridge component required")
-        if tags.count("c1n_prime") + tags.count("c2n_bridge") != 2:
-            problems.append("exactly two components must attach to the secondary clique")
-        if not cond_anchored_pairs(g, cert.k_prime, cert.u0):
-            problems.append("secondary-clique heavy-pair condition fails")
-        if not cond_anchored_pairs(g, cert.k_clique, cert.u0):
-            problems.append("core-clique heavy-pair condition fails")
-    elif family is FamilyKind.C1NPQ:
-        if tags.count("c3nq") < 1:
-            problems.append("at least one path-attachment component required")
-    elif family is FamilyKind.C2NPQ:
-        if tags.count("c3nq") < 1:
-            problems.append("at least one path-attachment component required")
-        if tags.count("c2n_bridge") < 1:
-            problems.append("at least one bridge component required")
-        if tags.count("c1n_prime") + tags.count("c2n_bridge") != 2:
-            problems.append("exactly two components must attach to the secondary clique")
-        if not cond_anchored_pairs(g, cert.k_prime, cert.u0):
-            problems.append("secondary-clique heavy-pair condition fails")
+        problems += _comp_tag_checks(g, comp, hosts)
+    problems += _count_problems(spec, [c.glue for c in cert.components])
+    for clique, message in spec.heavy_pairs:
+        if not _heavy_pairs_hold(g, hosts[clique], cert.u0):
+            problems.append(message)
     return problems
 
 
-# -- composed-family recognizers ----------------------------------------------
+# -- composed-family recognizer -----------------------------------------------
 
 
-def _comp_glues(g, comp, k_clique, kp_clique, u0, allowed):
-    """(tag, sub-cert) options for one component, in preference order."""
-    nh = _neighbors_of_set(g, comp)
-    k_set, kp_set = set(k_clique), set(kp_clique) if kp_clique else None
-    options = []
-    if "c3nq" in allowed and nh <= k_set:
-        cert = _glue_c3nq(g, comp, k_clique)
-        if cert:
-            options.append(("c3nq", cert))
-    if "c1n" in allowed and nh <= k_set:
-        cert = _glue_chain(g, comp, k_clique)
-        if cert:
-            options.append(("c1n", cert))
-    if "c2n" in allowed and nh <= k_set:
-        cert = _glue_cycle(g, comp, (k_clique,))
-        if cert:
-            options.append(("c2n", cert))
-    if kp_set is not None:
-        if "c1n_prime" in allowed and nh <= kp_set:
-            cert = _glue_chain(g, comp, kp_clique)
-            if cert:
-                options.append(("c1n_prime", cert))
-        if "c2n_bridge" in allowed and nh & k_set and nh & kp_set:
-            cert = _glue_cycle(g, comp, (k_clique, kp_clique))
-            if cert:
-                options.append(("c2n_bridge", cert))
-    return options
-
-
-def _recognize_c1np(g: Graph) -> ComposedCert | None:
-    heavy = set(heavy_vertices(g))
-    for k_clique in maximal_cliques(g):
-        if not heavy <= k_clique:
-            continue
-        comps = _components_within(g, set(range(g.n)) - k_clique)
-        if len(comps) < 2:
-            continue
-        parts = []
-        ok = True
-        for comp in comps:
-            options = _comp_glues(g, comp, tuple(sorted(k_clique)), None, None, {"c1n", "c2n"})
-            if not options:
-                ok = False
-                break
-            parts.append((comp, options))
-        if not ok:
-            continue
-        if len(comps) == 2 and not any(
-            any(tag == "c2n" for tag, _ in options) for _, options in parts
-        ):
-            continue
-        if not cond_frontier_triples(g, k_clique):
-            continue
-        # with exactly two components, keep one cycle glue visible so the
-        # certificate itself witnesses the counting clause
-        cyc_at = -1
-        if len(comps) == 2:
-            cyc_at = next(
-                i for i, (_, options) in enumerate(parts)
-                if any(t == "c2n" for t, _ in options)
-            )
-        chosen = []
-        for i, (comp, options) in enumerate(parts):
-            tag, sub = options[0]
-            if i == cyc_at:
-                tag, sub = next((t, s) for t, s in options if t == "c2n")
-            chosen.append(ComponentCert(tuple(sorted(comp)), tag, sub))
-        cert = ComposedCert(g.n, tuple(sorted(k_clique)), None, None, tuple(chosen))
-        if not check_composed_cert(g, FamilyKind.C1NP, cert):
-            return cert
-    return None
+def _k_candidates(g: Graph, spec: FamilySpec) -> list[tuple[int, ...]]:
+    if spec.k_holds_heavy:
+        heavy = set(heavy_vertices(g))
+        keep = [c for c in maximal_cliques(g) if heavy <= c]
+    else:
+        keep = [c for c in maximal_cliques(g) if 2 * len(c) >= g.n]
+    return [tuple(sorted(c)) for c in keep]
 
 
 def _prime_candidates(g: Graph, k_clique):
@@ -895,102 +881,74 @@ def _prime_candidates(g: Graph, k_clique):
             yield tuple(sorted(kp)), next(iter(inter))
 
 
-def _recognize_two_clique(g: Graph, family: FamilyKind) -> ComposedCert | None:
-    allowed_tags = {
-        FamilyKind.C2NP: {"c1n", "c2n", "c1n_prime", "c2n_bridge"},
-        FamilyKind.C2NPQ: {"c1n", "c2n", "c3nq", "c1n_prime", "c2n_bridge"},
-    }[family]
-    if family is FamilyKind.C2NP:
-        heavy = set(heavy_vertices(g))
-        k_candidates = [c for c in maximal_cliques(g) if heavy <= c]
-    else:
-        k_candidates = [c for c in maximal_cliques(g) if 2 * len(c) >= g.n]
-    for k_clique in k_candidates:
-        for kp, u0 in _prime_candidates(g, k_clique):
-            comps = _components_within(g, set(range(g.n)) - set(k_clique) - set(kp))
-            parts = []
-            ok = True
-            for comp in comps:
-                options = _comp_glues(g, comp, tuple(sorted(k_clique)), kp, u0, allowed_tags)
-                if not options:
-                    ok = False
-                    break
-                parts.append((comp, options))
-            if not ok:
-                continue
-            assignment = _pick_two_clique_tags(parts, family)
-            if assignment is None:
-                continue
-            cert = ComposedCert(
-                g.n, tuple(sorted(k_clique)), kp, u0,
-                tuple(
-                    ComponentCert(tuple(sorted(comp)), tag, sub)
-                    for (comp, _), (tag, sub) in zip(parts, assignment)
-                ),
-            )
-            if not check_composed_cert(g, family, cert):
-                return cert
-    return None
+def _glue_options(g: Graph, comps, hosts, glues):
+    """(tag, sub-cert) options per component, in option order; None as
+    soon as one component has no option."""
+    out = []
+    for comp in comps:
+        outside = _neighbors_of_set(g, comp)
+        options = []
+        for tag in glues:
+            glue = GLUES[tag]
+            cliques = [hosts[h] for h in glue.hosts]
+            if _attaches(outside, cliques):
+                cert = _glue_search(g, set(comp).union(*cliques), glue.base)
+                if cert:
+                    options.append((tag, cert))
+        if not options:
+            return None
+        out.append(options)
+    return out
 
 
-def _pick_two_clique_tags(parts, family: FamilyKind):
-    """Choose one glue per component meeting the counting clauses."""
-    prime_side = {"c1n_prime", "c2n_bridge"}
-    needs_c3 = family is FamilyKind.C2NPQ
+def _pick_glues(spec: FamilySpec, options):
+    """The first assignment in option order that meets the counting
+    clauses, or None. A branch is cut once a count passes its upper bound
+    or can no longer reach its lower bound."""
+    clauses = [c for c in spec.counts if c.only_with in (None, len(options))]
+    # reach[i][j]: components i.. that have an option counted by clause j
+    reach = [[0] * len(clauses)]
+    for comp_options in reversed(options):
+        reach.append([
+            r + any(c.covers(tag) for tag, _ in comp_options)
+            for r, c in zip(reach[-1], clauses)
+        ])
+    reach.reverse()
+    picked = []
 
-    def backtrack(i, picked, bridges, primes, c3s):
-        if i == len(parts):
-            if bridges < 1 or bridges + primes != 2:
+    def extend(i: int, counts: list[int]):
+        for n, r, c in zip(counts, reach[i], clauses):
+            if n + r < c.lo or (c.hi is not None and n > c.hi):
                 return None
-            if needs_c3 and c3s < 1:
-                return None
-            return list(picked)
-        _, options = parts[i]
-        for tag, sub in options:
-            b = bridges + (tag == "c2n_bridge")
-            p = primes + (tag == "c1n_prime")
-            c = c3s + (tag == "c3nq")
-            if b + p > 2:
-                continue
+        if i == len(options):
+            return picked
+        for tag, sub in options[i]:
             picked.append((tag, sub))
-            result = backtrack(i + 1, picked, b, p, c)
-            if result is not None:
-                return result
+            if extend(i + 1, [n + c.covers(tag) for n, c in zip(counts, clauses)]) is not None:
+                return picked
             picked.pop()
         return None
 
-    return backtrack(0, [], 0, 0, 0)
+    return extend(0, [0] * len(clauses))
 
 
-def _recognize_c1npq(g: Graph) -> ComposedCert | None:
-    for k_clique in maximal_cliques(g):
-        if 2 * len(k_clique) < g.n:
-            continue
-        comps = _components_within(g, set(range(g.n)) - k_clique)
-        if not comps:
-            continue
-        chosen = []
-        saw_c3 = False
-        ok = True
-        for comp in comps:
-            options = _comp_glues(
-                g, comp, tuple(sorted(k_clique)), None, None, {"c1n", "c2n", "c3nq"}
-            )
-            if not options:
-                ok = False
-                break
-            tag, sub = options[0]
-            for t, s in options:
-                if t == "c3nq":
-                    tag, sub = t, s
-                    break
-            saw_c3 |= tag == "c3nq"
-            chosen.append(ComponentCert(tuple(sorted(comp)), tag, sub))
-        if not ok or not saw_c3:
-            continue
-        cert = ComposedCert(g.n, tuple(sorted(k_clique)), None, None, tuple(chosen))
-        if not check_composed_cert(g, FamilyKind.C1NPQ, cert):
-            return cert
+def _recognize_composed(g: Graph, spec: FamilySpec) -> ComposedCert | None:
+    for k_clique in _k_candidates(g, spec):
+        primes = _prime_candidates(g, k_clique) if spec.two_clique else [(None, None)]
+        for kp, u0 in primes:
+            outside = g.full_mask & ~_cell_mask(k_clique) & ~_cell_mask(kp or ())
+            comps = [tuple(_bits(c)) for c in component_masks(g.rows, outside)]
+            if len(comps) < spec.min_components:
+                continue
+            options = _glue_options(g, comps, {"K": k_clique, "K'": kp}, spec.glues)
+            picked = None if options is None else _pick_glues(spec, options)
+            if picked is None:
+                continue
+            cert = ComposedCert(g.n, k_clique, kp, u0, tuple(
+                ComponentCert(comp, tag, sub) for comp, (tag, sub) in zip(comps, picked)
+            ))
+            if not check_composed_cert(g, spec.kind, cert):
+                return cert
     return None
 
 
@@ -1007,17 +965,9 @@ class FamilyWitness:
 def recognize(g: Graph) -> FamilyWitness:
     """Match g against every family; empty match set is a valid answer."""
     certs: dict[FamilyKind, Certificate] = {}
-    searches = {
-        FamilyKind.C1N: is_c1n,
-        FamilyKind.C2N: is_c2n,
-        FamilyKind.C3NQ: is_c3nq,
-        FamilyKind.C1NP: _recognize_c1np,
-        FamilyKind.C2NP: lambda h: _recognize_two_clique(h, FamilyKind.C2NP),
-        FamilyKind.C1NPQ: _recognize_c1npq,
-        FamilyKind.C2NPQ: lambda h: _recognize_two_clique(h, FamilyKind.C2NPQ),
-    }
-    for kind, searcher in searches.items():
-        cert = searcher(g)
+    for kind in FamilyKind:
+        spec = FAMILY_SPECS.get(kind)
+        cert = _base_search(kind, g) if spec is None else _recognize_composed(g, spec)
         if cert is not None:
             certs[kind] = cert
     return FamilyWitness(frozenset(certs), certs, g.n >= 10)
@@ -1196,11 +1146,9 @@ def _generate_c3nq(params: FamilyParams, rng: random.Random) -> tuple[Graph, C3N
     b = _Builder()
     clique = tuple(range(k))
     b.clique(clique)
-    verts, cert = _generate_c3nq_into(b, rng, clique, set(), k)
+    _, cert = _generate_c3nq_into(b, rng, clique, set(), k)
     n = k + 4
-    g = Graph.from_edges(n, sorted(b.pairs))
-    return g, C3NQCert(n, cert.clique, cert.a1, cert.c2, cert.c3,
-                       cert.b2, cert.a2, cert.a3, cert.b3)
+    return Graph.from_edges(n, sorted(b.pairs)), replace(cert, n=n)
 
 
 def _attach_chain(b, rng, host, host_used, sizes, juncs, next_id, label,
@@ -1340,107 +1288,68 @@ def _component_fresh_count(spec: ComponentSpec) -> int:
 
 def _generate_composed(params: FamilyParams, rng: random.Random) -> tuple[Graph, ComposedCert]:
     fam = params.family
-    two_clique = fam in (FamilyKind.C2NP, FamilyKind.C2NPQ)
-    if two_clique and len(params.clique_sizes) != 2:
-        raise ParameterError(f"{fam.value}: clique sizes must name K and K'")
-    if not two_clique and len(params.clique_sizes) != 1:
+    spec = FAMILY_SPECS[fam]
+    if len(params.clique_sizes) != 1 + spec.two_clique:
+        if spec.two_clique:
+            raise ParameterError(f"{fam.value}: clique sizes must name K and K'")
         raise ParameterError(f"{fam.value}: exactly one core clique size required")
     k = params.clique_sizes[0]
-    kp = params.clique_sizes[1] if two_clique else None
+    kp = params.clique_sizes[1] if spec.two_clique else None
     if k < 2 or (kp is not None and kp < 2):
         raise ParameterError(f"{fam.value}: cliques need at least 2 vertices")
-    allowed = {
-        FamilyKind.C1NP: {"c1n", "c2n"},
-        FamilyKind.C2NP: {"c1n", "c2n", "c1n_prime", "c2n_bridge"},
-        FamilyKind.C1NPQ: {"c1n", "c2n", "c3nq"},
-        FamilyKind.C2NPQ: {"c1n", "c2n", "c3nq", "c1n_prime", "c2n_bridge"},
-    }[fam]
     kinds = [c.kind for c in params.components]
     for kind in kinds:
-        if kind not in allowed:
+        if kind not in spec.glues:
             raise ParameterError(f"{fam.value}: component kind {kind!r} not allowed")
-    if fam is FamilyKind.C1NP:
-        if len(kinds) < 2:
-            raise ParameterError("C1NP: at least two components required")
-        if len(kinds) == 2 and "c2n" not in kinds:
-            raise ParameterError("C1NP: with exactly two components one must be a cycle")
-    if fam in (FamilyKind.C2NP, FamilyKind.C2NPQ):
-        if kinds.count("c2n_bridge") < 1:
-            raise ParameterError(f"{fam.value}: at least one bridge component required")
-        if kinds.count("c1n_prime") + kinds.count("c2n_bridge") != 2:
-            raise ParameterError(
-                f"{fam.value}: exactly two components must attach to the secondary clique"
-            )
-    if fam is FamilyKind.C2NPQ and kinds.count("c3nq") < 1:
-        raise ParameterError("C2NPQ: at least one path-attachment component required")
-    if fam is FamilyKind.C1NPQ and kinds.count("c3nq") < 1:
-        raise ParameterError("C1NPQ: at least one path-attachment component required")
+    problems = _count_problems(spec, kinds)
+    if problems:
+        raise ParameterError(f"{fam.value}: {problems[0]}")
     n = k + (kp - 1 if kp else 0) + sum(map(_component_fresh_count, params.components))
-    if fam in (FamilyKind.C1NPQ, FamilyKind.C2NPQ) and 2 * k < n:
+    if not spec.k_holds_heavy and 2 * k < n:
         raise ParameterError(f"{fam.value}: the core clique must span at least half the graph")
 
     b = _Builder()
-    k_clique = tuple(range(k))
-    b.clique(k_clique)
+    hosts = {"K": tuple(range(k)), "K'": None}
+    used: dict[str, set[int]] = {"K": set(), "K'": set()}
+    b.clique(hosts["K"])
     u0 = None
-    kp_clique = None
     cursor = k
-    if two_clique:
+    if spec.two_clique:
         u0 = 0
-        kp_clique = tuple([0] + list(range(k, k + kp - 1)))
-        b.clique(kp_clique)
+        hosts["K'"] = (0, *range(k, k + kp - 1))
+        b.clique(hosts["K'"])
         cursor = k + kp - 1
     anchor_forbidden = frozenset({u0}) if u0 is not None else frozenset()
-    used_k: set[int] = set()
-    used_kp: set[int] = set()
 
     comp_certs = []
-    for spec in params.components:
-        label = f"{fam.value}/{spec.kind}"
-        if spec.kind == "c3nq":
-            verts, cert = _generate_c3nq_into(b, rng, k_clique, used_k, cursor, anchor_forbidden)
-            cursor += 4
-            comp_certs.append(ComponentCert(verts, "c3nq", C3NQCert(
-                n, cert.clique, cert.a1, cert.c2, cert.c3, cert.b2, cert.a2, cert.a3, cert.b3,
-            )))
-        elif spec.kind in ("c1n", "c1n_prime"):
-            host = k_clique if spec.kind == "c1n" else kp_clique
-            host_used = used_k if spec.kind == "c1n" else used_kp
-            if host is None:
-                raise ParameterError(f"{label}: no secondary clique in this family")
-            fresh, cells, matchings = _attach_chain(
-                b, rng, host, host_used, spec.clique_sizes, spec.junction_sizes, cursor, label,
-                anchor_forbidden,
+    for comp in params.components:
+        label = f"{fam.value}/{comp.kind}"
+        glue = GLUES[comp.kind]
+        cliques = [hosts[h] for h in glue.hosts]
+        cliques_used = [used[h] for h in glue.hosts]
+        if glue.base is FamilyKind.C3NQ:
+            fresh, sub = _generate_c3nq_into(
+                b, rng, cliques[0], cliques_used[0], cursor, anchor_forbidden,
             )
-            cursor += len(fresh)
-            sub = ChainCert(n, tuple(cells), matchings)
-            comp_certs.append(ComponentCert(tuple(fresh), spec.kind, sub))
-        elif spec.kind == "c2n":
-            fresh, cells, junctions = _attach_cycle(
-                b, rng, (k_clique,), [used_k], spec.clique_sizes, spec.junction_sizes,
+            sub = replace(sub, n=n)
+        elif glue.base is FamilyKind.C1N:
+            fresh, cells, matchings = _attach_chain(
+                b, rng, cliques[0], cliques_used[0], comp.clique_sizes, comp.junction_sizes,
                 cursor, label, anchor_forbidden,
             )
-            cursor += len(fresh)
-            sub = CycleCert(n, tuple(cells), junctions)
-            comp_certs.append(ComponentCert(tuple(fresh), "c2n", sub))
-        elif spec.kind == "c2n_bridge":
-            fresh, cells, junctions = _attach_cycle(
-                b, rng, (k_clique, kp_clique), [used_k, used_kp],
-                spec.clique_sizes, spec.junction_sizes, cursor, label, anchor_forbidden,
-            )
-            cursor += len(fresh)
-            sub = CycleCert(n, tuple(cells), junctions)
-            comp_certs.append(ComponentCert(tuple(fresh), "c2n_bridge", sub))
+            sub = ChainCert(n, tuple(cells), matchings)
         else:
-            raise ParameterError(f"unknown component kind {spec.kind!r}")
+            fresh, cells, junctions = _attach_cycle(
+                b, rng, tuple(cliques), cliques_used, comp.clique_sizes, comp.junction_sizes,
+                cursor, label, anchor_forbidden,
+            )
+            sub = CycleCert(n, tuple(cells), junctions)
+        cursor += len(fresh)
+        comp_certs.append(ComponentCert(tuple(fresh), comp.kind, sub))
     if cursor != n:
         raise AssertionError("internal vertex accounting error")
     g = Graph.from_edges(n, sorted(b.pairs))
-    cert = ComposedCert(
-        n, k_clique,
-        tuple(sorted(kp_clique)) if kp_clique else None,
-        u0, tuple(comp_certs),
-    )
+    cert = ComposedCert(n, hosts["K"], hosts["K'"], u0, tuple(comp_certs))
     problems = check_composed_cert(g, fam, cert)
     if problems:
         raise ParameterError(f"{fam.value}: generated graph violates: {problems[0]}")

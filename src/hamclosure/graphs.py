@@ -93,6 +93,11 @@ class Graph:
     def row(self, v: int) -> int:
         return self._rows[v]
 
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Neighbor bitmask of every vertex, indexed by vertex."""
+        return self._rows
+
     def degree(self, v: int) -> int:
         return self._rows[v].bit_count()
 
@@ -192,33 +197,37 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 # -- connectivity -----------------------------------------------------------
 
 
-def _component_mask(g: Graph, start: int, allowed: int) -> int:
-    seen = 1 << start
-    frontier = seen
+def flood(rows, seed: int, allowed: int) -> int:
+    """Mask of the vertices reached from the ``seed`` mask by paths whose
+    later vertices all lie in ``allowed``; ``rows[v]`` is v's neighbor mask."""
+    seen = frontier = seed
     while frontier:
         reach = 0
         for v in _bits(frontier):
-            reach |= g.row(v)
+            reach |= rows[v]
         frontier = reach & allowed & ~seen
         seen |= frontier
     return seen
 
 
+def component_masks(rows, allowed: int) -> list[int]:
+    """Connected pieces of the vertices in ``allowed``, lowest vertex first."""
+    out = []
+    while allowed:
+        comp = flood(rows, allowed & -allowed, allowed)
+        out.append(comp)
+        allowed &= ~comp
+    return out
+
+
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
         return False
-    return _component_mask(g, 0, g.full_mask) == g.full_mask
+    return flood(g.rows, 1, g.full_mask) == g.full_mask
 
 
 def connected_components(g: Graph) -> list[frozenset[int]]:
-    remaining = g.full_mask
-    out = []
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = _component_mask(g, start, remaining)
-        out.append(frozenset(_bits(comp)))
-        remaining &= ~comp
-    return out
+    return [frozenset(_bits(comp)) for comp in component_masks(g.rows, g.full_mask)]
 
 
 def articulation_points(g: Graph) -> list[int]:

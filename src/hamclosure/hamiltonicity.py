@@ -10,8 +10,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import InputError, PreconditionError
-from .graphs import Graph, _bits, is_2_connected, is_connected
+from .errors import InputError
+from .graphs import Graph, _bits, flood, is_2_connected, is_connected
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -76,15 +76,7 @@ def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCer
             if d < 2:
                 return False
         # unvisited region plus the path end must stay connected
-        seen = 1 << cur
-        frontier = seen
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= rows[v]
-            frontier = reach & remaining & ~seen
-            seen |= frontier
-        return remaining & ~seen == 0
+        return remaining & ~flood(rows, 1 << cur, remaining) == 0
 
     def search(visited: int, cur: int) -> bool | None:
         nonlocal nodes
@@ -116,21 +108,3 @@ def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCer
         return HamiltonicityCertificate(True, cycle, nodes)
     return HamiltonicityCertificate(False, None, nodes)
 
-
-def verify_closure_preservation(g: Graph, closure_kind: str, node_budget: int | None = None) -> bool:
-    """True iff the oracle agrees on g and its o-, r-, or c-closure."""
-    from . import closures
-
-    if closure_kind == "o":
-        closed, _ = closures.o_closure(g)
-    elif closure_kind == "r":
-        closed, _ = closures.r_closure(g)
-    elif closure_kind == "c":
-        closed, _ = closures.c_closure(g)
-    else:
-        raise InputError(f"unknown closure kind {closure_kind!r}")
-    before = is_hamiltonian(g, node_budget)
-    after = is_hamiltonian(closed, node_budget)
-    if before.undecided or after.undecided:
-        raise PreconditionError("hamiltonicity oracle ran out of budget")
-    return before.result == after.result

@@ -21,7 +21,7 @@ from .closures import (
     supergraph_search,
     validate_c_trace,
 )
-from .errors import ExhaustionError
+from .errors import ExhaustionError, InputError, PreconditionError
 from .families import (
     ComponentSpec,
     FamilyKind,
@@ -255,6 +255,21 @@ def acceptance_grids() -> dict[FamilyKind, list[tuple[FamilyParams, int]]]:
             seeds += 1
         grids[kind] = members
     return grids
+
+
+def verify_closure_preservation(
+    g: Graph, closure_kind: str, node_budget: int | None = None,
+) -> bool:
+    """True iff the oracle agrees on g and its o-, r-, or c-closure."""
+    closures = {"o": o_closure, "r": r_closure, "c": c_closure}
+    if closure_kind not in closures:
+        raise InputError(f"unknown closure kind {closure_kind!r}")
+    closed, _ = closures[closure_kind](g)
+    before = is_hamiltonian(g, node_budget)
+    after = is_hamiltonian(closed, node_budget)
+    if before.undecided or after.undecided:
+        raise PreconditionError("hamiltonicity oracle ran out of budget")
+    return before.result == after.result
 
 
 # -- suites --------------------------------------------------------------------
@@ -586,7 +601,5 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0, node_budget: int | None = None) -> SuiteResult:
     if name not in SUITES:
-        from .errors import InputError
-
         raise InputError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     return SUITES[name](seed=seed, node_budget=node_budget)

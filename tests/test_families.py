@@ -2,8 +2,9 @@ import itertools
 
 import pytest
 
+from hamclosure import cli, families
 from hamclosure.closures import c_closure, is_c_closed
-from hamclosure.errors import InputError, ParameterError
+from hamclosure.errors import BudgetError, InputError, ParameterError
 from hamclosure.families import (
     ChainCert,
     ComponentSpec,
@@ -26,6 +27,7 @@ from hamclosure.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    emit_graph6,
     is_2_connected,
 )
 from hamclosure.hamiltonicity import is_hamiltonian
@@ -41,6 +43,12 @@ def isomorphic(a: Graph, b: Graph) -> bool:
         if all(b.has_edge(perm[u], perm[v]) for u, v in a.edges()):
             return True
     return False
+
+
+def skeleton(cert):
+    """K, K', u0 and the (vertex set, glue tag) of every component."""
+    comps = sorted((tuple(sorted(c.vertices)), c.glue) for c in cert.components)
+    return cert.k_clique, cert.k_prime, cert.u0, comps
 
 
 class TestGenerate:
@@ -114,6 +122,13 @@ class TestBaseRecognizers:
         assert replay_certificate(cert) == g8
         assert len(cert.clique) == 4
 
+    def test_cycle_search_cap_raises_a_typed_error(self, monkeypatch, capsys):
+        monkeypatch.setattr(families, "_CYCLE_SEARCH_CAP", 1)
+        with pytest.raises(BudgetError):
+            is_c2n(cycle_graph(5))
+        assert cli.main(["classify", emit_graph6(cycle_graph(5))]) == 3
+        assert "state cap" in capsys.readouterr().err
+
     def test_k23_matches_nothing(self):
         g = complete_bipartite(2, 3)
         assert is_c1n(g) is None and is_c2n(g) is None and is_c3nq(g) is None
@@ -159,7 +174,10 @@ class TestRecognize:
             g, cert = generate_with_certificate(params, seed=3)
             witness = recognize(g)
             assert params.family in witness.families, params.family
-            assert replay_certificate(witness.certificate(params.family)) == g
+            found = witness.certificate(params.family)
+            assert replay_certificate(found) == g
+            if params.components:
+                assert skeleton(found) == skeleton(cert), params.family
 
 
 class TestKnownEdgeCases:

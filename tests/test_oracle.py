@@ -2,8 +2,9 @@ import pytest
 
 from hamclosure.errors import PreconditionError
 from hamclosure.graphs import complete_bipartite, cycle_graph, empty_graph, path_graph
-from hamclosure.hamiltonicity import is_hamiltonian, validate_cycle, verify_closure_preservation
+from hamclosure.hamiltonicity import is_hamiltonian, validate_cycle
 from hamclosure.patterns import PatternKind, REFERENCE, is_free
+from hamclosure.verify import verify_closure_preservation
 
 
 class TestOracle:
