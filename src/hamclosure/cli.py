@@ -139,7 +139,8 @@ def _report(g: Graph, seed: int, budget: int | None) -> dict:
     closures["o"] = {"edges_added": closed_o.edge_count - g.edge_count, "steps": len(trace_o.steps)}
     region_summary = None
     c_closed = None
-    if not has_induced(g, PatternKind.CLAW):
+    claw_free = not has_induced(g, PatternKind.CLAW)
+    if claw_free:
         closed_r, trace_r = r_closure(g)
         closures["r"] = {
             "edges_added": closed_r.edge_count - g.edge_count,
@@ -165,7 +166,7 @@ def _report(g: Graph, seed: int, budget: int | None) -> dict:
         "n": g.n,
         "edges": g.edge_count,
         "two_connected": is_2_connected(g),
-        "claw_free": not has_induced(g, PatternKind.CLAW),
+        "claw_free": claw_free,
         "claw_o_heavy": claw_o_heavy,
         "c_closed": c_closed,
         "net_profile": {

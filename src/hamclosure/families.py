@@ -16,11 +16,14 @@ The composed families' clauses live in two tables: ``FAMILY_SPECS``, one
 ``FamilySpec`` row per family (rule for K, whether K' exists, allowed
 glues, counting clauses, heavy-pair condition), and ``GLUES``, one row per
 glue tag (base family, host clique(s), attachment rule). The certificate
-checker, the recognizer and the generator all read these rows.
+checker, the recognizer and the generator all read these rows. Chains and
+cycles of cliques share one clause checker, and the component gate the
+recognizer applies before any glue search comes from the counting clauses.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -76,6 +79,14 @@ class FamilyParams:
 Junction = tuple  # ("identify", v) | ("matching", ((u, v), ...))
 
 
+def _clique_edges(cell) -> list[tuple[int, int]]:
+    return [(u, v) for i, u in enumerate(cell) for v in cell[i + 1:]]
+
+
+def _cell_mask(cell) -> int:
+    return sum(1 << v for v in cell)
+
+
 @dataclass(frozen=True)
 class ChainCert:
     n: int
@@ -85,7 +96,7 @@ class ChainCert:
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for cell in self.cells:
-            out.extend((u, v) for i, u in enumerate(cell) for v in cell[i + 1:])
+            out.extend(_clique_edges(cell))
         for matching in self.matchings:
             out.extend(matching)
         return out
@@ -100,7 +111,7 @@ class CycleCert:
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for cell in self.cells:
-            out.extend((u, v) for i, u in enumerate(cell) for v in cell[i + 1:])
+            out.extend(_clique_edges(cell))
         for junction in self.junctions:
             if junction[0] == "matching":
                 out.extend(junction[1])
@@ -120,7 +131,7 @@ class C3NQCert:
     b3: int
 
     def edges(self) -> list[tuple[int, int]]:
-        out = [(u, v) for i, u in enumerate(self.clique) for v in self.clique[i + 1:]]
+        out = _clique_edges(self.clique)
         out += [(self.b2, self.a2), (self.a2, self.a3), (self.a3, self.b3)]
         out += [(self.c2, self.b2), (self.a1, self.a2), (self.a1, self.a3), (self.c3, self.b3)]
         return out
@@ -142,9 +153,9 @@ class ComposedCert:
     components: tuple[ComponentCert, ...]
 
     def edges(self) -> list[tuple[int, int]]:
-        out = [(u, v) for i, u in enumerate(self.k_clique) for v in self.k_clique[i + 1:]]
+        out = _clique_edges(self.k_clique)
         if self.k_prime:
-            out += [(u, v) for i, u in enumerate(self.k_prime) for v in self.k_prime[i + 1:]]
+            out += _clique_edges(self.k_prime)
         for comp in self.components:
             out.extend(comp.sub.edges())
         return out
@@ -160,149 +171,85 @@ def replay_certificate(cert: Certificate) -> Graph:
 # -- certificate checkers -----------------------------------------------------
 
 
-def _cell_mask(cell) -> int:
-    return sum(1 << v for v in cell)
+def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]:
+    """Clauses shared by chains and cycles of cliques.
 
-
-def check_chain_cert(g: Graph, cert: ChainCert) -> list[str]:
+    Junction i joins cell i and cell (i + 1) % t: a chain passes its t - 1
+    matchings, a cycle its t junctions.
+    """
     problems = []
     cells = cert.cells
     t = len(cells)
-    if t < 1:
-        return ["chain needs at least one clique"]
-    if len(cert.matchings) != t - 1:
-        return ["chain needs one matching per consecutive clique pair"]
-    masks = [_cell_mask(c) for c in cells]
-    union = 0
-    for i, mask in enumerate(masks):
-        if mask & union:
-            problems.append(f"cell {i} overlaps an earlier cell")
-        union |= mask
-        if not g.is_clique_mask(mask):
-            problems.append(f"cell {i} is not a clique")
-    if union != g.full_mask:
-        problems.append("cells do not cover every vertex")
-    for i, size in enumerate(map(len, cells)):
-        if 0 < i < t - 1:
-            if size < 4:
-                problems.append(f"interior clique {i} smaller than 4")
-        elif size < 2:
-            problems.append(f"end clique {i} smaller than 2")
-    covered = set()
-    for cell in cells:
-        covered.update(
-            (min(u, v), max(u, v)) for i, u in enumerate(cell) for v in cell[i + 1:]
-        )
-    in_sets: list[set[int]] = [set() for _ in range(t)]
-    out_sets: list[set[int]] = [set() for _ in range(t)]
-    for i, matching in enumerate(cert.matchings):
-        if len(matching) < 2:
-            problems.append(f"junction {i} must match at least 2 vertices")
-        left, right = set(), set()
-        for u, v in matching:
-            if not g.has_edge(u, v):
-                problems.append(f"junction {i} names a missing edge ({u}, {v})")
-            if not (masks[i] >> u & 1 and masks[i + 1] >> v & 1):
-                problems.append(f"junction {i} edge ({u}, {v}) not between its cliques")
-            left.add(u)
-            right.add(v)
-            covered.add((min(u, v), max(u, v)))
-        if len(left) != len(matching) or len(right) != len(matching):
-            problems.append(f"junction {i} is not a matching")
-        out_sets[i] = left
-        in_sets[i + 1] = right
-    for i in range(t):
-        if in_sets[i] & out_sets[i]:
-            problems.append(f"cell {i} uses a vertex in both of its junctions")
-    actual = set(g.edges())
-    if actual != covered:
-        extra = sorted(actual - covered)
-        missing = sorted(covered - actual)
-        problems.append(f"edges not exactly the chain: extra {extra}, missing {missing}")
-    return problems
-
-
-def check_cycle_cert(g: Graph, cert: CycleCert) -> list[str]:
-    problems = []
-    cells = cert.cells
-    t = len(cells)
-    if t < 3:
-        return ["cycle needs at least 3 cliques"]
-    if len(cert.junctions) != t:
-        return ["cycle needs one junction per consecutive clique pair"]
     masks = [_cell_mask(c) for c in cells]
     for i, mask in enumerate(masks):
         if len(cells[i]) < 2:
             problems.append(f"cell {i} smaller than 2")
+        elif not cyclic and 0 < i < t - 1 and len(cells[i]) < 4:
+            problems.append(f"interior clique {i} smaller than 4")
         if not g.is_clique_mask(mask):
             problems.append(f"cell {i} is not a clique")
-    if _union_all(masks) != g.full_mask:
+    if _cell_mask(set().union(*cells)) != g.full_mask:
         problems.append("cells do not cover every vertex")
-    # pairwise intersections: consecutive cells may share the junction
-    # vertex, all other pairs must be disjoint
-    for i in range(t):
-        for j in range(i + 1, t):
-            inter = masks[i] & masks[j]
-            consecutive = j == i + 1 or (i == 0 and j == t - 1)
-            if not consecutive and inter:
-                problems.append(f"non-consecutive cells {i},{j} share vertices")
-    covered = set()
-    for cell in cells:
-        covered.update(
-            (min(u, v), max(u, v)) for i, u in enumerate(cell) for v in cell[i + 1:]
-        )
+    joined = {frozenset((i, (i + 1) % t)) for i in range(len(junctions))}
+    for i, j in itertools.combinations(range(t), 2):
+        if masks[i] & masks[j] and {i, j} not in joined:
+            problems.append(f"cells {i},{j} share vertices but no junction joins them")
     in_sets: list[set[int]] = [set() for _ in range(t)]
     out_sets: list[set[int]] = [set() for _ in range(t)]
-    for i, junction in enumerate(cert.junctions):
+    for i, junction in enumerate(junctions):
         left, right = i, (i + 1) % t
         inter = masks[left] & masks[right]
         if junction[0] == "identify":
             z = junction[1]
             if inter != 1 << z:
                 problems.append(f"junction {i} identification vertex mismatch")
-            out_sets[left].add(z)
-            in_sets[right].add(z)
+            out_sets[left], in_sets[right] = {z}, {z}
         elif junction[0] == "matching":
             matching = junction[1]
             if inter:
                 problems.append(f"junction {i} cliques overlap but are joined by a matching")
             if len(matching) < 2:
                 problems.append(f"junction {i} matching smaller than 2")
-            lset, rset = set(), set()
             for u, v in matching:
-                if not g.has_edge(u, v):
-                    problems.append(f"junction {i} names a missing edge ({u}, {v})")
                 if not (masks[left] >> u & 1 and masks[right] >> v & 1):
                     problems.append(f"junction {i} edge ({u}, {v}) not between its cliques")
-                lset.add(u)
-                rset.add(v)
-                covered.add((min(u, v), max(u, v)))
-            if len(lset) != len(matching) or len(rset) != len(matching):
+            out_sets[left] = {u for u, _ in matching}
+            in_sets[right] = {v for _, v in matching}
+            if len(out_sets[left]) != len(matching) or len(in_sets[right]) != len(matching):
                 problems.append(f"junction {i} is not a matching")
-            out_sets[left] = lset
-            in_sets[right] = rset
         else:
             problems.append(f"junction {i} has unknown type {junction[0]!r}")
     for i in range(t):
         if in_sets[i] & out_sets[i]:
             problems.append(f"cell {i} uses a vertex in both of its junctions")
-        if not in_sets[i] or not out_sets[i]:
+        if cyclic and not (in_sets[i] and out_sets[i]):
             problems.append(f"cell {i} missing a junction attachment")
-    if t == 3 and all(j[0] == "identify" for j in cert.junctions):
+    if cyclic and t == 3 and all(j[0] == "identify" for j in junctions):
         problems.append("3-cycles need at least one matching junction of size 2")
+    expected = {(min(u, v), max(u, v)) for u, v in cert.edges()}
     actual = set(g.edges())
-    if actual != covered:
-        extra = sorted(actual - covered)
-        missing = sorted(covered - actual)
-        problems.append(f"edges not exactly the cycle: extra {extra}, missing {missing}")
+    if actual != expected:
+        extra = sorted(actual - expected)
+        missing = sorted(expected - actual)
+        shape = "cycle" if cyclic else "chain"
+        problems.append(f"edges not exactly the {shape}: extra {extra}, missing {missing}")
     return problems
 
 
-def _union_all(masks) -> int:
-    out = 0
-    for m in masks:
-        out |= m
-    return out
+def check_chain_cert(g: Graph, cert: ChainCert) -> list[str]:
+    if len(cert.cells) < 1:
+        return ["chain needs at least one clique"]
+    if len(cert.matchings) != len(cert.cells) - 1:
+        return ["chain needs one matching per consecutive clique pair"]
+    return _check_clique_sequence(g, cert, [("matching", m) for m in cert.matchings], False)
+
+
+def check_cycle_cert(g: Graph, cert: CycleCert) -> list[str]:
+    if len(cert.cells) < 3:
+        return ["cycle needs at least 3 cliques"]
+    if len(cert.junctions) != len(cert.cells):
+        return ["cycle needs one junction per consecutive clique pair"]
+    return _check_clique_sequence(g, cert, cert.junctions, True)
 
 
 def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
@@ -319,7 +266,7 @@ def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
         kmask >> v & 1 for v in (cert.a1, cert.c2, cert.c3)
     ):
         problems.append("attachment vertices must be three distinct clique vertices")
-    if kmask | sum(1 << v for v in path) != g.full_mask:
+    if kmask | _cell_mask(path) != g.full_mask:
         problems.append("clique plus path must cover every vertex")
     expected = {(min(u, v), max(u, v)) for u, v in cert.edges()}
     if set(g.edges()) != expected:
@@ -337,26 +284,6 @@ def _subcliques_containing(g: Graph, sub_vertices: list[int], anchor: set[int]):
         mapped = frozenset(back[i] for i in clique)
         if anchor <= mapped:
             yield mapped
-
-
-def _chain_matching(g: Graph, cell: frozenset[int], rest: set[int]):
-    """Matching shape of the edges leaving the cell, or None."""
-    pairs = []
-    targets = set()
-    for u in sorted(cell):
-        outs = [v for v in g.neighbors(u) if v in rest]
-        if len(outs) > 1:
-            return None
-        if outs:
-            pairs.append((u, outs[0]))
-            targets.add(outs[0])
-    for v in targets:
-        ins = [u for u in g.neighbors(v) if u in cell]
-        if len(ins) != 1:
-            return None
-    if len(targets) != len(pairs):
-        return None
-    return pairs
 
 
 def is_c1n(g: Graph) -> ChainCert | None:
@@ -377,9 +304,10 @@ def is_c1n(g: Graph) -> ChainCert | None:
                 continue
             if len(cells) >= 1 and len(cell) < 4:
                 continue  # interior cell
-            pairs = _chain_matching(g, cell, new_rest)
-            if pairs is None or len(pairs) < 2:
+            junction = _junction_between(g, cell, new_rest)
+            if junction is None:
                 continue
+            pairs = junction[1]
             if anchor & {u for u, _ in pairs}:
                 continue  # junction sets inside the cell must be disjoint
             found = extend(cells + [cell], matchings + [pairs], new_rest, {v for _, v in pairs})
@@ -391,9 +319,10 @@ def is_c1n(g: Graph) -> ChainCert | None:
         if len(first) < 2:
             continue
         rest = set(range(g.n)) - first
-        pairs = _chain_matching(g, first, rest)
-        if pairs is None or len(pairs) < 2:
+        junction = _junction_between(g, first, rest)
+        if junction is None:
             continue
+        pairs = junction[1]
         found = extend([first], [pairs], rest, {v for _, v in pairs})
         if found:
             cells, matchings = found
@@ -519,7 +448,7 @@ def is_c3nq(g: Graph) -> C3NQCert | None:
                     kset = [v for v in range(g.n) if v not in path]
                     if len(kset) < 4:
                         continue
-                    kmask = sum(1 << v for v in kset)
+                    kmask = _cell_mask(kset)
                     if not g.is_clique_mask(kmask):
                         continue
                     a2_nbrs = set(g.neighbors(a2v))
@@ -611,7 +540,13 @@ class FamilySpec:
     glues: tuple[str, ...]  # in GLUES order
     counts: tuple[CountClause, ...]
     heavy_pairs: tuple[tuple[str, str], ...]  # (clique, message when it fails)
-    min_components: int = 0  # below this, the recognizer drops K (and K') before any glue search
+
+    @property
+    def min_components(self) -> int:
+        """Fewest components the counting clauses allow: the largest lower
+        bound of a clause that binds at every component count. Below it the
+        recognizer drops K (and K') before any glue search."""
+        return max((c.lo for c in self.counts if c.only_with is None), default=0)
 
 
 _BRIDGE = CountClause("at least one bridge component required", frozenset({"c2n_bridge"}), lo=1)
@@ -633,7 +568,6 @@ FAMILY_SPECS = {
                       frozenset({"c2n"}), lo=1, only_with=2),
             ),
             heavy_pairs=(("K", "frontier-triple heavy-pair condition fails"),),
-            min_components=2,
         ),
         FamilySpec(
             FamilyKind.C2NP, k_holds_heavy=True, two_clique=True,
@@ -643,7 +577,7 @@ FAMILY_SPECS = {
         ),
         FamilySpec(
             FamilyKind.C1NPQ, k_holds_heavy=False, two_clique=False,
-            glues=("c3nq", "c1n", "c2n"), counts=(_PATH,), heavy_pairs=(), min_components=1,
+            glues=("c3nq", "c1n", "c2n"), counts=(_PATH,), heavy_pairs=(),
         ),
         FamilySpec(
             FamilyKind.C2NPQ, k_holds_heavy=False, two_clique=True,
@@ -670,7 +604,7 @@ def _count_problems(spec: FamilySpec, tags) -> list[str]:
 
 def _neighbors_of_set(g: Graph, vs) -> set[int]:
     mask = 0
-    inner = sum(1 << v for v in vs)
+    inner = _cell_mask(vs)
     for v in vs:
         mask |= g.row(v)
     return set(_bits(mask & ~inner))
@@ -741,21 +675,12 @@ def _check_sub_cert(g: Graph, vertices, cert) -> list[str]:
 
 
 def _frontier_of(g: Graph, clique) -> list[int]:
-    cmask = sum(1 << v for v in clique)
+    cmask = _cell_mask(clique)
     return [v for v in sorted(clique) if g.row(v) & ~cmask]
 
 
 def _outside_neighbors(g: Graph, v: int, clique_mask: int) -> list[int]:
     return list(_bits(g.row(v) & ~clique_mask))
-
-
-def _triple_has_a_heavy(g: Graph, trio) -> bool:
-    a, b, c = trio
-    return (
-        is_a_heavy_pair(g, a, b)
-        or is_a_heavy_pair(g, a, c)
-        or is_a_heavy_pair(g, b, c)
-    )
 
 
 def _independent_triple_exists(g: Graph, choice_lists) -> bool:
@@ -771,44 +696,27 @@ def _independent_triple_exists(g: Graph, choice_lists) -> bool:
     return False
 
 
-def cond_frontier_triples(g: Graph, clique) -> bool:
-    """Every frontier triple whose outside neighbors can be chosen
-    independent must contain an adjacent heavy pair."""
-    cmask = sum(1 << v for v in clique)
+def _heavy_pairs_hold(g: Graph, clique, u0: int | None) -> bool:
+    """Every frontier triple of the clique whose outside neighbors can be
+    chosen independent contains an adjacent heavy pair. Without K' (u0
+    None) a triple is any three frontier vertices; with it, u0 plus two
+    other frontier vertices."""
+    cmask = _cell_mask(clique)
     frontier = _frontier_of(g, clique)
-    for i, u1 in enumerate(frontier):
-        for j in range(i + 1, len(frontier)):
-            u2 = frontier[j]
-            for u3 in frontier[j + 1:]:
-                if _triple_has_a_heavy(g, (u1, u2, u3)):
-                    continue
-                lists = tuple(_outside_neighbors(g, u, cmask) for u in (u1, u2, u3))
-                if _independent_triple_exists(g, lists):
-                    return False
-    return True
-
-
-def cond_anchored_pairs(g: Graph, clique, u0: int) -> bool:
-    """As cond_frontier_triples but the triple is u0 plus two frontier
-    vertices of the clique other than u0."""
-    cmask = sum(1 << v for v in clique)
-    frontier = [v for v in _frontier_of(g, clique) if v != u0]
-    l0 = _outside_neighbors(g, u0, cmask)
-    for i, u1 in enumerate(frontier):
-        for u2 in frontier[i + 1:]:
-            if _triple_has_a_heavy(g, (u0, u1, u2)):
-                continue
-            lists = (l0, _outside_neighbors(g, u1, cmask), _outside_neighbors(g, u2, cmask))
-            if _independent_triple_exists(g, lists):
-                return False
+    if u0 is None:
+        triples = itertools.combinations(frontier, 3)
+    else:
+        others = [v for v in frontier if v != u0]
+        triples = ((u0, u1, u2) for u1, u2 in itertools.combinations(others, 2))
+    for trio in triples:
+        if any(is_a_heavy_pair(g, a, b) for a, b in itertools.combinations(trio, 2)):
+            continue
+        if _independent_triple_exists(g, [_outside_neighbors(g, u, cmask) for u in trio]):
+            return False
     return True
 
 
 # -- composed-family certificate checker --------------------------------------
-
-
-def _heavy_pairs_hold(g: Graph, clique, u0: int | None) -> bool:
-    return cond_frontier_triples(g, clique) if u0 is None else cond_anchored_pairs(g, clique, u0)
 
 
 def _comp_tag_checks(g: Graph, comp: ComponentCert, hosts) -> list[str]:
@@ -981,10 +889,7 @@ class _Builder:
         self.pairs: set[tuple[int, int]] = set()
 
     def clique(self, ids):
-        ids = sorted(ids)
-        for i, u in enumerate(ids):
-            for v in ids[i + 1:]:
-                self.pairs.add((u, v))
+        self.pairs.update(_clique_edges(sorted(ids)))
 
     def edge(self, u, v):
         self.pairs.add((min(u, v), max(u, v)))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .closures import EligibilityMode, c_closure
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .graphs import Graph, _bits, is_connected, is_nonseparable, maximal_cliques
 
 
@@ -58,7 +58,7 @@ def decompose(
             member[v].append(i)
     for v, idxs in enumerate(member):
         if len(idxs) > 2:
-            raise AssertionError(
+            raise PreconditionError(
                 f"vertex {v} lies in {len(idxs)} regions; "
                 "the completion closure should be claw-free and diamond-free"
             )
@@ -267,6 +267,7 @@ def generalized_claw_or_net(g: Graph, z1: int, z2: int, z3: int) -> GeneralizedC
 
     i1, i2 = nbrs_on_p[0], nbrs_on_p[-1]
     if i2 - i1 > 2:
+        # unreachable: p[: i1 + 1] + (x3,) + p[i2:] would be a z1-z2 path shorter than p
         raise AssertionError("shortest path violated: far-apart feeder contacts")
     if i2 - i1 == 1:
         x1, x2 = p[i1], p[i2]

@@ -6,12 +6,15 @@ from hamclosure import cli, families
 from hamclosure.closures import c_closure, is_c_closed
 from hamclosure.errors import BudgetError, InputError, ParameterError
 from hamclosure.families import (
+    FAMILY_SPECS,
     ChainCert,
     ComponentSpec,
+    CycleCert,
     FamilyKind,
     FamilyParams,
     VerdictStatus,
     check_chain_cert,
+    check_cycle_cert,
     classify_theorem,
     generate,
     generate_with_certificate,
@@ -43,6 +46,11 @@ def isomorphic(a: Graph, b: Graph) -> bool:
         if all(b.has_edge(perm[u], perm[v]) for u, v in a.edges()):
             return True
     return False
+
+
+def replayed(cert, *extra_edges):
+    """The graph a certificate names, plus any extra edges, and the certificate."""
+    return replay_certificate(cert).add_edges(extra_edges)[0], cert
 
 
 def skeleton(cert):
@@ -133,10 +141,45 @@ class TestBaseRecognizers:
         g = complete_bipartite(2, 3)
         assert is_c1n(g) is None and is_c2n(g) is None and is_c3nq(g) is None
 
-    def test_chain_cert_checker_rejects_garbage(self):
-        g = cycle_graph(4)
-        bad = ChainCert(4, ((0, 1, 2, 3),), ())
-        assert check_chain_cert(g, bad)
+    @pytest.mark.parametrize(
+        "g,cert",
+        [
+            pytest.param(cycle_graph(4), ChainCert(4, ((0, 1, 2, 3),), ()),
+                         id="cell-not-a-clique"),
+            pytest.param(*replayed(ChainCert(7, ((0, 1), (2, 3, 4), (5, 6)),
+                                             (((0, 2), (1, 3)), ((3, 5), (4, 6))))),
+                         id="interior-clique-of-3"),
+            pytest.param(*replayed(ChainCert(8, ((0, 1, 6), (2, 3, 4, 5), (6, 7)),
+                                             (((0, 2), (1, 3)), ((4, 7), (5, 6))))),
+                         id="non-consecutive-cells-share"),
+            pytest.param(*replayed(ChainCert(4, ((0, 1), (2, 3)), (((0, 2),),))),
+                         id="one-edge-matching"),
+            pytest.param(*replayed(CycleCert(3, ((0, 1), (1, 2), (0, 2)),
+                                             (("identify", 1), ("identify", 2), ("identify", 0)))),
+                         id="3-cycle-all-identify"),
+            pytest.param(*replayed(CycleCert(5, ((0, 1), (1, 2), (2, 3), (3, 4)),
+                                             (("identify", 1), ("identify", 2), ("identify", 3),
+                                              ("matching", ())))),
+                         id="cycle-cell-without-outgoing-junction"),
+            pytest.param(*replayed(ChainCert(4, ((0, 1), (2, 3)), (((0, 2), (1, 3)),)), (0, 3)),
+                         id="unnamed-edge"),
+        ],
+    )
+    def test_sequence_checkers_reject_each_broken_clause(self, g, cert):
+        check = check_chain_cert if isinstance(cert, ChainCert) else check_cycle_cert
+        assert check(g, cert)
+
+    def test_generated_chain_and_cycle_certificates_check_clean(self):
+        g, cert = generate_with_certificate(FamilyParams(FamilyKind.C1N, (3, 6, 3), (2, 2)), 3)
+        assert check_chain_cert(g, cert) == []
+        g, cert = generate_with_certificate(FamilyParams(FamilyKind.C2N, (4, 3, 4), (2, 1, 2)), 3)
+        assert check_cycle_cert(g, cert) == []
+
+    def test_component_gate_reads_the_counting_clauses(self):
+        gates = {kind: spec.min_components for kind, spec in FAMILY_SPECS.items()}
+        assert gates == {
+            FamilyKind.C1NP: 2, FamilyKind.C2NP: 2, FamilyKind.C1NPQ: 1, FamilyKind.C2NPQ: 2,
+        }
 
 
 class TestRecognize:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hamclosure.errors import InputError
+from hamclosure.errors import InputError, PreconditionError
 from hamclosure.graphs import (
     complete_graph,
     cycle_graph,
@@ -63,7 +63,7 @@ class TestDecompose:
     def test_three_region_vertex_fails_loudly(self, net):
         star = REFERENCE[PatternKind.CLAW].add_edges([])[0]
         host = complete_graph(4)
-        with pytest.raises(AssertionError, match="regions"):
+        with pytest.raises(PreconditionError, match="regions"):
             decompose(host, closure=star)
 
     def test_region_laws_on_corpus(self, corpus):
