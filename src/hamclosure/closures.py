@@ -113,14 +113,17 @@ def parse_trace(text: str) -> tuple[TraceStep, ...]:
     return tuple(steps)
 
 
+def _require_policy(policy: str) -> None:
+    if policy not in ("min", "max", "random"):
+        raise InputError(f"unknown selection policy {policy!r}")
+
+
 def _pick(items: list, policy: str, rng: random.Random):
     if policy == "min":
         return items[0]
     if policy == "max":
         return items[-1]
-    if policy == "random":
-        return items[rng.randrange(len(items))]
-    raise InputError(f"unknown selection policy {policy!r}")
+    return items[rng.randrange(len(items))]
 
 
 # -- o-closure ---------------------------------------------------------------
@@ -128,6 +131,7 @@ def _pick(items: list, policy: str, rng: random.Random):
 
 def o_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
     """Join one o-heavy pair at a time, re-scanning degrees, to a fixpoint."""
+    _require_policy(policy)
     rng = random.Random(seed)
     cur = g
     steps = []
@@ -173,6 +177,7 @@ def r_eligible(g: Graph, x: int) -> bool:
 
 
 def r_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
+    _require_policy(policy)
     if has_induced(g, PatternKind.CLAW):
         raise PreconditionError("input not claw-free: r-closure undefined")
     rng = random.Random(seed)
@@ -268,6 +273,7 @@ def c_closure(
     policy: str = "min",
     seed: int = 0,
 ) -> tuple[Graph, ClosureTrace]:
+    _require_policy(policy)
     _require_claw_o_heavy(g)
     rng = random.Random(seed)
     cur = g

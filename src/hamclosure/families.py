@@ -19,6 +19,10 @@ glue tag (base family, host clique(s), attachment rule). The certificate
 checker, the recognizer and the generator all read these rows. Chains and
 cycles of cliques share one clause checker, and the component gate the
 recognizer applies before any glue search comes from the counting clauses.
+
+The C1N and C3NQ recognizers read their candidates from their own clauses:
+chain cells are maximal cliques of g, and degrees fix the C3NQ path. The
+clause checkers alone decide whether a candidate certificate is accepted.
 """
 
 from __future__ import annotations
@@ -85,6 +89,16 @@ def _clique_edges(cell) -> list[tuple[int, int]]:
 
 def _cell_mask(cell) -> int:
     return sum(1 << v for v in cell)
+
+
+def _cell_faults(g: Graph, cell) -> list[str]:
+    """Why a certificate cell has no vertex mask: a repeat or a stranger."""
+    faults = []
+    if len(set(cell)) != len(cell):
+        faults.append("repeats a vertex")
+    if not all(0 <= v < g.n for v in cell):
+        faults.append("names a vertex outside the graph")
+    return faults
 
 
 @dataclass(frozen=True)
@@ -177,8 +191,12 @@ def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]
     Junction i joins cell i and cell (i + 1) % t: a chain passes its t - 1
     matchings, a cycle its t junctions.
     """
-    problems = []
     cells = cert.cells
+    problems = [
+        f"cell {i} {fault}" for i, cell in enumerate(cells) for fault in _cell_faults(g, cell)
+    ]
+    if problems:
+        return problems
     t = len(cells)
     masks = [_cell_mask(c) for c in cells]
     for i, mask in enumerate(masks):
@@ -201,7 +219,7 @@ def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]
         inter = masks[left] & masks[right]
         if junction[0] == "identify":
             z = junction[1]
-            if inter != 1 << z:
+            if z not in cells[left] or inter != 1 << z:
                 problems.append(f"junction {i} identification vertex mismatch")
             out_sets[left], in_sets[right] = {z}, {z}
         elif junction[0] == "matching":
@@ -211,7 +229,7 @@ def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]
             if len(matching) < 2:
                 problems.append(f"junction {i} matching smaller than 2")
             for u, v in matching:
-                if not (masks[left] >> u & 1 and masks[right] >> v & 1):
+                if u not in cells[left] or v not in cells[right]:
                     problems.append(f"junction {i} edge ({u}, {v}) not between its cliques")
             out_sets[left] = {u for u, _ in matching}
             in_sets[right] = {v for _, v in matching}
@@ -253,19 +271,21 @@ def check_cycle_cert(g: Graph, cert: CycleCert) -> list[str]:
 
 
 def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
-    problems = []
+    path = (cert.b2, cert.a2, cert.a3, cert.b3)
+    attachments = (cert.a1, cert.c2, cert.c3)
+    problems = [f"core clique {fault}" for fault in _cell_faults(g, cert.clique)]
+    problems += [f"path plus attachments {fault}" for fault in _cell_faults(g, path + attachments)]
+    if problems:
+        return problems
     kmask = _cell_mask(cert.clique)
     if len(cert.clique) < 4:
         problems.append("core clique smaller than 4")
     if not g.is_clique_mask(kmask):
         problems.append("core is not a clique")
-    path = (cert.b2, cert.a2, cert.a3, cert.b3)
-    if len({*path}) != 4 or any(kmask >> v & 1 for v in path):
-        problems.append("path vertices must be four distinct vertices outside the clique")
-    if len({cert.a1, cert.c2, cert.c3}) != 3 or not all(
-        kmask >> v & 1 for v in (cert.a1, cert.c2, cert.c3)
-    ):
-        problems.append("attachment vertices must be three distinct clique vertices")
+    if any(kmask >> v & 1 for v in path):
+        problems.append("path vertices must lie outside the clique")
+    if not all(kmask >> v & 1 for v in attachments):
+        problems.append("attachment vertices must be clique vertices")
     if kmask | _cell_mask(path) != g.full_mask:
         problems.append("clique plus path must cover every vertex")
     expected = {(min(u, v), max(u, v)) for u, v in cert.edges()}
@@ -277,32 +297,26 @@ def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
 # -- whole-graph recognizers for the three base families ----------------------
 
 
-def _subcliques_containing(g: Graph, sub_vertices: list[int], anchor: set[int]):
-    sub = g.induced(sub_vertices)
-    back = {i: v for i, v in enumerate(sub_vertices)}
-    for clique in maximal_cliques(sub):
-        mapped = frozenset(back[i] for i in clique)
-        if anchor <= mapped:
-            yield mapped
-
-
 def is_c1n(g: Graph) -> ChainCert | None:
     """Chain-of-cliques decomposition, or None."""
     if g.n < 2 or not is_connected(g):
         return None
-    full = g.full_mask
-    if g.is_clique_mask(full):
+    if g.is_clique_mask(g.full_mask):
         return ChainCert(g.n, (tuple(range(g.n)),), ())
+    # With two or more cells, a vertex outside a cell has at most one
+    # neighbour in it and every cell has at least 2 vertices, so every cell
+    # is a maximal clique of g. The junction to the rest taken at each step
+    # keeps that true of the candidates below.
+    cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
 
-    def extend(cells, matchings, rest: set[int], anchor: set[int]):
-        sub_vertices = sorted(rest)
-        for cell in _subcliques_containing(g, sub_vertices, anchor):
+    def extend(cells, matchings, rest: frozenset[int], anchor: set[int]):
+        for cell in cliques:
+            if not anchor <= cell <= rest:
+                continue
             new_rest = rest - cell
             if not new_rest:
-                if len(cell) >= 2:
-                    return cells + [cell], matchings
-                continue
-            if len(cells) >= 1 and len(cell) < 4:
+                return cells + [cell], matchings
+            if len(cell) < 4:
                 continue  # interior cell
             junction = _junction_between(g, cell, new_rest)
             if junction is None:
@@ -315,10 +329,8 @@ def is_c1n(g: Graph) -> ChainCert | None:
                 return found
         return None
 
-    for first in maximal_cliques(g):
-        if len(first) < 2:
-            continue
-        rest = set(range(g.n)) - first
+    for first in cliques:
+        rest = frozenset(range(g.n)) - first
         junction = _junction_between(g, first, rest)
         if junction is None:
             continue
@@ -436,45 +448,24 @@ def is_c3nq(g: Graph) -> C3NQCert | None:
     """Clique plus attached four-vertex path, or None."""
     if g.n < 8:
         return None
-    for a2, a3 in g.edges():
-        for a2v, a3v in ((a2, a3), (a3, a2)):
-            for b2 in g.neighbors(a2v):
-                if b2 == a3v:
-                    continue
-                for b3 in g.neighbors(a3v):
-                    if b3 in (a2v, b2):
-                        continue
-                    path = {b2, a2v, a3v, b3}
-                    kset = [v for v in range(g.n) if v not in path]
-                    if len(kset) < 4:
-                        continue
-                    kmask = _cell_mask(kset)
-                    if not g.is_clique_mask(kmask):
-                        continue
-                    a2_nbrs = set(g.neighbors(a2v))
-                    a3_nbrs = set(g.neighbors(a3v))
-                    b2_nbrs = set(g.neighbors(b2))
-                    b3_nbrs = set(g.neighbors(b3))
-                    a1_set = a2_nbrs - path
-                    if len(a1_set) != 1 or a1_set != a3_nbrs - path:
-                        continue
-                    c2_set = b2_nbrs - path
-                    c3_set = b3_nbrs - path
-                    if len(c2_set) != 1 or len(c3_set) != 1:
-                        continue
-                    if b2_nbrs != {a2v} | c2_set or b3_nbrs != {a3v} | c3_set:
-                        continue
-                    if a2_nbrs != {b2, a3v} | a1_set or a3_nbrs != {b3, a2v} | a1_set:
-                        continue
-                    a1 = next(iter(a1_set))
-                    c2 = next(iter(c2_set))
-                    c3 = next(iter(c3_set))
-                    if len({a1, c2, c3}) != 3:
-                        continue
-                    cert = C3NQCert(g.n, tuple(kset), a1, c2, c3, b2, a2v, a3v, b3)
-                    if not check_c3nq_cert(g, cert):
-                        return cert
-    return None
+    # Every clique vertex has degree at least |K| - 1 >= 3, and c2 and c3
+    # gain a path neighbour, so b2 and b3 are the only vertices of degree 2
+    # and a2 and a3 their only neighbours of degree 3. That fixes the
+    # certificate up to reading the path backwards; read it with a2 < a3.
+    degrees = g.degrees()
+    ends = [v for v in range(g.n) if degrees[v] == 2]
+    inner = [[v for v in g.neighbors(b) if degrees[v] == 3] for b in ends]
+    if len(ends) != 2 or any(len(a) != 1 for a in inner):
+        return None
+    (a2, b2), (a3, b3) = sorted((a, b) for (a,), b in zip(inner, ends))
+    if a2 == a3:
+        return None
+    (c2,) = set(g.neighbors(b2)) - {a2}
+    (c3,) = set(g.neighbors(b3)) - {a3}
+    a1 = min(set(g.neighbors(a2)) - {b2, a3})
+    kset = tuple(v for v in range(g.n) if v not in (b2, a2, a3, b3))
+    cert = C3NQCert(g.n, kset, a1, c2, c3, b2, a2, a3, b3)
+    return None if check_c3nq_cert(g, cert) else cert
 
 
 # -- composed families: clause tables -----------------------------------------
@@ -1333,26 +1324,19 @@ def classify_theorem(g: Graph) -> TheoremVerdict:
     else:
         c_closed = False
     profile = net_profile(g)
-    witness = recognize(g)
-    verdict = TheoremVerdict(
-        g.n, two_conn, claw_free, c_closed,
-        profile.n_p_heavy, profile.n_pq_heavy,
-        witness.families, VerdictStatus.CONSISTENT,
-    )
-    agree = (verdict.hypotheses_p == verdict.member_p) and (
-        verdict.hypotheses_pq == verdict.member_pq
-    )
+    families = recognize(g).families
+    hypotheses = two_conn and claw_free and c_closed
+    # the p-heavy and the pq-heavy statement: do the hypotheses hold, is g a member
+    holds = (hypotheses and profile.n_p_heavy, hypotheses and profile.n_pq_heavy)
+    member = (bool(families & P_HEAVY_UNION), bool(families & PQ_HEAVY_UNION))
     if g.n >= 10:
+        agree = holds == member
         status = VerdictStatus.CONSISTENT if agree else VerdictStatus.COUNTEREXAMPLE_CANDIDATE
     else:
-        quiet = not (
-            verdict.hypotheses_p or verdict.member_p
-            or verdict.hypotheses_pq or verdict.member_pq
-        )
-        status = VerdictStatus.CONSISTENT if quiet else VerdictStatus.OUT_OF_RANGE
+        status = VerdictStatus.OUT_OF_RANGE if any(holds + member) else VerdictStatus.CONSISTENT
     return TheoremVerdict(
-        verdict.n, verdict.two_connected, verdict.claw_free, verdict.c_closed,
-        verdict.n_p_heavy, verdict.n_pq_heavy, verdict.families, status,
+        g.n, two_conn, claw_free, c_closed,
+        profile.n_p_heavy, profile.n_pq_heavy, families, status,
     )
 
 
@@ -1398,7 +1382,10 @@ def parse_params(text: str) -> FamilyParams:
         if key == "family":
             family = FamilyKind.from_name(value)
         elif key == "t":
-            declared_t = int(value)
+            try:
+                declared_t = int(value)
+            except ValueError:
+                raise InputError(f"t: expected an integer, got {value!r}") from None
         elif key == "k_sizes":
             clique_sizes = _parse_int_list(value, "k_sizes")
         elif key == "u_sizes":

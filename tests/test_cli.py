@@ -101,6 +101,13 @@ class TestGenerateCommand:
         assert code == 2
         assert "t >= 3" in err
 
+    def test_non_integer_t_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bad_t.params"
+        path.write_text("family=C1N\nt=x\nk_sizes=4,4\nu_sizes=2,2\n")
+        code, out, err = run(capsys, "generate", "--params", str(path))
+        assert code == 2 and not out
+        assert err.startswith("error: t:")
+
 
 class TestVerifyCommand:
     def test_region_suite_runs(self, capsys):

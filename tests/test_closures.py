@@ -17,7 +17,7 @@ from hamclosure.closures import (
     trace_to_text,
     validate_c_trace,
 )
-from hamclosure.errors import BudgetError, NonUniqueMinimumError, PreconditionError
+from hamclosure.errors import BudgetError, InputError, NonUniqueMinimumError, PreconditionError
 from hamclosure.graphs import (
     Graph,
     complete_bipartite,
@@ -28,6 +28,13 @@ from hamclosure.graphs import (
 )
 from hamclosure.heaviness import is_pattern_o_heavy, o_heavy_pairs
 from hamclosure.patterns import REFERENCE, PatternKind, is_free
+
+
+@pytest.mark.parametrize("closure", [o_closure, r_closure, c_closure], ids=["o", "r", "c"])
+def test_unknown_policy_rejected_on_a_closed_graph(closure):
+    # K4 is already closed, so no pick ever happens: the policy is checked at entry
+    with pytest.raises(InputError, match="selection policy"):
+        closure(complete_graph(4), policy="bogus")
 
 
 class TestOClosure:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,12 +9,14 @@ from hamclosure.closures import c_closure, is_c_closed
 from hamclosure.errors import BudgetError, InputError, ParameterError
 from hamclosure.families import (
     FAMILY_SPECS,
+    C3NQCert,
     ChainCert,
     ComponentSpec,
     CycleCert,
     FamilyKind,
     FamilyParams,
     VerdictStatus,
+    check_c3nq_cert,
     check_chain_cert,
     check_cycle_cert,
     classify_theorem,
@@ -32,9 +36,12 @@ from hamclosure.graphs import (
     cycle_graph,
     emit_graph6,
     is_2_connected,
+    is_connected,
+    maximal_cliques,
 )
 from hamclosure.hamiltonicity import is_hamiltonian
 from hamclosure.patterns import PatternKind, is_free, net_profile
+from hamclosure.verify import acceptance_grids, full_corpus
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:
@@ -163,11 +170,27 @@ class TestBaseRecognizers:
                          id="cycle-cell-without-outgoing-junction"),
             pytest.param(*replayed(ChainCert(4, ((0, 1), (2, 3)), (((0, 2), (1, 3)),)), (0, 3)),
                          id="unnamed-edge"),
+            pytest.param(complete_graph(10), ChainCert(10, ((0, *range(10)),), ()),
+                         id="cell-repeats-a-vertex"),
+            pytest.param(complete_graph(10), ChainCert(10, (tuple(range(10)), (10, 11)),
+                                                      (((0, 10), (1, 11)),)),
+                         id="cell-vertex-outside-the-graph"),
+            pytest.param(cycle_graph(4), CycleCert(4, ((0, 1), (1, 2), (2, 3), (3, -1)),
+                                                   (("identify", 1), ("identify", 2),
+                                                    ("identify", 3), ("identify", -1))),
+                         id="negative-vertex-in-a-cycle"),
         ],
     )
     def test_sequence_checkers_reject_each_broken_clause(self, g, cert):
         check = check_chain_cert if isinstance(cert, ChainCert) else check_cycle_cert
         assert check(g, cert)
+
+    @pytest.mark.parametrize(
+        "clique", [(0, 1, 2, 3, 3), (0, 1, 2, 3, 8)], ids=["repeat", "stranger"]
+    )
+    def test_c3nq_checker_reports_a_malformed_clique(self, g8, clique):
+        problems = check_c3nq_cert(g8, replace(is_c3nq(g8), clique=clique))
+        assert problems and all(p.startswith("core clique") for p in problems)
 
     def test_generated_chain_and_cycle_certificates_check_clean(self):
         g, cert = generate_with_certificate(FamilyParams(FamilyKind.C1N, (3, 6, 3), (2, 2)), 3)
@@ -340,3 +363,147 @@ class TestParamsFormat:
     def test_unknown_family(self):
         with pytest.raises(InputError):
             parse_params("family=C9X\n")
+
+
+# -- slow reference recognizers for C1N and C3NQ: a chain search over the
+# maximal cliques of what is left at each step, and a C3NQ search over every
+# edge orientation and neighbour pair
+
+
+def _subcliques_containing(g: Graph, sub_vertices: list[int], anchor: set[int]):
+    sub = g.induced(sub_vertices)
+    back = {i: v for i, v in enumerate(sub_vertices)}
+    for clique in maximal_cliques(sub):
+        mapped = frozenset(back[i] for i in clique)
+        if anchor <= mapped:
+            yield mapped
+
+
+def c1n_oracle(g: Graph):
+    if g.n < 2 or not is_connected(g):
+        return None
+    if g.is_clique_mask(g.full_mask):
+        return ChainCert(g.n, (tuple(range(g.n)),), ())
+
+    def extend(cells, matchings, rest: set[int], anchor: set[int]):
+        for cell in _subcliques_containing(g, sorted(rest), anchor):
+            new_rest = rest - cell
+            if not new_rest:
+                if len(cell) >= 2:
+                    return cells + [cell], matchings
+                continue
+            if len(cell) < 4:
+                continue
+            junction = families._junction_between(g, cell, new_rest)
+            if junction is None:
+                continue
+            pairs = junction[1]
+            if anchor & {u for u, _ in pairs}:
+                continue
+            found = extend(cells + [cell], matchings + [pairs], new_rest, {v for _, v in pairs})
+            if found:
+                return found
+        return None
+
+    for first in maximal_cliques(g):
+        if len(first) < 2:
+            continue
+        rest = set(range(g.n)) - first
+        junction = families._junction_between(g, first, rest)
+        if junction is None:
+            continue
+        pairs = junction[1]
+        found = extend([first], [pairs], rest, {v for _, v in pairs})
+        if found:
+            cells, matchings = found
+            cert = ChainCert(
+                g.n,
+                tuple(tuple(sorted(c)) for c in cells),
+                tuple(tuple(sorted(m)) for m in matchings),
+            )
+            if not check_chain_cert(g, cert):
+                return cert
+    return None
+
+
+def c3nq_oracle(g: Graph):
+    if g.n < 8:
+        return None
+    # The degree tests restate what the neighbourhood tests below demand of
+    # a2, a3 (3) and b2, b3 (2); they only skip candidates early.
+    for a2, a3 in g.edges():
+        if g.degree(a2) != 3 or g.degree(a3) != 3:
+            continue
+        for a2v, a3v in ((a2, a3), (a3, a2)):
+            for b2 in g.neighbors(a2v):
+                if b2 == a3v or g.degree(b2) != 2:
+                    continue
+                for b3 in g.neighbors(a3v):
+                    if b3 in (a2v, b2) or g.degree(b3) != 2:
+                        continue
+                    path = {b2, a2v, a3v, b3}
+                    kset = [v for v in range(g.n) if v not in path]
+                    if len(kset) < 4 or not g.is_clique_mask(sum(1 << v for v in kset)):
+                        continue
+                    a2_nbrs = set(g.neighbors(a2v))
+                    a3_nbrs = set(g.neighbors(a3v))
+                    b2_nbrs = set(g.neighbors(b2))
+                    b3_nbrs = set(g.neighbors(b3))
+                    a1_set = a2_nbrs - path
+                    if len(a1_set) != 1 or a1_set != a3_nbrs - path:
+                        continue
+                    c2_set = b2_nbrs - path
+                    c3_set = b3_nbrs - path
+                    if len(c2_set) != 1 or len(c3_set) != 1:
+                        continue
+                    if b2_nbrs != {a2v} | c2_set or b3_nbrs != {a3v} | c3_set:
+                        continue
+                    if a2_nbrs != {b2, a3v} | a1_set or a3_nbrs != {b3, a2v} | a1_set:
+                        continue
+                    a1, c2, c3 = (next(iter(s)) for s in (a1_set, c2_set, c3_set))
+                    if len({a1, c2, c3}) != 3:
+                        continue
+                    cert = C3NQCert(g.n, tuple(kset), a1, c2, c3, b2, a2v, a3v, b3)
+                    if not check_c3nq_cert(g, cert):
+                        return cert
+    return None
+
+
+def _small_grid_members(kinds=tuple(FamilyKind)):
+    grids = acceptance_grids()
+    members = (generate(params, seed) for kind in kinds for params, seed in grids[kind])
+    return list(dict.fromkeys(g for g in members if g.n <= 14))
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _single_edge_edits(g: Graph):
+    """Every graph one edge deletion or one edge addition away from g."""
+    for u, v in itertools.combinations(range(g.n), 2):
+        rows = list(g.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        yield Graph(g.n, tuple(rows))
+
+
+def _oracle_inputs(name):
+    if name == "grid":
+        return _small_grid_members()
+    if name == "relabelled":
+        rng = random.Random(14)
+        return [_relabelled(g, rng) for g in _small_grid_members()]
+    if name == "edge-edits":
+        members = _small_grid_members((FamilyKind.C1N, FamilyKind.C3NQ))
+        return list(dict.fromkeys(e for g in members for e in _single_edge_edits(g)))
+    return full_corpus(0)
+
+
+@pytest.mark.parametrize("inputs", ["grid", "relabelled", "edge-edits", "corpus"])
+def test_base_recognizers_match_their_oracles(inputs):
+    for g in _oracle_inputs(inputs):
+        assert is_c1n(g) == c1n_oracle(g), emit_graph6(g)
+        assert is_c3nq(g) == c3nq_oracle(g), emit_graph6(g)
