@@ -120,7 +120,7 @@ def cmd_verify(args) -> int:
     worst = 0
     for name in names:
         result = run_suite(name, seed=args.seed, node_budget=args.budget)
-        print(result.summary())
+        print(f"{result.summary()} [{result.elapsed:.1f} s]")
         if args.table:
             for row in result.table:
                 print(f"  {row}")

@@ -4,7 +4,13 @@ Each closure returns the closed graph together with a replayable trace.
 ``minimum_supergraph_oracle`` is the independent ground truth the
 neighborhood-completion closure is tested against: exhaustive enumeration
 of spanning supergraphs for the minimum one that is claw-free,
-diamond-free, and has no o-heavy pair.
+diamond-free, and has no o-heavy pair. ``supergraph_search`` walks one
+include/exclude tree over the non-edges and drops a subtree as soon as a
+left-out pair has degree sum at least n. That is sound because degrees
+only grow as edges are added below the node, so the pair stays an
+o-heavy non-edge in every supergraph of the subtree. Every leaf the walk
+reaches still runs the full target test, and the record reports how many
+tree nodes were entered.
 
 Two readings of completion eligibility are implemented. The AMENDED mode
 (default) asks whether the neighborhood is a clique in the input graph;
@@ -19,7 +25,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 from .errors import (
     BudgetError,
@@ -343,12 +348,15 @@ def _satisfies_target(g: Graph) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class SupergraphSearch:
-    """Full enumeration record: all satisfying edge-addition sets."""
+    """Full enumeration record: all satisfying edge-addition sets, in
+    order of size and then of their non-edge indices, plus the number of
+    search-tree nodes the walk entered."""
 
     base: Graph
     non_edges: tuple[Edge, ...]
     satisfying: tuple[frozenset[Edge], ...]
     minima: tuple[frozenset[Edge], ...]
+    nodes: int
 
     @property
     def unique_minimum(self) -> bool:
@@ -363,22 +371,67 @@ class SupergraphSearch:
 
 
 def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
+    """Every set of non-edges whose addition to g satisfies the target.
+
+    A depth-first include/exclude walk over ``non_edges`` in index order;
+    node i decides non-edge i, and a leaf is one complete choice. A
+    subtree is dropped as soon as an excluded pair has degree sum at
+    least n: degrees only grow below that node, so the pair is an o-heavy
+    non-edge in every leaf of the subtree. Each leaf that is reached
+    still runs the full target test (claw, diamond and o-heavy pairs).
+    Raises ``BudgetError`` when g has more than ``budget`` non-edges.
+    """
     non_edges = tuple(g.non_edges())
     if len(non_edges) > budget:
         raise BudgetError(
             f"{len(non_edges)} missing edges exceed the supergraph search budget {budget}"
         )
-    satisfying = []
-    for size in range(len(non_edges) + 1):
-        for subset in combinations(non_edges, size):
-            cand, _ = g.add_edges(subset)
-            if _satisfies_target(cand):
-                satisfying.append(frozenset(subset))
-    if not satisfying:
+    n = g.n
+    rows = list(g.rows)
+    degs = g.degrees()
+    excluded = [0] * n  # excluded[x]: bitmask of x's excluded partners
+    chosen: list[int] = []
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def heavy_excluded(x: int) -> bool:
+        return any(degs[x] + degs[y] >= n for y in _bits(excluded[x]))
+
+    def walk(i: int) -> None:
+        nonlocal nodes
+        nodes += 1
+        if i == len(non_edges):
+            if _satisfies_target(Graph._unsafe(n, tuple(rows))):
+                found.append(tuple(chosen))
+            return
+        u, v = non_edges[i]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        degs[u] += 1
+        degs[v] += 1
+        if not (heavy_excluded(u) or heavy_excluded(v)):
+            chosen.append(i)
+            walk(i + 1)
+            chosen.pop()
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        degs[u] -= 1
+        degs[v] -= 1
+        if degs[u] + degs[v] < n:
+            excluded[u] |= 1 << v
+            excluded[v] |= 1 << u
+            walk(i + 1)
+            excluded[u] ^= 1 << v
+            excluded[v] ^= 1 << u
+
+    walk(0)
+    if not found:
         raise AssertionError("unreachable: the complete graph always satisfies the target")
-    least_size = min(len(s) for s in satisfying)
+    found.sort(key=lambda idx: (len(idx), idx))
+    satisfying = tuple(frozenset(non_edges[i] for i in idx) for idx in found)
+    least_size = len(found[0])
     minima = tuple(s for s in satisfying if len(s) == least_size)
-    return SupergraphSearch(g, non_edges, tuple(satisfying), minima)
+    return SupergraphSearch(g, non_edges, satisfying, minima, nodes)
 
 
 def minimum_supergraph_oracle(g: Graph, budget: int = 16) -> Graph:

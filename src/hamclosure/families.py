@@ -660,8 +660,14 @@ _CERT_CHECKERS = {
 
 def _check_sub_cert(g: Graph, vertices, cert) -> list[str]:
     ordered = sorted(vertices)
+    try:
+        local = _map_cert(cert, {v: i for i, v in enumerate(ordered)})
+    except KeyError as exc:
+        return [
+            f"component certificate names vertex {exc.args[0]} "
+            "outside its component and host cliques"
+        ]
     sub = g.induced(ordered)
-    local = _map_cert(cert, {v: i for i, v in enumerate(ordered)})
     return _CERT_CHECKERS[type(local)](sub, replace(local, n=sub.n))
 
 
@@ -719,7 +725,13 @@ def _comp_tag_checks(g: Graph, comp: ComponentCert, hosts) -> list[str]:
 
 def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> list[str]:
     spec = FAMILY_SPECS[family]
-    problems = []
+    cells = [("K", cert.k_clique), ("K'", cert.k_prime or ())]
+    cells += [(f"component {i}", c.vertices) for i, c in enumerate(cert.components)]
+    problems = [f"{name} {fault}" for name, cell in cells for fault in _cell_faults(g, cell)]
+    if cert.u0 is not None and not 0 <= cert.u0 < g.n:
+        problems.append("shared vertex outside the graph")
+    if problems:
+        return problems
     k_set = set(cert.k_clique)
     kmask = _cell_mask(k_set)
     if not g.is_clique_mask(kmask):

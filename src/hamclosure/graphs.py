@@ -86,7 +86,8 @@ class Graph:
                 added.append((min(u, v), max(u, v)))
         if not added:
             return self, ()
-        return Graph(self.n, tuple(rows)), tuple(added)
+        # each edge was checked above and set in both rows
+        return Graph._unsafe(self.n, tuple(rows)), tuple(added)
 
     # -- basic queries ----------------------------------------------------
 
@@ -151,7 +152,8 @@ class Graph:
             for u in _bits(self._rows[v]):
                 if u in index:
                     rows[index[v]] |= 1 << index[u]
-        return Graph(len(order), tuple(rows))
+        # the restriction of symmetric, loop-free rows is symmetric and loop-free
+        return Graph._unsafe(len(order), tuple(rows))
 
     # -- value semantics --------------------------------------------------
 

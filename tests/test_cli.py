@@ -1,4 +1,5 @@
 import json
+import re
 
 from hamclosure.cli import main
 from hamclosure.graphs import complete_graph, cycle_graph, emit_graph6, parse_graph6
@@ -114,6 +115,7 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "region-properties", "--seed", "1")
         assert code == 0
         assert out.startswith("PASS region-properties")
+        assert re.search(r" \[\d+\.\d s\]$", out.splitlines()[0])
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "nope")

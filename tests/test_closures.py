@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from hamclosure.closures import (
     EligibilityMode,
+    _satisfies_target,
     bc_local,
     c_closure,
     c_eligible,
@@ -28,6 +31,7 @@ from hamclosure.graphs import (
 )
 from hamclosure.heaviness import is_pattern_o_heavy, o_heavy_pairs
 from hamclosure.patterns import REFERENCE, PatternKind, is_free
+from hamclosure.verify import claw_o_heavy_samples
 
 
 @pytest.mark.parametrize("closure", [o_closure, r_closure, c_closure], ids=["o", "r", "c"])
@@ -187,6 +191,59 @@ class TestSupergraphOracle:
     def test_budget_refusal(self):
         with pytest.raises(BudgetError):
             minimum_supergraph_oracle(empty_graph(8), budget=16)
+
+    def test_nodes_within_the_full_tree(self, corpus):
+        for g in [cycle_graph(4), complete_graph(5), *claw_o_heavy_samples(corpus)[:40]]:
+            if len(g.non_edges()) > 12:
+                continue
+            search = supergraph_search(g)
+            assert 1 <= search.nodes <= 2 ** (len(search.non_edges) + 1) - 1
+            assert supergraph_search(g).nodes == search.nodes
+
+    def test_prune_cuts_the_tree_on_c6(self):
+        search = supergraph_search(cycle_graph(6))
+        assert search.nodes < 2 ** len(search.non_edges)
+
+
+def plain_supergraph_enumeration(g: Graph):
+    """Every subset of non-edges, one rebuilt graph each, in combinations
+    order: the enumeration the pruned search must reproduce."""
+    non_edges = tuple(g.non_edges())
+    satisfying = []
+    for size in range(len(non_edges) + 1):
+        for subset in combinations(non_edges, size):
+            cand, _ = g.add_edges(subset)
+            if _satisfies_target(cand):
+                satisfying.append(frozenset(subset))
+    least_size = min(len(s) for s in satisfying)
+    minima = tuple(s for s in satisfying if len(s) == least_size)
+    return non_edges, tuple(satisfying), minima
+
+
+def labelled_graphs(n: int):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+class TestPrunedSearchMatchesPlainEnumeration:
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_labelled_graph(self, n):
+        for g in labelled_graphs(n):
+            search = supergraph_search(g)
+            assert (search.non_edges, search.satisfying, search.minima) == \
+                plain_supergraph_enumeration(g), g.rows
+
+    def test_claw_o_heavy_corpus(self, corpus):
+        checked = 0
+        for g in claw_o_heavy_samples(corpus):
+            if len(g.non_edges()) > 8:
+                continue
+            search = supergraph_search(g)
+            assert (search.non_edges, search.satisfying, search.minima) == \
+                plain_supergraph_enumeration(g), g.rows
+            checked += 1
+        assert checked > 20
 
 
 class TestTraceFormat:

@@ -18,6 +18,7 @@ from hamclosure.families import (
     VerdictStatus,
     check_c3nq_cert,
     check_chain_cert,
+    check_composed_cert,
     check_cycle_cert,
     classify_theorem,
     generate,
@@ -191,6 +192,49 @@ class TestBaseRecognizers:
     def test_c3nq_checker_reports_a_malformed_clique(self, g8, clique):
         problems = check_c3nq_cert(g8, replace(is_c3nq(g8), clique=clique))
         assert problems and all(p.startswith("core clique") for p in problems)
+
+    @pytest.fixture
+    def c1npq_member(self):
+        params, seed = acceptance_grids()[FamilyKind.C1NPQ][0]
+        g, cert = generate_with_certificate(params, seed)
+        assert check_composed_cert(g, FamilyKind.C1NPQ, cert) == []
+        return g, cert
+
+    def test_composed_checker_reports_a_sub_certificate_vertex_outside_its_component(
+        self, c1npq_member
+    ):
+        g, cert = c1npq_member
+        first = cert.components[0]
+        dropped = first.vertices[-1]
+        cert = replace(cert, components=(
+            replace(first, vertices=first.vertices[:-1]), *cert.components[1:]
+        ))
+        problems = check_composed_cert(g, FamilyKind.C1NPQ, cert)
+        assert f"component certificate names vertex {dropped} " \
+            "outside its component and host cliques" in problems
+
+    def test_composed_checker_reports_a_clique_vertex_outside_the_graph(self, c1npq_member):
+        g, cert = c1npq_member
+        cert = replace(cert, k_clique=cert.k_clique + (g.n,))
+        assert check_composed_cert(g, FamilyKind.C1NPQ, cert) == [
+            "K names a vertex outside the graph"
+        ]
+
+    @pytest.mark.parametrize("part", ["u0", "component"])
+    def test_composed_checker_reports_an_anchor_or_component_vertex_outside_the_graph(
+        self, part
+    ):
+        params, seed = acceptance_grids()[FamilyKind.C2NP][0]
+        g, cert = generate_with_certificate(params, seed)
+        if part == "u0":
+            cert, expected = replace(cert, u0=g.n), "shared vertex outside the graph"
+        else:
+            first = cert.components[0]
+            cert = replace(cert, components=(
+                replace(first, vertices=first.vertices + (g.n,)), *cert.components[1:]
+            ))
+            expected = "component 0 names a vertex outside the graph"
+        assert check_composed_cert(g, FamilyKind.C2NP, cert) == [expected]
 
     def test_generated_chain_and_cycle_certificates_check_clean(self):
         g, cert = generate_with_certificate(FamilyParams(FamilyKind.C1N, (3, 6, 3), (2, 2)), 3)

@@ -83,8 +83,25 @@ class TestConstruction:
         assert g2 == complete_graph(3)
         assert g.edge_count == 2  # original untouched
 
+    @pytest.mark.parametrize("edge", [(0, 3), (-1, 0), (2, 2)])
+    def test_add_edges_rejects_bad_edges(self, edge):
+        # the result skips re-validation, so caller edges are checked on entry
+        with pytest.raises(InputError):
+            path_graph(3).add_edges([(0, 2), edge])
+
+    @given(graphs_strategy(), st.data())
+    def test_add_edges_result_passes_validation(self, g, data):
+        extra = data.draw(st.lists(st.sampled_from(g.non_edges()))) if g.non_edges() else []
+        g2, _ = g.add_edges(extra)
+        assert Graph(g2.n, g2.rows) == g2
+
 
 class TestInduced:
+    @pytest.mark.parametrize("vertices", [[0, 4], [-1, 1]])
+    def test_out_of_range_rejected(self, vertices):
+        with pytest.raises(InputError, match="out of range"):
+            cycle_graph(4).induced(vertices)
+
     def test_c4_takes_p3(self):
         assert cycle_graph(4).induced([0, 1, 2]) == path_graph(3)
 
@@ -102,6 +119,7 @@ class TestInduced:
         inner = g.induced(order).induced(sorted(t))
         outer = g.induced([order[i] for i in sorted(t)])
         assert inner == outer
+        assert Graph(outer.n, outer.rows) == outer
 
 
 class TestConnectivity:
