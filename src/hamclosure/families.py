@@ -20,8 +20,9 @@ checker, the recognizer and the generator all read these rows. Chains and
 cycles of cliques share one clause checker, and the component gate the
 recognizer applies before any glue search comes from the counting clauses.
 
-The C1N and C3NQ recognizers read their candidates from their own clauses:
-chain cells are maximal cliques of g, and degrees fix the C3NQ path. The
+The C1N, C2N and C3NQ recognizers read their candidates from their own
+clauses: chain cells are maximal cliques of g, a C2N cycle links the maximal
+cliques that are not matching edges, and degrees fix the C3NQ path. The
 clause checkers alone decide whether a candidate certificate is accepted.
 """
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .closures import EligibilityMode, c_closure
-from .errors import BudgetError, InputError, ParameterError
+from .errors import InputError, ParameterError
 from .graphs import Graph, _bits, component_masks, is_2_connected, is_connected, maximal_cliques
 from .heaviness import heavy_vertices, is_a_heavy_pair, is_pattern_o_heavy
 from .patterns import PatternKind, has_induced, net_profile
@@ -348,23 +349,14 @@ def is_c1n(g: Graph) -> ChainCert | None:
     return None
 
 
-def _junction_between(g: Graph, left: frozenset[int], right: frozenset[int], known_cells=()):
-    """Valid junction joining two cliques, or None.
-
-    Cross edges that lie inside another already-known clique of the
-    decomposition are construction edges of that clique, not junction
-    material, so they are ignored here.
-    """
-
-    def covered_elsewhere(u: int, v: int) -> bool:
-        return any(u in cell and v in cell for cell in known_cells)
-
+def _junction_between(g: Graph, left: frozenset[int], right: frozenset[int]):
+    """Valid junction joining two cliques, or None."""
     inter = left & right
     if len(inter) == 1:
         z = next(iter(inter))
         for u in left - {z}:
             for v in right - {z}:
-                if g.has_edge(u, v) and not covered_elsewhere(u, v):
+                if g.has_edge(u, v):
                     return None
         return ("identify", z)
     if inter:
@@ -372,7 +364,7 @@ def _junction_between(g: Graph, left: frozenset[int], right: frozenset[int], kno
     pairs = []
     targets = set()
     for u in sorted(left):
-        outs = [v for v in g.neighbors(u) if v in right and not covered_elsewhere(u, v)]
+        outs = [v for v in g.neighbors(u) if v in right]
         if len(outs) > 1:
             return None
         if outs:
@@ -381,67 +373,82 @@ def _junction_between(g: Graph, left: frozenset[int], right: frozenset[int], kno
     if len(pairs) < 2 or len(targets) != len(pairs):
         return None
     for v in targets:
-        if len([u for u in g.neighbors(v) if u in left and not covered_elsewhere(u, v)]) != 1:
+        if len([u for u in g.neighbors(v) if u in left]) != 1:
             return None
     return ("matching", tuple(sorted(pairs)))
 
 
-_CYCLE_SEARCH_CAP = 200_000
-
-
 def is_c2n(g: Graph) -> CycleCert | None:
     """Cyclic chain-of-cliques decomposition, or None."""
-    if g.n < 3 or not is_connected(g):
+    # The clauses fix the cycle. A member is 2-connected: deleting a vertex
+    # breaks at most one junction. A vertex outside a cell has at most one
+    # neighbour in it, so the cells are maximal cliques, the other maximal
+    # cliques are single matching edges, and no vertex lies in three. A cell
+    # hosting a matching keeps a vertex for its other junction, so it has at
+    # least 3 vertices, and a matching has at least 2 edges. So the
+    # matchings are the bundles of 2 or more edge-cliques joining the same
+    # two cliques of 3 or more vertices, and every other maximal clique is
+    # a cell linked to exactly two others.
+    if not is_2_connected(g):
         return None
     cliques = maximal_cliques(g)
-    states = 0
-
-    def close(cells, junctions):
-        cert = CycleCert(
-            g.n,
-            tuple(tuple(sorted(c)) for c in cells),
-            tuple(junctions),
-        )
-        return cert if not check_cycle_cert(g, cert) else None
-
-    def extend(cells, junctions, covered: set[int]):
-        nonlocal states
-        states += 1
-        if states > _CYCLE_SEARCH_CAP:
-            raise BudgetError("cycle decomposition search exceeded its state cap")
-        last = cells[-1]
-        if len(cells) >= 3 and covered == set(range(g.n)):
-            closing = _junction_between(g, last, cells[0], cells[1:-1])
-            if closing is not None:
-                cert = close(cells, junctions + [closing])
-                if cert:
-                    return cert
-        for cand in cliques:
-            if len(cand) < 2 or cand == last:
-                continue
-            new = cand - covered
-            middle_overlap = any(cand & c for c in cells[1:-1])
-            if middle_overlap:
-                continue
-            if cand & cells[0] and not new and len(cells) < 3:
-                continue
-            junction = _junction_between(g, last, cand, cells[:-1])
-            if junction is None:
-                continue
-            if not new and not (len(cells) >= 2 and cand & cells[0]):
-                continue
-            cert = extend(cells + [cand], junctions + [junction], covered | cand)
-            if cert:
-                return cert
+    owners: list[list[int]] = [[] for _ in range(g.n)]
+    for i, clique in enumerate(cliques):
+        for v in clique:
+            owners[v].append(i)
+    if any(len(own) > 2 for own in owners):
         return None
+    bundles: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
+    for i, clique in enumerate(cliques):
+        if len(clique) == 2:
+            (p, x), (q, y) = sorted((next(o for o in owners[v] if o != i), v) for v in clique)
+            if len(cliques[p]) >= 3 and len(cliques[q]) >= 3:
+                bundles.setdefault((p, q), []).append((i, (x, y)))
+    bundles = {pq: edges for pq, edges in bundles.items() if len(edges) >= 2}
+    bundled = {i for edges in bundles.values() for i, _ in edges}
+    cells = [i for i in range(len(cliques)) if i not in bundled]
+    if len(cells) == 2 and bundles:
+        # Two cliques joined by k parallel edges: the first edge is a cell,
+        # and with k = 2 so is the second, which alone matches nothing.
+        (edges,) = bundles.values()
+        cells.append(edges.pop(0)[0])
+        if len(edges) < 2:
+            cells.append(edges.pop()[0])
+            bundles.clear()
+    links: dict[int, list[tuple[int, Junction]]] = {i: [] for i in cells}
+    for v, own in enumerate(owners):
+        if len(own) == 2 and all(o in links for o in own):
+            p, q = own
+            links[p].append((q, ("identify", v)))
+            links[q].append((p, ("identify", v)))
+    for (p, q), edges in bundles.items():
+        pairs = [pair for _, pair in edges]
+        links[p].append((q, ("matching", tuple(sorted(pairs)))))
+        links[q].append((p, ("matching", tuple(sorted((y, x) for x, y in pairs)))))
+    if any(len(ends) != 2 for ends in links.values()):
+        return None
+    start = min(i for i in cells if 0 in cliques[i])
 
-    for first in cliques:
-        if 0 not in first or len(first) < 2:
-            continue
-        cert = extend([first], [], set(first))
-        if cert:
-            return cert
-    return None
+    def walk(link):
+        order, junctions = [start], []
+        prev, (cur, junction) = start, link
+        while True:
+            junctions.append(junction)
+            if cur == start:
+                return order, junctions
+            order.append(cur)
+            a, b = links[cur]
+            prev, (cur, junction) = cur, (b if a[0] == prev else a)
+
+    near, far = sorted(links[start])
+    order, junctions = walk(near)
+    if [j[0] for j in junctions] == ["matching", "identify", "identify"]:
+        # A certificate of a 3-cycle with one matching never opens with it:
+        # the third cell's edge between the identified vertices also joins
+        # the two matched cells.
+        order, junctions = walk(far)
+    cert = CycleCert(g.n, tuple(tuple(sorted(cliques[i])) for i in order), tuple(junctions))
+    return None if check_cycle_cert(g, cert) else cert
 
 
 def is_c3nq(g: Graph) -> C3NQCert | None:
@@ -1312,16 +1319,8 @@ class TheoremVerdict:
         return self.two_connected and self.claw_free and self.c_closed and self.n_p_heavy
 
     @property
-    def hypotheses_pq(self) -> bool:
-        return self.two_connected and self.claw_free and self.c_closed and self.n_pq_heavy
-
-    @property
     def member_p(self) -> bool:
         return bool(self.families & P_HEAVY_UNION)
-
-    @property
-    def member_pq(self) -> bool:
-        return bool(self.families & PQ_HEAVY_UNION)
 
 
 def classify_theorem(g: Graph) -> TheoremVerdict:

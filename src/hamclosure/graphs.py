@@ -228,10 +228,6 @@ def is_connected(g: Graph) -> bool:
     return flood(g.rows, 1, g.full_mask) == g.full_mask
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    return [frozenset(_bits(comp)) for comp in component_masks(g.rows, g.full_mask)]
-
-
 def articulation_points(g: Graph) -> list[int]:
     """Cut vertices via the standard DFS low-point computation."""
     disc = [-1] * g.n
@@ -272,17 +268,13 @@ def articulation_points(g: Graph) -> list[int]:
     return sorted(result)
 
 
-def is_nonseparable(g: Graph) -> bool:
-    """Connected with no cut vertex; single vertices and edges count."""
-    if g.n == 0 or not is_connected(g):
-        return False
-    if g.n <= 2:
-        return True
-    return not articulation_points(g)
-
-
 def is_2_connected(g: Graph) -> bool:
     return g.n >= 3 and is_connected(g) and not articulation_points(g)
+
+
+def is_nonseparable(g: Graph) -> bool:
+    """Connected with no cut vertex; single vertices and edges count."""
+    return is_connected(g) if g.n <= 2 else is_2_connected(g)
 
 
 # -- maximal cliques --------------------------------------------------------

@@ -51,10 +51,6 @@ def a_heavy_pairs(g: Graph) -> list[HeavyPair]:
     return _pairs(g, adjacent=True, kind="a-heavy")
 
 
-def is_o_heavy_pair(g: Graph, u: int, v: int) -> bool:
-    return u != v and not g.has_edge(u, v) and g.degree(u) + g.degree(v) >= g.n
-
-
 def is_a_heavy_pair(g: Graph, u: int, v: int) -> bool:
     return g.has_edge(u, v) and g.degree(u) + g.degree(v) >= g.n
 

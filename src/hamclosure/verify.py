@@ -121,10 +121,6 @@ def _claw_o_heavy(g: Graph) -> bool:
     return is_pattern_o_heavy(g, PatternKind.CLAW)
 
 
-def claw_free_samples(corpus) -> list[Graph]:
-    return [g for g in corpus if not has_induced(g, PatternKind.CLAW)]
-
-
 def claw_o_heavy_samples(corpus) -> list[Graph]:
     return [g for g in corpus if _claw_o_heavy(g)]
 

@@ -1,10 +1,20 @@
+import itertools
+
 import pytest
 
 from hamclosure.errors import PreconditionError
-from hamclosure.graphs import complete_bipartite, cycle_graph, empty_graph, path_graph
+from hamclosure.families import generate
+from hamclosure.graphs import (
+    Graph,
+    complete_bipartite,
+    cycle_graph,
+    emit_graph6,
+    empty_graph,
+    path_graph,
+)
 from hamclosure.hamiltonicity import is_hamiltonian, validate_cycle
 from hamclosure.patterns import PatternKind, REFERENCE, is_free
-from hamclosure.verify import verify_closure_preservation
+from hamclosure.verify import acceptance_grids, full_corpus, verify_closure_preservation
 
 
 class TestOracle:
@@ -78,3 +88,43 @@ def test_claw_net_free_two_connected_implies_hamiltonian(corpus):
         assert is_hamiltonian(g).result is True
         hits += 1
     assert hits > 10
+
+
+def held_karp_hamiltonian(g: Graph) -> bool:
+    """Held-Karp subset DP: reach[S] is the mask of the ends of the paths
+    from vertex 0 that visit exactly the vertices of S."""
+    if g.n < 3:
+        return False
+    rows = [sum(1 << w for w in range(g.n) if g.has_edge(v, w)) for v in range(g.n)]
+    reach = [0] * (1 << g.n)
+    reach[1] = 1
+    for s in range(1, 1 << g.n, 2):
+        for v in range(g.n):
+            if reach[s] >> v & 1:
+                for w in range(g.n):
+                    if rows[v] >> w & 1 and not s >> w & 1:
+                        reach[s | 1 << w] |= 1 << w
+    return bool(reach[-1] & rows[0])
+
+
+def _labelled_graphs(max_n: int):
+    for n in range(max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            yield Graph.from_edges(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def _hamiltonicity_inputs(name):
+    if name == "labelled-order-5":
+        return list(_labelled_graphs(5))
+    if name == "corpus":
+        return full_corpus(0)
+    members = (generate(params, seed) for grid in acceptance_grids().values()
+               for params, seed in grid)
+    return list(dict.fromkeys(g for g in members if g.n <= 12))
+
+
+@pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus", "grid"])
+def test_hamiltonicity_matches_the_subset_dp(inputs):
+    for g in _hamiltonicity_inputs(inputs):
+        assert is_hamiltonian(g).result is held_karp_hamiltonian(g), emit_graph6(g)
