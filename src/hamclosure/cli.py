@@ -24,7 +24,7 @@ from .closures import (
     trace_to_text,
 )
 from .errors import BudgetError, FormatError, HamclosureError, InputError, PreconditionError
-from .families import classify_theorem, generate, parse_params
+from .families import generate, parse_params, recognize, theorem_verdict
 from .graphs import (
     Graph,
     emit_dot,
@@ -132,14 +132,15 @@ def cmd_verify(args) -> int:
 
 
 def _report(g: Graph, seed: int, budget: int | None) -> dict:
-    claw_o_heavy = is_pattern_o_heavy(g, PatternKind.CLAW)
+    claw_free = not has_induced(g, PatternKind.CLAW)
+    claw_o_heavy = claw_free or is_pattern_o_heavy(g, PatternKind.CLAW)
+    two_connected = is_2_connected(g)
     profile = net_profile(g)
     closures: dict[str, dict] = {}
     closed_o, trace_o = o_closure(g)
     closures["o"] = {"edges_added": closed_o.edge_count - g.edge_count, "steps": len(trace_o.steps)}
     region_summary = None
     c_closed = None
-    claw_free = not has_induced(g, PatternKind.CLAW)
     if claw_free:
         closed_r, trace_r = r_closure(g)
         closures["r"] = {
@@ -159,13 +160,15 @@ def _report(g: Graph, seed: int, budget: int | None) -> dict:
             "interior": sorted(v for v in range(g.n) if decomposition.is_interior(v)),
             "frontier": sorted(v for v in range(g.n) if decomposition.is_frontier(v)),
         }
-    verdict = classify_theorem(g)
+    # None (not claw-o-heavy) counts as not c-closed, as in classify_theorem
+    verdict = theorem_verdict(g.n, two_connected, claw_free, bool(c_closed), profile,
+                              recognize(g).families)
     ham = is_hamiltonian(g, budget)
     return {
         "input": emit_graph6(g),
         "n": g.n,
         "edges": g.edge_count,
-        "two_connected": is_2_connected(g),
+        "two_connected": two_connected,
         "claw_free": claw_free,
         "claw_o_heavy": claw_o_heavy,
         "c_closed": c_closed,

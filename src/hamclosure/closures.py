@@ -67,7 +67,7 @@ class ClosureTrace:
     def replay(self) -> Graph:
         g = replay_steps(self.initial, self.steps)
         if g != self.final:
-            raise AssertionError("trace replay does not reproduce the final graph")
+            raise InputError("trace replay does not reproduce the final graph")
         return g
 
 
@@ -76,7 +76,7 @@ def replay_steps(initial: Graph, steps) -> Graph:
     for step in steps:
         g, added = g.add_edges(step.edges_added)
         if set(added) != set(step.edges_added):
-            raise AssertionError(f"step {step} re-added existing edges")
+            raise InputError(f"step {step} re-added existing edges")
     return g
 
 
@@ -131,23 +131,29 @@ def _pick(items: list, policy: str, rng: random.Random):
     return items[rng.randrange(len(items))]
 
 
+def _fixpoint(g: Graph, kind: str, candidates, edges_of, policy: str, seed: int):
+    """Add the edges of one picked candidate at a time, to a fixpoint."""
+    rng = random.Random(seed)
+    cur = g
+    steps = []
+    while True:
+        options = candidates(cur)
+        if not options:
+            break
+        subject = _pick(options, policy, rng)
+        cur, added = cur.add_edges(edges_of(cur, subject))
+        steps.append(TraceStep(kind, subject, added))
+    return cur, ClosureTrace(g, cur, tuple(steps))
+
+
 # -- o-closure ---------------------------------------------------------------
 
 
 def o_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
     """Join one o-heavy pair at a time, re-scanning degrees, to a fixpoint."""
     _require_policy(policy)
-    rng = random.Random(seed)
-    cur = g
-    steps = []
-    while True:
-        pairs = [(p.u, p.v) for p in o_heavy_pairs(cur)]
-        if not pairs:
-            break
-        pair = _pick(pairs, policy, rng)
-        cur, added = cur.add_edges([pair])
-        steps.append(TraceStep("o-pair", pair, added))
-    return cur, ClosureTrace(g, cur, tuple(steps))
+    return _fixpoint(g, "o-pair", lambda cur: [(p.u, p.v) for p in o_heavy_pairs(cur)],
+                     lambda cur, pair: [pair], policy, seed)
 
 
 # -- neighborhood completion closures ---------------------------------------
@@ -185,17 +191,9 @@ def r_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, Clos
     _require_policy(policy)
     if has_induced(g, PatternKind.CLAW):
         raise PreconditionError("input not claw-free: r-closure undefined")
-    rng = random.Random(seed)
-    cur = g
-    steps = []
-    while True:
-        eligible = [x for x in range(cur.n) if _r_eligible_inner(cur, x)]
-        if not eligible:
-            break
-        x = _pick(eligible, policy, rng)
-        cur, added = cur.add_edges(_neighborhood_missing(cur, x))
-        steps.append(TraceStep("r-completion", x, added))
-    return cur, ClosureTrace(g, cur, tuple(steps))
+    return _fixpoint(g, "r-completion",
+                     lambda cur: [x for x in range(cur.n) if _r_eligible_inner(cur, x)],
+                     _neighborhood_missing, policy, seed)
 
 
 # -- degree-sum completion (c-closure) ---------------------------------------
@@ -280,17 +278,9 @@ def c_closure(
 ) -> tuple[Graph, ClosureTrace]:
     _require_policy(policy)
     _require_claw_o_heavy(g)
-    rng = random.Random(seed)
-    cur = g
-    steps = []
-    while True:
-        eligible = [x for x in range(cur.n) if _c_eligible_inner(cur, x, mode)]
-        if not eligible:
-            break
-        x = _pick(eligible, policy, rng)
-        cur, added = cur.add_edges(_neighborhood_missing(cur, x))
-        steps.append(TraceStep("c-completion", x, added))
-    return cur, ClosureTrace(g, cur, tuple(steps))
+    return _fixpoint(g, "c-completion",
+                     lambda cur: [x for x in range(cur.n) if _c_eligible_inner(cur, x, mode)],
+                     _neighborhood_missing, policy, seed)
 
 
 def is_c_closed(g: Graph, mode: EligibilityMode = EligibilityMode.AMENDED) -> bool:
@@ -309,9 +299,9 @@ def validate_c_trace(trace: ClosureTrace, mode: EligibilityMode = EligibilityMod
     """Per-step completion laws; an empty list means the trace is clean.
 
     Checks, for every completion step at x: the vertex was eligible in the
-    pre-step graph, afterwards every neighbor of x has degree at least
-    d(x), and the post-step graph still has an o-heavy pair in each of its
-    induced claws.
+    pre-step graph, the step added exactly the non-adjacent pairs of N(x),
+    afterwards every neighbor of x has degree at least d(x), and the
+    post-step graph still has an o-heavy pair in each of its induced claws.
     """
     problems = []
     cur = trace.initial
@@ -320,8 +310,13 @@ def validate_c_trace(trace: ClosureTrace, mode: EligibilityMode = EligibilityMod
             problems.append(f"step {i}: not a c-completion step")
             break
         x = step.subject
+        if not 0 <= x < cur.n:
+            problems.append(f"step {i}: vertex {x} out of range")
+            break
         if not _c_eligible_inner(cur, x, mode):
             problems.append(f"step {i}: vertex {x} was not eligible")
+        if set(step.edges_added) != set(_neighborhood_missing(cur, x)):
+            problems.append(f"step {i}: added edges are not the missing pairs of N({x})")
         nxt, _ = cur.add_edges(step.edges_added)
         dx = nxt.degree(x)
         for y in nxt.neighbors(x):

@@ -33,11 +33,11 @@ import random
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .closures import EligibilityMode, c_closure
+from .closures import is_c_closed
 from .errors import InputError, ParameterError
 from .graphs import Graph, _bits, component_masks, is_2_connected, is_connected, maximal_cliques
 from .heaviness import heavy_vertices, is_a_heavy_pair, is_pattern_o_heavy
-from .patterns import PatternKind, has_induced, net_profile
+from .patterns import NetProfile, PatternKind, has_induced, net_profile
 
 
 class FamilyKind(Enum):
@@ -1323,32 +1323,34 @@ class TheoremVerdict:
         return bool(self.families & P_HEAVY_UNION)
 
 
-def classify_theorem(g: Graph) -> TheoremVerdict:
-    """Check the characterization's hypotheses against recognized
-    membership. The equivalence is asserted only at order 10 and up;
-    below that, anything except agreement-by-absence is out of range."""
-    claw_free = not has_induced(g, PatternKind.CLAW)
-    two_conn = is_2_connected(g)
-    if is_pattern_o_heavy(g, PatternKind.CLAW):
-        closed, _ = c_closure(g, EligibilityMode.AMENDED)
-        c_closed = closed == g
-    else:
-        c_closed = False
-    profile = net_profile(g)
-    families = recognize(g).families
-    hypotheses = two_conn and claw_free and c_closed
+def theorem_verdict(n: int, two_connected: bool, claw_free: bool, c_closed: bool,
+                    profile: NetProfile, families: frozenset[FamilyKind]) -> TheoremVerdict:
+    """The characterization's verdict from facts already known about a
+    graph of order n. The equivalence is asserted only at order 10 and
+    up; below that, anything except agreement-by-absence is out of range."""
+    hypotheses = two_connected and claw_free and c_closed
     # the p-heavy and the pq-heavy statement: do the hypotheses hold, is g a member
     holds = (hypotheses and profile.n_p_heavy, hypotheses and profile.n_pq_heavy)
     member = (bool(families & P_HEAVY_UNION), bool(families & PQ_HEAVY_UNION))
-    if g.n >= 10:
+    if n >= 10:
         agree = holds == member
         status = VerdictStatus.CONSISTENT if agree else VerdictStatus.COUNTEREXAMPLE_CANDIDATE
     else:
         status = VerdictStatus.OUT_OF_RANGE if any(holds + member) else VerdictStatus.CONSISTENT
     return TheoremVerdict(
-        g.n, two_conn, claw_free, c_closed,
+        n, two_connected, claw_free, c_closed,
         profile.n_p_heavy, profile.n_pq_heavy, families, status,
     )
+
+
+def classify_theorem(g: Graph) -> TheoremVerdict:
+    """Check the characterization's hypotheses against recognized
+    membership: compute each fact of g once and pass it to
+    ``theorem_verdict``. A claw-free graph is vacuously claw-o-heavy."""
+    claw_free = not has_induced(g, PatternKind.CLAW)
+    c_closed = (claw_free or is_pattern_o_heavy(g, PatternKind.CLAW)) and is_c_closed(g)
+    return theorem_verdict(g.n, is_2_connected(g), claw_free, c_closed,
+                           net_profile(g), recognize(g).families)
 
 
 # -- params file format --------------------------------------------------------

@@ -65,10 +65,6 @@ def decompose(
     return RegionDecomposition(g, closure, regions, tuple(tuple(m) for m in member))
 
 
-def associated(decomp: RegionDecomposition, u: int, v: int) -> bool:
-    return decomp.associated(u, v)
-
-
 # -- decomposition law checks (exercised by the verification suites) ---------
 
 

@@ -28,9 +28,9 @@ from .families import (
     FamilyParams,
     P_HEAVY_UNION,
     VerdictStatus,
-    classify_theorem,
     generate,
     recognize,
+    theorem_verdict,
 )
 from .graphs import (
     Graph,
@@ -502,11 +502,13 @@ def suite_thcpq_reverse(result: SuiteResult, seed: int, node_budget) -> None:
             continue
         if not is_c_closed(g):
             continue
-        if not net_profile(g).n_pq_heavy:
+        profile = net_profile(g)
+        if not profile.n_pq_heavy:
             continue
         hits += 1
         result.checked += 1
-        verdict = classify_theorem(g)
+        # 2-connected, claw-free and c-closed, as filtered above
+        verdict = theorem_verdict(g.n, True, True, True, profile, recognize(g).families)
         if verdict.status is VerdictStatus.COUNTEREXAMPLE_CANDIDATE:
             result.failures.append("hypothesis-satisfying graph not matched by any family")
     result.notes.append(f"{hits} hypothesis-satisfying graphs classified")

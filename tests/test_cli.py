@@ -1,10 +1,15 @@
+import io
 import json
 import re
+import sys
+from collections import Counter
 
 from hamclosure.cli import main
+from hamclosure.closures import c_closure
+from hamclosure.families import classify_theorem, generate, recognize
 from hamclosure.graphs import complete_graph, cycle_graph, emit_graph6, parse_graph6
-from hamclosure.patterns import REFERENCE, PatternKind
-from hamclosure.verify import curated_graphs
+from hamclosure.patterns import REFERENCE, PatternKind, net_profile
+from hamclosure.verify import acceptance_grids, curated_graphs
 
 C4 = emit_graph6(cycle_graph(4))
 K4 = emit_graph6(complete_graph(4))
@@ -44,8 +49,6 @@ class TestClosureCommand:
         assert all("c-completion" in line for line in lines[1:])
 
     def test_stdin_batch_order(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(f"{C4}\n{NET}\n"))
         code, out, _ = run(capsys, "closure", "--kind", "o")
         lines = out.strip().splitlines()
@@ -165,3 +168,37 @@ class TestClassifyCommand:
         code, out, _ = run(capsys, "classify", "--input-format", "edgelist", str(path))
         assert code == 0
         assert json.loads(out.splitlines()[0])["families"] == ["C2N"]
+
+    def test_report_agrees_with_classify_theorem(self, capsys, monkeypatch, corpus):
+        grid = [generate(params, seed) for members in acceptance_grids().values()
+                for params, seed in members]
+        graphs = corpus + [g for g in grid if g.n <= 13]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(emit_graph6(g) + "\n" for g in graphs)))
+        code, out, _ = run(capsys, "classify")
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(reports) == len(graphs)
+        for g, report in zip(graphs, reports):
+            verdict = classify_theorem(g)
+            assert report["two_connected"] == verdict.two_connected, report["input"]
+            assert report["claw_free"] == verdict.claw_free, report["input"]
+            # null (not claw-o-heavy) reads as not c-closed
+            assert (report["c_closed"] or False) == verdict.c_closed, report["input"]
+            assert report["families"] == sorted(k.value for k in verdict.families)
+            assert report["verdict"] == verdict.status.value, report["input"]
+
+    def test_one_classify_computes_each_fact_once(self, capsys, monkeypatch):
+        calls = Counter()
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for fn in (net_profile, c_closure, recognize):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("hamclosure") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counting(fn))
+        code, _, _ = run(capsys, "classify", G8)
+        assert code == 0
+        assert calls == {"net_profile": 1, "c_closure": 1, "recognize": 1}

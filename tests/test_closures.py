@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from hamclosure.closures import (
+    ClosureTrace,
     EligibilityMode,
     _satisfies_target,
     bc_local,
@@ -258,3 +259,25 @@ class TestTraceFormat:
         _, trace = o_closure(complete_bipartite(2, 3))
         text = trace_to_text(trace)
         assert text.splitlines()[0].startswith("o-pair 0-1 += 0-1")
+
+
+class TestTraceReplayAndLaws:
+    def test_step_that_completes_nothing_is_reported(self):
+        c4 = cycle_graph(4)
+        trace = ClosureTrace(c4, c4, parse_trace("c-completion 0 += 0-1\n"))
+        problems = validate_c_trace(trace)
+        assert problems == ["step 0: added edges are not the missing pairs of N(0)"]
+
+    def test_step_at_an_unknown_vertex_is_reported(self):
+        c4 = cycle_graph(4)
+        trace = ClosureTrace(c4, c4, parse_trace("c-completion 9 += 0-2\n"))
+        assert validate_c_trace(trace)[0] == "step 0: vertex 9 out of range"
+
+    def test_replaying_an_existing_edge_is_an_input_error(self):
+        with pytest.raises(InputError, match="re-added existing edges"):
+            replay_steps(cycle_graph(4), parse_trace("o-pair 0-2 += 0-1\n"))
+
+    def test_replay_to_a_different_final_graph_is_an_input_error(self):
+        c4 = cycle_graph(4)
+        with pytest.raises(InputError, match="final graph"):
+            ClosureTrace(c4, complete_graph(4), ()).replay()
