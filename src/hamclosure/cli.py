@@ -18,7 +18,6 @@ from . import __version__
 from .closures import (
     EligibilityMode,
     c_closure,
-    c_mode_divergence,
     o_closure,
     r_closure,
     trace_to_text,
@@ -75,11 +74,11 @@ def cmd_closure(args) -> int:
         else:
             closed, trace = c_closure(g, mode)
             if mode is EligibilityMode.LITERAL:
-                amended, literal, diverges = c_mode_divergence(g)
-                if diverges:
+                amended, _ = c_closure(g, EligibilityMode.AMENDED)
+                if amended != closed:
                     print(
                         "warning: literal and amended eligibility disagree here "
-                        f"(literal adds {literal.edge_count - g.edge_count} edges, "
+                        f"(literal adds {closed.edge_count - g.edge_count} edges, "
                         f"amended adds {amended.edge_count - g.edge_count})",
                         file=sys.stderr,
                     )

@@ -197,6 +197,10 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
 
 
 # -- connectivity -----------------------------------------------------------
+#
+# One bitmask flood answers every connectivity question: connectivity floods
+# the whole vertex set, a vertex is a cut vertex when the flood of the rest
+# misses part of it, and 2-connectivity asks that of every vertex.
 
 
 def flood(rows, seed: int, allowed: int) -> int:
@@ -205,8 +209,10 @@ def flood(rows, seed: int, allowed: int) -> int:
     seen = frontier = seed
     while frontier:
         reach = 0
-        for v in _bits(frontier):
-            reach |= rows[v]
+        while frontier:  # _bits inlined: this loop is the hot spot of every flood
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & allowed & ~seen
         seen |= frontier
     return seen
@@ -228,53 +234,21 @@ def is_connected(g: Graph) -> bool:
     return flood(g.rows, 1, g.full_mask) == g.full_mask
 
 
-def articulation_points(g: Graph) -> list[int]:
-    """Cut vertices via the standard DFS low-point computation."""
-    disc = [-1] * g.n
-    low = [0] * g.n
-    result = set()
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
-            continue
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.neighbors(root)))]
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == parent:
-                    continue
-                if disc[u] == -1:
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((u, v, iter(g.neighbors(u))))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[u])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if pv != root and low[v] >= disc[pv]:
-                        result.add(pv)
-        if root_children > 1:
-            result.add(root)
-    return sorted(result)
+def is_nonseparable(g: Graph) -> bool:
+    """Connected, and still connected after deleting any one vertex; single
+    vertices and edges count."""
+    if not is_connected(g):
+        return False
+    rows, full = g.rows, g.full_mask
+    for v in range(g.n):
+        rest = full & ~(1 << v)
+        if flood(rows, rest & -rest, rest) != rest:
+            return False
+    return True
 
 
 def is_2_connected(g: Graph) -> bool:
-    return g.n >= 3 and is_connected(g) and not articulation_points(g)
-
-
-def is_nonseparable(g: Graph) -> bool:
-    """Connected with no cut vertex; single vertices and edges count."""
-    return is_connected(g) if g.n <= 2 else is_2_connected(g)
+    return g.n >= 3 and is_nonseparable(g)
 
 
 # -- maximal cliques --------------------------------------------------------

@@ -11,7 +11,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph, _bits, flood, is_2_connected, is_connected
+from .graphs import Graph, _bits, flood, is_2_connected
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -53,9 +53,7 @@ def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCer
     budget = default_node_budget() if node_budget is None else node_budget
     if g.n < 3:
         return HamiltonicityCertificate(False, None, 0, note="fewer than 3 vertices")
-    if min(g.degrees()) < 2 or not is_connected(g):
-        return HamiltonicityCertificate(False, None, 0)
-    if not is_2_connected(g):
+    if min(g.degrees()) < 2 or not is_2_connected(g):
         # a hamiltonian cycle tolerates no cut vertex
         return HamiltonicityCertificate(False, None, 0)
 

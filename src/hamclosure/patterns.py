@@ -274,11 +274,10 @@ class NetEmbedding:
         verts = self.as_tuple()
         if len(set(verts)) != 6 or not all(0 <= v < g.n for v in verts):
             raise InputError("net embedding must name six distinct vertices in range")
-        need = {(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)}
+        net = REFERENCE[PatternKind.NET]
         for i in range(6):
             for j in range(i + 1, 6):
-                expected = (i, j) in need
-                if g.has_edge(verts[i], verts[j]) != expected:
+                if g.has_edge(verts[i], verts[j]) != net.has_edge(i, j):
                     raise InputError(
                         f"vertices {verts} do not induce a net "
                         f"(pair ({verts[i]}, {verts[j]}) wrong)"

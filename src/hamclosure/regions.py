@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .closures import EligibilityMode, c_closure
 from .errors import InputError, PreconditionError
-from .graphs import Graph, _bits, is_connected, is_nonseparable, maximal_cliques
+from .graphs import Graph, _bits, flood, is_connected, is_nonseparable, maximal_cliques
 
 
 @dataclass(frozen=True)
@@ -68,15 +68,16 @@ def decompose(
 # -- decomposition law checks (exercised by the verification suites) ---------
 
 
-def region_law_violations(decomp: RegionDecomposition, path_search_limit: int = 10) -> list[str]:
+def region_law_violations(decomp: RegionDecomposition) -> list[str]:
     """Violations of the four region laws; empty list means all hold.
 
     (1) each region induces a nonseparable subgraph; (2) each frontier
     vertex has an interior neighbor in the region unless the region is
     complete and all-frontier; (3) a vertex associated with two vertices
     of a region belongs to it; (4) any two region vertices are joined by
-    an induced path through interior vertices of that region (searched
-    only when the host graph is small enough).
+    an induced path through interior vertices of that region. Law (4) is
+    checked on every graph, as reachability: b must have a neighbor among
+    the vertices a reaches through interior vertices of the region.
     """
     g = decomp.graph
     problems = []
@@ -101,38 +102,16 @@ def region_law_violations(decomp: RegionDecomposition, path_search_limit: int = 
             linked = sum(1 for w in region if decomp.associated(u, w))
             if linked >= 2:
                 problems.append(f"vertex {u} associated with two vertices of region {i} but outside it")
-        if g.n <= path_search_limit:
-            for a in ordered:
-                for b in ordered:
-                    if a >= b:
-                        continue
-                    if not _interior_induced_path_exists(g, region, interior, a, b):
-                        problems.append(
-                            f"region {i}: no induced path {a}..{b} through interior vertices"
-                        )
+        interior_mask = sum(1 << v for v in interior)
+        for k, a in enumerate(ordered):
+            # a shortest a..b path with interior inner vertices has no chord
+            reach = flood(g.rows, 1 << a, interior_mask)
+            for b in ordered[k + 1:]:
+                if not g.row(b) & reach:
+                    problems.append(
+                        f"region {i}: no induced path {a}..{b} through interior vertices"
+                    )
     return problems
-
-
-def _interior_induced_path_exists(g, region, interior, a, b) -> bool:
-    if g.has_edge(a, b):
-        return True
-    allowed = (interior | {a, b}) & region
-
-    def extend(path, used_mask, older_nbrs):
-        last = path[-1]
-        if last == b:
-            return True
-        cand = g.row(last) & ~used_mask & ~older_nbrs
-        for v in _bits(cand):
-            if v not in allowed:
-                continue
-            if v != b and v not in interior:
-                continue
-            if extend(path + [v], used_mask | 1 << v, older_nbrs | g.row(last)):
-                return True
-        return False
-
-    return extend([a], 1 << a, 0)
 
 
 # -- generalized claws and nets ----------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .closures import (
@@ -103,13 +104,16 @@ def curated_graphs() -> dict[str, Graph]:
     return graphs
 
 
-def random_corpus(seed: int = 0, per_cell: int = 13) -> list[Graph]:
+_PER_CELL = 13
+
+
+def random_corpus(seed: int = 0) -> list[Graph]:
     """Deterministic ~500-graph corpus, n in [5, 12], mixed densities."""
     out = []
     ps = (0.2, 0.35, 0.5, 0.65, 0.8)
     for n in range(5, 13):
         for j, p in enumerate(ps):
-            out.extend(sample_graphs(n, p, seed=seed * 1000 + n * 10 + j, limit=per_cell))
+            out.extend(sample_graphs(n, p, seed=seed * 1000 + n * 10 + j, limit=_PER_CELL))
     return out
 
 
@@ -271,7 +275,12 @@ def verify_closure_preservation(
 # -- suites --------------------------------------------------------------------
 
 
+SUITES: dict[str, Callable[..., SuiteResult]] = {}
+
+
 def _suite(name):
+    """Register the decorated check as suite ``name`` in SUITES."""
+
     def wrap(fn):
         def run(seed: int = 0, node_budget: int | None = None) -> SuiteResult:
             start = time.monotonic()
@@ -282,7 +291,7 @@ def _suite(name):
             return result
 
         run.__name__ = fn.__name__
-        run.suite_name = name
+        SUITES[name] = run
         return run
 
     return wrap
@@ -532,7 +541,7 @@ def suite_region_properties(result: SuiteResult, seed: int, node_budget) -> None
     for i, g in enumerate(corpus):
         if not _claw_o_heavy(g):
             continue
-        problems = region_law_violations(decompose(g), path_search_limit=10)
+        problems = region_law_violations(decompose(g))
         result.checked += 1
         if problems:
             result.failures.append(f"graph {i}: {problems[0]}")
@@ -578,23 +587,6 @@ def suite_npq_hamiltonicity(result: SuiteResult, seed: int, node_budget) -> None
         if cert.result is not True:
             result.failures.append(f"graph {i}: 2-connected claw-free pq-heavy but not hamiltonian")
     result.notes.append(f"{hits} qualifying graphs")
-
-
-SUITES = {
-    fn.suite_name: fn
-    for fn in (
-        suite_closure_preservation,
-        suite_minimality_oracle,
-        suite_uniqueness,
-        suite_closure_contracts,
-        suite_heaviness_propagation,
-        suite_family_forward,
-        suite_thcpq_reverse,
-        suite_detector_oracle,
-        suite_region_properties,
-        suite_npq_hamiltonicity,
-    )
-}
 
 
 def run_suite(name: str, seed: int = 0, node_budget: int | None = None) -> SuiteResult:

@@ -36,6 +36,22 @@ class TestClosureCommand:
         assert parse_graph6(out.strip()) == cycle_graph(4)
         assert "disagree" in err
 
+    def test_literal_mode_builds_each_closure_once(self, capsys, monkeypatch):
+        calls = Counter()
+
+        def counting(*args, **kwargs):
+            calls["c_closure"] += 1
+            return c_closure(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hamclosure") and getattr(module, "c_closure", None) is c_closure:
+                monkeypatch.setattr(module, "c_closure", counting)
+        code, _, err = run(capsys, "closure", "--kind", "c", "--mode", "literal", C4)
+        assert code == 0
+        assert err == ("warning: literal and amended eligibility disagree here "
+                       "(literal adds 0 edges, amended adds 2)\n")
+        assert calls["c_closure"] == 2
+
     def test_r_closure_rejects_claw_input(self, capsys):
         code, _, err = run(capsys, "closure", "--kind", "r", CLAW)
         assert code == 2

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hamclosure.errors import ExhaustionError, FormatError, InputError
 from hamclosure.graphs import (
     Graph,
-    articulation_points,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -18,6 +17,7 @@ from hamclosure.graphs import (
     empty_graph,
     is_2_connected,
     is_connected,
+    is_nonseparable,
     maximal_cliques,
     parse_edge_list,
     parse_graph6,
@@ -130,8 +130,33 @@ class TestConnectivity:
         assert not is_2_connected(path_graph(2))
         assert is_2_connected(complete_graph(3))
 
-    def test_net_cut_vertices_are_the_corners(self, net):
-        assert articulation_points(net) == [0, 1, 2]
+    def test_flood_agrees_with_set_dfs_on_all_small_graphs(self):
+        def connected(adj, vertices):
+            if not vertices:
+                return True
+            start = next(iter(vertices))
+            seen, stack = {start}, [start]
+            while stack:
+                for u in adj[stack.pop()] & vertices - seen:
+                    seen.add(u)
+                    stack.append(u)
+            return seen == vertices
+
+        for n in range(7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for bits in range(1 << len(pairs)):
+                edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
+                adj = {v: set() for v in range(n)}
+                for u, v in edges:
+                    adj[u].add(v)
+                    adj[v].add(u)
+                vertices = set(range(n))
+                nonseparable = n > 0 and connected(adj, vertices) and all(
+                    connected(adj, vertices - {v}) for v in vertices
+                )
+                g = Graph.from_edges(n, edges)
+                assert is_nonseparable(g) == nonseparable, edges
+                assert is_2_connected(g) == (n >= 3 and nonseparable), edges
 
     def test_disconnected(self):
         assert not is_connected(empty_graph(2))

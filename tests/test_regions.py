@@ -4,6 +4,7 @@ import pytest
 
 from hamclosure.errors import InputError, PreconditionError
 from hamclosure.graphs import (
+    Graph,
     complete_graph,
     cycle_graph,
     is_connected,
@@ -13,6 +14,7 @@ from hamclosure.graphs import (
 from hamclosure.heaviness import is_pattern_o_heavy
 from hamclosure.patterns import REFERENCE, PatternKind
 from hamclosure.regions import (
+    RegionDecomposition,
     decompose,
     generalized_claw_or_net,
     region_law_violations,
@@ -71,9 +73,46 @@ class TestDecompose:
         for g in corpus:
             if g.n > 12 or not is_pattern_o_heavy(g, PatternKind.CLAW):
                 continue
-            assert region_law_violations(decompose(g), path_search_limit=10) == []
+            assert region_law_violations(decompose(g)) == []
             checked += 1
         assert checked > 20
+
+
+def _hand_decomposition(n, edges, regions):
+    g = Graph.from_edges(n, edges)
+    membership = tuple(
+        tuple(i for i, region in enumerate(regions) if v in region) for v in range(n)
+    )
+    return RegionDecomposition(g, g, tuple(frozenset(r) for r in regions), membership)
+
+
+def _cliques(*groups):
+    return [(u, v) for group in groups for u in group for v in group if u < v]
+
+
+class TestInteriorPathLaw:
+    def test_pair_joined_only_through_frontier_is_reported_at_n12(self):
+        # region 0 is the 4-cycle 0-2-1-3 with frontier 2 and 3: 0 and 1 meet
+        # only through a frontier vertex
+        d = _hand_decomposition(
+            12,
+            [(0, 2), (2, 1), (1, 3), (3, 0)] + _cliques((2, 4, 5, 6, 7), (3, 8, 9, 10, 11)),
+            [(0, 1, 2, 3), (2, 4, 5, 6, 7), (3, 8, 9, 10, 11)],
+        )
+        assert region_law_violations(d) == [
+            "region 0: no induced path 0..1 through interior vertices"
+        ]
+
+    def test_two_inner_interior_vertices_suffice(self):
+        # 0..1 runs 0-2-3-1 through interior 2 and 3, or 0-4-1 through frontier 4
+        d = _hand_decomposition(
+            12,
+            [(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (4, 2)]
+            + _cliques((0, 5, 6), (1, 7, 8), (4, 9, 10, 11)),
+            [(0, 1, 2, 3, 4), (0, 5, 6), (1, 7, 8), (4, 9, 10, 11)],
+        )
+        assert d.interior_vertices(0) == {2, 3}
+        assert region_law_violations(d) == []
 
 
 class TestGeneralizedClawNet:
