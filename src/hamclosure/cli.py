@@ -79,7 +79,7 @@ def cmd_closure(args) -> int:
                     print(
                         "warning: literal and amended eligibility disagree here "
                         f"(literal adds {closed.edge_count - g.edge_count} edges, "
-                        f"amended adds {amended.edge_count - g.edge_count})",
+                        f"amended adds {amended.edge_count - g.edge_count} edges)",
                         file=sys.stderr,
                     )
         print(_emit(closed, args.emit))

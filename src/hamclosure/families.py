@@ -186,6 +186,23 @@ def replay_certificate(cert: Certificate) -> Graph:
 # -- certificate checkers -----------------------------------------------------
 
 
+def _junction_faults(junction) -> list[str]:
+    """Why a junction cannot be read: a bad shape or a matching edge that is
+    not a vertex pair."""
+    if not (isinstance(junction, tuple) and len(junction) == 2):
+        return ["is not a (type, data) pair"]
+    kind, matching = junction
+    if kind != "matching":
+        return []
+    if not isinstance(matching, tuple):
+        return ["matching is not a tuple of edges"]
+    return [
+        f"edge {pair!r} is not a vertex pair" for pair in matching
+        if not (isinstance(pair, tuple) and len(pair) == 2
+                and all(isinstance(v, int) for v in pair))
+    ]
+
+
 def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]:
     """Clauses shared by chains and cycles of cliques.
 
@@ -195,6 +212,10 @@ def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]
     cells = cert.cells
     problems = [
         f"cell {i} {fault}" for i, cell in enumerate(cells) for fault in _cell_faults(g, cell)
+    ]
+    problems += [
+        f"junction {i} {fault}"
+        for i, junction in enumerate(junctions) for fault in _junction_faults(junction)
     ]
     if problems:
         return problems
@@ -731,7 +752,9 @@ def _comp_tag_checks(g: Graph, comp: ComponentCert, hosts) -> list[str]:
 
 
 def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> list[str]:
-    spec = FAMILY_SPECS[family]
+    spec = FAMILY_SPECS.get(family)
+    if spec is None:
+        raise InputError(f"{family} is not a composed family")
     cells = [("K", cert.k_clique), ("K'", cert.k_prime or ())]
     cells += [(f"component {i}", c.vertices) for i, c in enumerate(cert.components)]
     problems = [f"{name} {fault}" for name, cell in cells for fault in _cell_faults(g, cell)]
@@ -782,26 +805,27 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
 # -- composed-family recognizer -----------------------------------------------
 
 
-def _k_candidates(g: Graph, spec: FamilySpec) -> list[tuple[int, ...]]:
+def _k_candidates(g: Graph, spec: FamilySpec, cliques) -> list[tuple[int, ...]]:
     if spec.k_holds_heavy:
         heavy = set(heavy_vertices(g))
-        keep = [c for c in maximal_cliques(g) if heavy <= c]
+        keep = [c for c in cliques if heavy <= c]
     else:
-        keep = [c for c in maximal_cliques(g) if 2 * len(c) >= g.n]
+        keep = [c for c in cliques if 2 * len(c) >= g.n]
     return [tuple(sorted(c)) for c in keep]
 
 
-def _prime_candidates(g: Graph, k_clique):
+def _prime_candidates(k_clique, cliques):
     k_set = set(k_clique)
-    for kp in maximal_cliques(g):
+    for kp in cliques:
         inter = set(kp) & k_set
         if len(inter) == 1 and kp != frozenset(k_clique):
             yield tuple(sorted(kp)), next(iter(inter))
 
 
-def _glue_options(g: Graph, comps, hosts, glues):
+def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
     """(tag, sub-cert) options per component, in option order; None as
-    soon as one component has no option."""
+    soon as one component has no option. ``searched`` holds the answer of
+    every glue search already run on g, keyed by vertex mask and base."""
     out = []
     for comp in comps:
         outside = _neighbors_of_set(g, comp)
@@ -810,7 +834,11 @@ def _glue_options(g: Graph, comps, hosts, glues):
             glue = GLUES[tag]
             cliques = [hosts[h] for h in glue.hosts]
             if _attaches(outside, cliques):
-                cert = _glue_search(g, set(comp).union(*cliques), glue.base)
+                vertices = set(comp).union(*cliques)
+                key = (_cell_mask(vertices), glue.base)
+                if key not in searched:
+                    searched[key] = _glue_search(g, vertices, glue.base)
+                cert = searched[key]
                 if cert:
                     options.append((tag, cert))
         if not options:
@@ -850,15 +878,20 @@ def _pick_glues(spec: FamilySpec, options):
     return extend(0, [0] * len(clauses))
 
 
-def _recognize_composed(g: Graph, spec: FamilySpec) -> ComposedCert | None:
-    for k_clique in _k_candidates(g, spec):
-        primes = _prime_candidates(g, k_clique) if spec.two_clique else [(None, None)]
+def _recognize_composed(
+    g: Graph, spec: FamilySpec, cliques, searched: dict
+) -> ComposedCert | None:
+    """The first certificate of ``spec`` in candidate order, or None.
+    ``cliques`` are the maximal cliques of g; ``searched`` is the glue
+    search memo of ``_glue_options``, shared by the specs of one call."""
+    for k_clique in _k_candidates(g, spec, cliques):
+        primes = _prime_candidates(k_clique, cliques) if spec.two_clique else [(None, None)]
         for kp, u0 in primes:
             outside = g.full_mask & ~_cell_mask(k_clique) & ~_cell_mask(kp or ())
             comps = [tuple(_bits(c)) for c in component_masks(g.rows, outside)]
             if len(comps) < spec.min_components:
                 continue
-            options = _glue_options(g, comps, {"K": k_clique, "K'": kp}, spec.glues)
+            options = _glue_options(g, comps, {"K": k_clique, "K'": kp}, spec.glues, searched)
             picked = None if options is None else _pick_glues(spec, options)
             if picked is None:
                 continue
@@ -881,11 +914,23 @@ class FamilyWitness:
 
 
 def recognize(g: Graph) -> FamilyWitness:
-    """Match g against every family; empty match set is a valid answer."""
+    """Match g against every family; empty match set is a valid answer.
+
+    The composed families share one list of g's maximal cliques and one
+    memo of glue searches: a search's answer depends only on its vertex set
+    and base family, and the certificates are frozen. The base families
+    come first, and their searches on g answer the glue searches that span
+    all of g.
+    """
     certs: dict[FamilyKind, Certificate] = {}
+    cliques = maximal_cliques(g)
+    searched: dict = {}
     for kind in FamilyKind:
         spec = FAMILY_SPECS.get(kind)
-        cert = _base_search(kind, g) if spec is None else _recognize_composed(g, spec)
+        if spec is None:
+            cert = searched[g.full_mask, kind] = _base_search(kind, g)
+        else:
+            cert = _recognize_composed(g, spec, cliques, searched)
         if cert is not None:
             certs[kind] = cert
     return FamilyWitness(frozenset(certs), certs, g.n >= 10)

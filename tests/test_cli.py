@@ -49,7 +49,7 @@ class TestClosureCommand:
         code, _, err = run(capsys, "closure", "--kind", "c", "--mode", "literal", C4)
         assert code == 0
         assert err == ("warning: literal and amended eligibility disagree here "
-                       "(literal adds 0 edges, amended adds 2)\n")
+                       "(literal adds 0 edges, amended adds 2 edges)\n")
         assert calls["c_closure"] == 2
 
     def test_r_closure_rejects_claw_input(self, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -175,6 +176,16 @@ class TestBaseRecognizers:
                                                    (("identify", 1), ("identify", 2),
                                                     ("identify", 3), ("identify", -1))),
                          id="negative-vertex-in-a-cycle"),
+            pytest.param(cycle_graph(6), CycleCert(6, ((0, 1), (2, 3), (4, 5)),
+                                                   (("matching", ((1, 2, 3),)),
+                                                    ("identify", 3), ("identify", 5))),
+                         id="cycle-junction-edge-of-three-vertices"),
+            pytest.param(cycle_graph(6), ChainCert(6, ((0, 1), (2, 3), (4, 5)),
+                                                   (((1, 2),), ((3,),))),
+                         id="chain-matching-edge-of-one-vertex"),
+            pytest.param(cycle_graph(6), CycleCert(6, ((0, 1), (2, 3), (4, 5)),
+                                                   (("matching", 3), (), ("identify", 5))),
+                         id="cycle-junctions-of-the-wrong-shape"),
         ],
     )
     def test_sequence_checkers_reject_each_broken_clause(self, g, cert):
@@ -237,6 +248,10 @@ class TestBaseRecognizers:
         g, cert = generate_with_certificate(FamilyParams(FamilyKind.C2N, (4, 3, 4), (2, 1, 2)), 3)
         assert check_cycle_cert(g, cert) == []
 
+    def test_composed_checker_rejects_a_base_family(self, g8):
+        with pytest.raises(InputError, match="not a composed family"):
+            check_composed_cert(g8, FamilyKind.C1N, recognize(g8).certificate(FamilyKind.C1NPQ))
+
     def test_component_gate_reads_the_counting_clauses(self):
         gates = {kind: spec.min_components for kind, spec in FAMILY_SPECS.items()}
         assert gates == {
@@ -283,6 +298,50 @@ class TestRecognize:
             assert replay_certificate(found) == g
             if params.components:
                 assert skeleton(found) == skeleton(cert), params.family
+
+    def test_one_recognize_asks_each_question_of_g_once(self, monkeypatch):
+        clique_calls, searches = Counter(), Counter()
+        glue_search = families._glue_search
+
+        def counting_cliques(graph):
+            clique_calls[graph] += 1
+            return maximal_cliques(graph)
+
+        def counting_search(graph, vertices, base):
+            searches[frozenset(vertices), base] += 1
+            return glue_search(graph, vertices, base)
+
+        monkeypatch.setattr(families, "maximal_cliques", counting_cliques)
+        monkeypatch.setattr(families, "_glue_search", counting_search)
+        for kind in FAMILY_SPECS:
+            g = min((generate(params, seed) for params, seed in acceptance_grids()[kind]),
+                    key=lambda member: member.n)
+            clique_calls.clear()
+            searches.clear()
+            assert kind in recognize(g).families
+            # once for the composed families, once each in is_c1n and is_c2n
+            assert clique_calls[g] <= 3, kind
+            assert searches and max(searches.values()) == 1, kind
+
+    def test_shared_cliques_and_searches_change_no_answer(self):
+        def unshared(g):
+            certs = {}
+            for kind in FamilyKind:
+                spec = FAMILY_SPECS.get(kind)
+                if spec is None:
+                    cert = families._base_search(kind, g)
+                else:
+                    cert = families._recognize_composed(g, spec, maximal_cliques(g), {})
+                if cert is not None:
+                    certs[kind] = cert
+            return certs
+
+        grid = [generate(params, seed) for members in acceptance_grids().values()
+                for params, seed in members]
+        for g in [g for g in grid if g.n <= 13] + full_corpus(0):
+            witness = recognize(g)
+            assert witness.certificates == unshared(g), emit_graph6(g)
+            assert witness.families == frozenset(witness.certificates)
 
 
 class TestKnownEdgeCases:
