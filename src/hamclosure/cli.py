@@ -1,8 +1,9 @@
 """Command-line surface: closure, detect, generate, verify, classify.
 
-Graphs are read as graph6 (or an edge-list file via --input-format);
-batch mode reads one graph6 per line from standard input. Reports are
-JSON with a fixed key order so runs diff cleanly.
+Graphs are read as graph6 (or an edge list via --input-format); batch
+mode reads one graph6 per line from standard input, or with --input-format
+edgelist one edge list. Reports are JSON with a fixed key order so runs
+diff cleanly.
 
 Exit codes: 0 success, 2 precondition violation, 3 budget exhaustion,
 4 parse error.
@@ -41,10 +42,12 @@ from .verify import SUITES, run_suite
 
 
 def _read_graphs(args) -> list[Graph]:
+    if args.input_format == "edgelist":
+        if args.graph is None:
+            return [parse_edge_list(sys.stdin.read())]
+        with open(args.graph) as fh:
+            return [parse_edge_list(fh.read())]
     if args.graph is not None:
-        if args.input_format == "edgelist":
-            with open(args.graph) as fh:
-                return [parse_edge_list(fh.read())]
         return [parse_graph6(args.graph)]
     graphs = []
     for line in sys.stdin:
@@ -220,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("graph", nargs="?", help="graph6 string (default: read stdin)")
         p.add_argument(
             "--input-format", choices=("graph6", "edgelist"), default="graph6",
-            help="edgelist treats the positional argument as a file path",
+            help="edgelist reads the file the positional argument names, or stdin",
         )
 
     p = sub.add_parser("closure", help="compute a closure and emit the closed graph")

@@ -283,9 +283,9 @@ def c_closure(
                      _neighborhood_missing, policy, seed)
 
 
-def is_c_closed(g: Graph, mode: EligibilityMode = EligibilityMode.AMENDED) -> bool:
+def is_c_closed(g: Graph) -> bool:
     _require_claw_o_heavy(g)
-    return not any(_c_eligible_inner(g, x, mode) for x in range(g.n))
+    return not any(_c_eligible_inner(g, x, EligibilityMode.AMENDED) for x in range(g.n))
 
 
 def c_mode_divergence(g: Graph) -> tuple[Graph, Graph, bool]:
@@ -295,13 +295,14 @@ def c_mode_divergence(g: Graph) -> tuple[Graph, Graph, bool]:
     return amended, literal, amended != literal
 
 
-def validate_c_trace(trace: ClosureTrace, mode: EligibilityMode = EligibilityMode.AMENDED) -> list[str]:
+def validate_c_trace(trace: ClosureTrace) -> list[str]:
     """Per-step completion laws; an empty list means the trace is clean.
 
-    Checks, for every completion step at x: the vertex was eligible in the
-    pre-step graph, the step added exactly the non-adjacent pairs of N(x),
-    afterwards every neighbor of x has degree at least d(x), and the
-    post-step graph still has an o-heavy pair in each of its induced claws.
+    Checks, for every completion step at x: the vertex was eligible (amended
+    reading) in the pre-step graph, the step added exactly the non-adjacent
+    pairs of N(x), afterwards every neighbor of x has degree at least d(x),
+    and the post-step graph still has an o-heavy pair in each of its
+    induced claws.
     """
     problems = []
     cur = trace.initial
@@ -313,7 +314,7 @@ def validate_c_trace(trace: ClosureTrace, mode: EligibilityMode = EligibilityMod
         if not 0 <= x < cur.n:
             problems.append(f"step {i}: vertex {x} out of range")
             break
-        if not _c_eligible_inner(cur, x, mode):
+        if not _c_eligible_inner(cur, x, EligibilityMode.AMENDED):
             problems.append(f"step {i}: vertex {x} was not eligible")
         if set(step.edges_added) != set(_neighborhood_missing(cur, x)):
             problems.append(f"step {i}: added edges are not the missing pairs of N({x})")

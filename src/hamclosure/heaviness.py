@@ -79,8 +79,8 @@ def subgraph_is_o_heavy(g: Graph, vertices) -> bool:
 def is_pattern_o_heavy(g: Graph, pattern) -> bool:
     """Every induced copy of the pattern contains an o-heavy pair of g.
 
-    Vacuously true when g is pattern-free.
+    Vacuously true when g is pattern-free; stops at the first light copy.
     """
-    from .patterns import find_induced
+    from .patterns import embeddings
 
-    return all(subgraph_is_o_heavy(g, emb) for emb in find_induced(g, pattern))
+    return all(subgraph_is_o_heavy(g, emb) for emb in embeddings(g, pattern))

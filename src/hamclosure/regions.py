@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .closures import EligibilityMode, c_closure
+from .closures import c_closure
 from .errors import InputError, PreconditionError
 from .graphs import Graph, _bits, flood, is_connected, is_nonseparable, maximal_cliques
 
@@ -40,15 +40,11 @@ class RegionDecomposition:
         return bool(set(self.membership[u]) & set(self.membership[v]))
 
 
-def decompose(
-    g: Graph,
-    closure: Graph | None = None,
-    mode: EligibilityMode = EligibilityMode.AMENDED,
-) -> RegionDecomposition:
+def decompose(g: Graph, closure: Graph | None = None) -> RegionDecomposition:
     """Regions of g; pass the precomputed closure of a c-closed graph to
     skip recomputation."""
     if closure is None:
-        closure, _ = c_closure(g, mode)
+        closure, _ = c_closure(g)
     elif closure.n != g.n:
         raise InputError("closure must be over the same vertex set")
     regions = tuple(maximal_cliques(closure))

@@ -72,6 +72,14 @@ class TestClosureCommand:
         assert parse_graph6(lines[0]) == complete_graph(4)
         assert parse_graph6(lines[1]) == REFERENCE[PatternKind.NET]
 
+    def test_stdin_edge_list(self, capsys, monkeypatch):
+        from hamclosure.graphs import emit_edge_list
+
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(cycle_graph(4))))
+        code, out, err = run(capsys, "closure", "--kind", "o", "--input-format", "edgelist")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [K4]
+
     def test_dot_output(self, capsys):
         code, out, _ = run(capsys, "closure", "--kind", "o", "--emit", "dot", C4)
         assert code == 0 and out.startswith("graph G {")

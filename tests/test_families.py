@@ -500,6 +500,17 @@ def _subcliques_containing(g: Graph, sub_vertices: list[int], anchor: set[int]):
             yield mapped
 
 
+def _oracle_matching(g: Graph, left, right):
+    """The chain junction between two disjoint vertex sets: every edge
+    between them, provided they form a matching of at least two edges."""
+    cross = sorted((u, v) for u in left for v in right if g.has_edge(u, v))
+    lefts = {u for u, _ in cross}
+    rights = {v for _, v in cross}
+    if len(cross) < 2 or len(lefts) < len(cross) or len(rights) < len(cross):
+        return None
+    return tuple(cross)
+
+
 def c1n_oracle(g: Graph):
     if g.n < 2 or not is_connected(g):
         return None
@@ -515,10 +526,9 @@ def c1n_oracle(g: Graph):
                 continue
             if len(cell) < 4:
                 continue
-            junction = families._junction_between(g, cell, new_rest)
-            if junction is None:
+            pairs = _oracle_matching(g, cell, new_rest)
+            if pairs is None:
                 continue
-            pairs = junction[1]
             if anchor & {u for u, _ in pairs}:
                 continue
             found = extend(cells + [cell], matchings + [pairs], new_rest, {v for _, v in pairs})
@@ -530,10 +540,9 @@ def c1n_oracle(g: Graph):
         if len(first) < 2:
             continue
         rest = set(range(g.n)) - first
-        junction = families._junction_between(g, first, rest)
-        if junction is None:
+        pairs = _oracle_matching(g, first, rest)
+        if pairs is None:
             continue
-        pairs = junction[1]
         found = extend([first], [pairs], rest, {v for _, v in pairs})
         if found:
             cells, matchings = found

@@ -1,10 +1,11 @@
+import networkx as nx
 import pytest
 
 from hamclosure.closures import c_closure
 from hamclosure.errors import InputError
 from hamclosure.families import ComponentSpec, FamilyKind, FamilyParams, generate
-from hamclosure.graphs import Graph, complete_graph, cycle_graph
-from hamclosure.heaviness import is_heavy, is_pattern_o_heavy
+from hamclosure.graphs import Graph, complete_graph, cycle_graph, emit_graph6
+from hamclosure.heaviness import is_heavy, is_pattern_o_heavy, subgraph_is_o_heavy
 from hamclosure.patterns import (
     REFERENCE,
     NetEmbedding,
@@ -12,6 +13,7 @@ from hamclosure.patterns import (
     classify_net,
     find_induced,
     find_induced_naive,
+    has_induced,
     is_free,
     net_profile,
 )
@@ -56,11 +58,23 @@ class TestFindInduced:
         assert is_free(complete_graph(4), (PatternKind.CLAW, PatternKind.DIAMOND))
 
     def test_detectors_match_naive_enumeration(self, corpus):
+        # the corpus up to order 9, every graph of order 1..7 up to
+        # isomorphism, and those of order at most 6 once more under the
+        # reversed labelling
         small = [g for g in corpus if g.n <= 9]
         assert len(small) > 300
-        for g in small:
+        atlas = [Graph.from_edges(h.number_of_nodes(), h.edges())
+                 for h in nx.graph_atlas_g() if h.number_of_nodes() >= 1]
+        assert len(atlas) == 1252
+        reversed_ = [Graph.from_edges(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+                     for g in atlas if g.n <= 6]
+        for g in small + atlas + reversed_:
             for kind in PatternKind:
-                assert find_induced(g, kind) == find_induced_naive(g, kind), kind
+                expected = find_induced_naive(g, kind)
+                assert find_induced(g, kind) == expected, (kind, emit_graph6(g))
+                assert has_induced(g, kind) == bool(expected), (kind, emit_graph6(g))
+                assert is_pattern_o_heavy(g, kind) == all(
+                    subgraph_is_o_heavy(g, emb) for emb in expected), (kind, emit_graph6(g))
 
 
 class TestMonotonicity:
