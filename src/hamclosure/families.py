@@ -7,10 +7,10 @@ C2NP, C1NPQ, C2NPQ) built from a core clique K (plus a secondary clique
 K' meeting K in one vertex) with components glued as chains, cycles, or
 path attachments.
 
-Membership is checked by certificate: generators build a certificate and
-validate it with the same clause checkers the recognizer uses, so a
-successful generate() is a proof of membership and recognize() round-trips
-by construction search.
+Membership is checked by certificate. A generator writes only the
+certificate; the graph is its replay, validated by the same clause checker
+the recognizer uses, so a successful generate() is a proof of membership
+and recognize() round-trips by construction search.
 
 The composed families' clauses live in two tables: ``FAMILY_SPECS``, one
 ``FamilySpec`` row per family (rule for K, whether K' exists, allowed
@@ -939,21 +939,10 @@ def recognize(g: Graph) -> FamilyWitness:
 # -- generators ----------------------------------------------------------------
 
 
-class _Builder:
-    def __init__(self):
-        self.pairs: set[tuple[int, int]] = set()
-
-    def clique(self, ids):
-        self.pairs.update(_clique_edges(sorted(ids)))
-
-    def edge(self, u, v):
-        self.pairs.add((min(u, v), max(u, v)))
-
-
 def _pick_from(rng: random.Random, pool, used: set[int], count: int, label: str,
                forbidden=frozenset()):
     """Prefer unused host vertices; fall back to reuse when the host is
-    too small (the caller's certificate check decides whether that was
+    too small (the certificate check decides whether that was
     legitimate)."""
     eligible = [v for v in pool if v not in forbidden]
     fresh = [v for v in eligible if v not in used]
@@ -971,7 +960,7 @@ def _pair_up(rng: random.Random, left, right):
     return tuple(sorted(zip(left, right)))
 
 
-def _generate_c1n(params: FamilyParams, rng: random.Random) -> tuple[Graph, ChainCert]:
+def _generate_c1n(params: FamilyParams, rng: random.Random) -> ChainCert:
     sizes, juncs = params.clique_sizes, params.junction_sizes
     t = len(sizes)
     if t < 1:
@@ -989,31 +978,18 @@ def _generate_c1n(params: FamilyParams, rng: random.Random) -> tuple[Graph, Chai
         demand = (juncs[i - 1] if i > 0 else 0) + (juncs[i] if i < t - 1 else 0)
         if demand > k:
             raise ParameterError(f"C1N: clique {i + 1} cannot host disjoint junction sets")
-    offsets = []
-    total = 0
-    for k in sizes:
-        offsets.append(total)
-        total += k
-    cells = [tuple(range(offsets[i], offsets[i] + sizes[i])) for i in range(t)]
-    b = _Builder()
-    for cell in cells:
-        b.clique(cell)
+    starts = itertools.accumulate(sizes, initial=0)
+    cells = tuple(tuple(range(s, s + k)) for s, k in zip(starts, sizes))
     matchings = []
-    in_used: list[set[int]] = [set() for _ in range(t)]
+    into: list[int] = []
     for i, m in enumerate(juncs):
-        out = _pick_from(rng, cells[i], set(in_used[i]), m, "C1N")
+        out = _pick_from(rng, cells[i], set(into), m, "C1N")
         into = _pick_from(rng, cells[i + 1], set(), m, "C1N")
-        in_used[i + 1] = set(into)
-        pairs = _pair_up(rng, out, into)
-        matchings.append(pairs)
-        for u, v in pairs:
-            b.edge(u, v)
-    g = Graph.from_edges(total, sorted(b.pairs))
-    cert = ChainCert(total, tuple(cells), tuple(matchings))
-    return g, cert
+        matchings.append(_pair_up(rng, out, into))
+    return ChainCert(sum(sizes), cells, tuple(matchings))
 
 
-def _generate_c2n(params: FamilyParams, rng: random.Random) -> tuple[Graph, CycleCert]:
+def _generate_c2n(params: FamilyParams, rng: random.Random) -> CycleCert:
     sizes, juncs = params.clique_sizes, params.junction_sizes
     t = len(sizes)
     if t < 3:
@@ -1029,91 +1005,55 @@ def _generate_c2n(params: FamilyParams, rng: random.Random) -> tuple[Graph, Cycl
     for i in range(t):
         if juncs[i - 1] + juncs[i] > sizes[i]:
             raise ParameterError(f"C2N: clique {i + 1} cannot host disjoint junction sets")
-    # local slots, then union-find across identification junctions
-    slots = [[(i, j) for j in range(sizes[i])] for i in range(t)]
-    outs, ins = [], []
+    # slot (i, j) is local vertex j of cell i
+    ins, outs = [], []
     for i in range(t):
         local = list(range(sizes[i]))
-        picked_in = rng.sample(local, juncs[i - 1])
-        rest = [j for j in local if j not in picked_in]
-        picked_out = rng.sample(rest, juncs[i])
-        ins.append(picked_in)
-        outs.append(picked_out)
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def find(s):
-        while parent.get(s, s) != s:
-            parent[s] = parent.get(parent[s], parent[s])
-            s = parent[s]
-        return s
-
-    def union(a, b):
-        parent[find(a)] = find(b)
-
-    for i in range(t):
-        if juncs[i] == 1:
-            union((i, outs[i][0]), (((i + 1) % t), ins[(i + 1) % t][0]))
+        ins.append(rng.sample(local, juncs[i - 1]))
+        outs.append(rng.sample([j for j in local if j not in ins[i]], juncs[i]))
+    # An identify junction merges the out slot of cell i with the in slot of
+    # cell i + 1. A cell's in and out slots are disjoint, so every merged
+    # vertex has exactly two slots, in different cells: alias the in slot.
+    same = {((i + 1) % t, ins[(i + 1) % t][0]): (i, outs[i][0]) for i in range(t) if juncs[i] == 1}
     ids: dict[tuple[int, int], int] = {}
-    counter = 0
     for i in range(t):
-        for s in slots[i]:
-            root = find(s)
-            if root not in ids:
-                ids[root] = counter
-                counter += 1
-    vid = {s: ids[find(s)] for i in range(t) for s in slots[i]}
-    b = _Builder()
-    cells = []
+        for j in range(sizes[i]):
+            ids.setdefault(same.get((i, j), (i, j)), len(ids))
+
+    def vid(i: int, j: int) -> int:
+        return ids[same.get((i, j), (i, j))]
+
+    junctions: list[Junction] = []
     for i in range(t):
-        cell = tuple(sorted(vid[(i, j)] for j in range(sizes[i])))
-        if len(set(cell)) != sizes[i]:
-            raise ParameterError("C2N: identifications collapsed a clique")
-        cells.append(cell)
-        b.clique(cell)
-    junction_records: list[Junction] = []
-    for i in range(t):
-        nxt = (i + 1) % t
         if juncs[i] == 1:
-            junction_records.append(("identify", vid[(i, outs[i][0])]))
+            junctions.append(("identify", vid(i, outs[i][0])))
         else:
-            left = [vid[(i, j)] for j in outs[i]]
-            right = [vid[(nxt, j)] for j in ins[nxt]]
-            pairs = _pair_up(rng, sorted(left), right)
-            junction_records.append(("matching", pairs))
-            for u, v in pairs:
-                b.edge(u, v)
-    g = Graph.from_edges(counter, sorted(b.pairs))
-    cert = CycleCert(counter, tuple(cells), tuple(junction_records))
-    return g, cert
+            nxt = (i + 1) % t
+            left = sorted(vid(i, j) for j in outs[i])
+            junctions.append(("matching", _pair_up(rng, left, [vid(nxt, j) for j in ins[nxt]])))
+    cells = tuple(tuple(sorted(vid(i, j) for j in range(sizes[i]))) for i in range(t))
+    return CycleCert(len(ids), cells, tuple(junctions))
 
 
-def _generate_c3nq_into(b: _Builder, rng, k_clique, used: set[int], next_id: int,
-                        forbidden=frozenset()):
+def _generate_c3nq_into(rng, k_clique, used: set[int], next_id: int, n: int,
+                        forbidden=frozenset()) -> C3NQCert:
+    """The path b2 a2 a3 b3 on ids next_id.. attached to k_clique."""
     a1, c2, c3 = _pick_from(rng, k_clique, used, 3, "C3NQ attachment", forbidden)
-    b2, a2, a3, b3 = next_id, next_id + 1, next_id + 2, next_id + 3
-    for u, v in ((b2, a2), (a2, a3), (a3, b3), (c2, b2), (a1, a2), (a1, a3), (c3, b3)):
-        b.edge(u, v)
-    cert = C3NQCert(0, tuple(k_clique), a1, c2, c3, b2, a2, a3, b3)
-    return (b2, a2, a3, b3), cert
+    return C3NQCert(n, tuple(k_clique), a1, c2, c3, *range(next_id, next_id + 4))
 
 
-def _generate_c3nq(params: FamilyParams, rng: random.Random) -> tuple[Graph, C3NQCert]:
+def _generate_c3nq(params: FamilyParams, rng: random.Random) -> C3NQCert:
     if len(params.clique_sizes) != 1:
         raise ParameterError("C3NQ: exactly one clique size required")
     k = params.clique_sizes[0]
     if k < 4:
         raise ParameterError("C3NQ: the clique needs at least 4 vertices")
-    b = _Builder()
-    clique = tuple(range(k))
-    b.clique(clique)
-    _, cert = _generate_c3nq_into(b, rng, clique, set(), k)
-    n = k + 4
-    return Graph.from_edges(n, sorted(b.pairs)), replace(cert, n=n)
+    return _generate_c3nq_into(rng, tuple(range(k)), set(), k, k + 4)
 
 
-def _attach_chain(b, rng, host, host_used, sizes, juncs, next_id, label,
-                  host_forbidden=frozenset()):
-    """Chain host -> fresh cliques; returns (new ids, ChainCert cells/matchings)."""
+def _attach_chain(rng, host, host_used, sizes, juncs, next_id, n, label,
+                  host_forbidden=frozenset()) -> ChainCert:
+    """Chain host -> fresh cliques on ids next_id.., in a graph of order n."""
     if len(juncs) != len(sizes) or not sizes:
         raise ParameterError(f"{label}: a chain component needs one junction per clique")
     if any(m < 2 for m in juncs):
@@ -1124,33 +1064,24 @@ def _attach_chain(b, rng, host, host_used, sizes, juncs, next_id, label,
         demand = juncs[i] + (juncs[i + 1] if i + 1 < len(juncs) else 0)
         if demand > k:
             raise ParameterError(f"{label}: chain clique {i + 1} cannot host its junctions")
-    cells = [tuple(sorted(host))]
-    fresh: list[int] = []
-    cursor = next_id
-    for k in sizes:
-        cells.append(tuple(range(cursor, cursor + k)))
-        fresh.extend(range(cursor, cursor + k))
-        cursor += k
-    for cell in cells[1:]:
-        b.clique(cell)
+    starts = itertools.accumulate(sizes, initial=next_id)
+    cells = [tuple(sorted(host))] + [tuple(range(s, s + k)) for s, k in zip(starts, sizes)]
     matchings = []
     prev_in: set[int] = set()
     for i, m in enumerate(juncs):
-        left_used = host_used if i == 0 else set(prev_in)
+        left_used = host_used if i == 0 else prev_in
         left_forbidden = host_forbidden if i == 0 else frozenset()
         out = _pick_from(rng, cells[i], left_used, m, label, left_forbidden)
         into = rng.sample(list(cells[i + 1]), m)
         prev_in = set(into)
-        pairs = _pair_up(rng, out, into)
-        matchings.append(pairs)
-        for u, v in pairs:
-            b.edge(u, v)
-    return fresh, cells, tuple(matchings)
+        matchings.append(_pair_up(rng, out, into))
+    return ChainCert(n, tuple(cells), tuple(matchings))
 
 
-def _attach_cycle(b, rng, hosts, hosts_used, sizes, juncs, next_id, label,
-                  host_forbidden=frozenset()):
-    """Cycle host(s) -> fresh cliques -> back to the first host.
+def _attach_cycle(rng, hosts, hosts_used, sizes, juncs, next_id, n, label,
+                  host_forbidden=frozenset()) -> CycleCert:
+    """Cycle host(s) -> fresh cliques on ids next_id.. -> back to the first
+    host, in a graph of order n.
 
     ``hosts`` is (K,) or (K, K'); with two hosts the K-K' junction is the
     fixed shared-vertex identification and ``juncs`` covers the remaining
@@ -1173,12 +1104,11 @@ def _attach_cycle(b, rng, hosts, hosts_used, sizes, juncs, next_id, label,
         if juncs[i] + juncs[i + 1] > k:
             raise ParameterError(f"{label}: cycle clique {i + 1} cannot host its junctions")
     cells = [tuple(sorted(h)) for h in hosts]
-    fresh: list[int] = []
     cursor = next_id
-    junction_records: list[Junction] = []
+    junctions: list[Junction] = []
     if len(hosts) == 2:
-        shared = set(hosts[0]) & set(hosts[1])
-        junction_records.append(("identify", next(iter(shared))))
+        (shared,) = set(hosts[0]) & set(hosts[1])
+        junctions.append(("identify", shared))
     home, home_used = cells[0], hosts_used[0]
     s_back = juncs[-1]
     closing_anchor = None
@@ -1190,49 +1120,33 @@ def _attach_cycle(b, rng, hosts, hosts_used, sizes, juncs, next_id, label,
     prev_used = hosts_used[-1]
     for i, k in enumerate(sizes):
         s_in = juncs[i]
-        members: list[int] = []
-        if s_in == 1:
-            fb = host_forbidden if i == 0 else frozenset()
-            anchor = _pick_from(rng, prev_cell, prev_used, 1, label, fb)[0]
-            members.append(anchor)
-            junction_records.append(("identify", anchor))
-            my_used = {anchor}
-        else:
-            fb = host_forbidden if i == 0 else frozenset()
-            out = _pick_from(rng, prev_cell, prev_used, s_in, label, fb)
-            my_used = set()
-        last = i == len(sizes) - 1
-        if last and closing_anchor is not None:
+        out = _pick_from(rng, prev_cell, prev_used, s_in, label,
+                         host_forbidden if i == 0 else frozenset())
+        # a cell holds at most its inbound and its closing anchor, and k >= 2
+        members = list(out) if s_in == 1 else []
+        if i == len(sizes) - 1 and closing_anchor is not None:
             members.append(closing_anchor)
         need = k - len(members)
-        if need < 0:
-            raise ParameterError(f"{label}: cycle clique {i + 1} too small for its anchors")
         members.extend(range(cursor, cursor + need))
-        fresh.extend(range(cursor, cursor + need))
         cursor += need
-        if s_in > 1:
+        if s_in == 1:
+            junctions.append(("identify", out[0]))
+            prev_used = set(out)
+        else:
             into = rng.sample([v for v in members if v != closing_anchor], s_in)
-            pairs = _pair_up(rng, out, into)
-            junction_records.append(("matching", pairs))
-            for u, v in pairs:
-                b.edge(u, v)
-            my_used = set(into)
-        cell = tuple(sorted(members))
-        b.clique(cell)
-        cells.append(cell)
-        prev_cell, prev_used = cell, my_used
+            junctions.append(("matching", _pair_up(rng, out, into)))
+            prev_used = set(into)
+        prev_cell = tuple(sorted(members))
+        cells.append(prev_cell)
     if closing_anchor is not None:
-        if closing_anchor in prev_used:
-            raise ParameterError(f"{label}: closing anchor collides with the inbound junction")
-        junction_records.append(("identify", closing_anchor))
+        # the last cell's inbound anchor lies in K' - u0 or in a fresh
+        # cell, so it is never the closing anchor
+        junctions.append(("identify", closing_anchor))
     else:
         out = _pick_from(rng, prev_cell, prev_used, s_back, label)
         into = _pick_from(rng, home, home_used, s_back, label, host_forbidden)
-        pairs = _pair_up(rng, out, into)
-        junction_records.append(("matching", pairs))
-        for u, v in pairs:
-            b.edge(u, v)
-    return fresh, cells, tuple(junction_records)
+        junctions.append(("matching", _pair_up(rng, out, into)))
+    return CycleCert(n, tuple(cells), tuple(junctions))
 
 
 def _component_fresh_count(spec: ComponentSpec) -> int:
@@ -1246,7 +1160,7 @@ def _component_fresh_count(spec: ComponentSpec) -> int:
     return total - sum(1 for s in spec.junction_sizes if s == 1)
 
 
-def _generate_composed(params: FamilyParams, rng: random.Random) -> tuple[Graph, ComposedCert]:
+def _generate_composed(params: FamilyParams, rng: random.Random) -> ComposedCert:
     fam = params.family
     spec = FAMILY_SPECS[fam]
     if len(params.clique_sizes) != 1 + spec.two_clique:
@@ -1268,19 +1182,12 @@ def _generate_composed(params: FamilyParams, rng: random.Random) -> tuple[Graph,
     if not spec.k_holds_heavy and 2 * k < n:
         raise ParameterError(f"{fam.value}: the core clique must span at least half the graph")
 
-    b = _Builder()
     hosts = {"K": tuple(range(k)), "K'": None}
     used: dict[str, set[int]] = {"K": set(), "K'": set()}
-    b.clique(hosts["K"])
-    u0 = None
-    cursor = k
+    u0, cursor, anchor_forbidden = None, k, frozenset()
     if spec.two_clique:
-        u0 = 0
-        hosts["K'"] = (0, *range(k, k + kp - 1))
-        b.clique(hosts["K'"])
-        cursor = k + kp - 1
-    anchor_forbidden = frozenset({u0}) if u0 is not None else frozenset()
-
+        u0, cursor, anchor_forbidden = 0, k + kp - 1, frozenset({0})
+        hosts["K'"] = (0, *range(k, cursor))
     comp_certs = []
     for comp in params.components:
         label = f"{fam.value}/{comp.kind}"
@@ -1288,48 +1195,61 @@ def _generate_composed(params: FamilyParams, rng: random.Random) -> tuple[Graph,
         cliques = [hosts[h] for h in glue.hosts]
         cliques_used = [used[h] for h in glue.hosts]
         if glue.base is FamilyKind.C3NQ:
-            fresh, sub = _generate_c3nq_into(
-                b, rng, cliques[0], cliques_used[0], cursor, anchor_forbidden,
+            sub = _generate_c3nq_into(
+                rng, cliques[0], cliques_used[0], cursor, n, anchor_forbidden,
             )
-            sub = replace(sub, n=n)
         elif glue.base is FamilyKind.C1N:
-            fresh, cells, matchings = _attach_chain(
-                b, rng, cliques[0], cliques_used[0], comp.clique_sizes, comp.junction_sizes,
-                cursor, label, anchor_forbidden,
+            sub = _attach_chain(
+                rng, cliques[0], cliques_used[0], comp.clique_sizes, comp.junction_sizes,
+                cursor, n, label, anchor_forbidden,
             )
-            sub = ChainCert(n, tuple(cells), matchings)
         else:
-            fresh, cells, junctions = _attach_cycle(
-                b, rng, tuple(cliques), cliques_used, comp.clique_sizes, comp.junction_sizes,
-                cursor, label, anchor_forbidden,
+            sub = _attach_cycle(
+                rng, tuple(cliques), cliques_used, comp.clique_sizes, comp.junction_sizes,
+                cursor, n, label, anchor_forbidden,
             )
-            sub = CycleCert(n, tuple(cells), junctions)
-        cursor += len(fresh)
+        fresh = range(cursor, cursor + _component_fresh_count(comp))
         comp_certs.append(ComponentCert(tuple(fresh), comp.kind, sub))
-    if cursor != n:
-        raise AssertionError("internal vertex accounting error")
-    g = Graph.from_edges(n, sorted(b.pairs))
-    cert = ComposedCert(n, hosts["K"], hosts["K'"], u0, tuple(comp_certs))
-    problems = check_composed_cert(g, fam, cert)
-    if problems:
-        raise ParameterError(f"{fam.value}: generated graph violates: {problems[0]}")
-    return g, cert
+        cursor = fresh.stop
+    return ComposedCert(n, hosts["K"], hosts["K'"], u0, tuple(comp_certs))
+
+
+_GENERATORS = {
+    FamilyKind.C1N: _generate_c1n, FamilyKind.C2N: _generate_c2n, FamilyKind.C3NQ: _generate_c3nq,
+}
+
+
+def _check_fields_read(params: FamilyParams) -> None:
+    """Refuse a params field the family would drop: only C1N and C2N read
+    junction sizes, only composed families read components, and a c3nq
+    component reads no sizes."""
+    fields = [
+        ("u_sizes", params.junction_sizes, params.family in (FamilyKind.C1N, FamilyKind.C2N)),
+        ("component", params.components, params.family in FAMILY_SPECS),
+    ]
+    for comp in params.components:
+        if comp.kind == "c3nq":
+            fields += [("c3nq component k_sizes", comp.clique_sizes, False),
+                       ("c3nq component u_sizes", comp.junction_sizes, False)]
+    for name, value, read in fields:
+        if value and not read:
+            raise ParameterError(f"{params.family.value}: {name} is not used by this family")
 
 
 def generate_with_certificate(params: FamilyParams, seed: int = 0) -> tuple[Graph, Certificate]:
-    """Build a labeled member; the seed resolves the free vertex choices."""
-    rng = random.Random(seed)
-    if params.family is FamilyKind.C1N:
-        g, cert = _generate_c1n(params, rng)
-        problems = check_chain_cert(g, cert)
-    elif params.family is FamilyKind.C2N:
-        g, cert = _generate_c2n(params, rng)
-        problems = check_cycle_cert(g, cert)
-    elif params.family is FamilyKind.C3NQ:
-        g, cert = _generate_c3nq(params, rng)
-        problems = check_c3nq_cert(g, cert)
+    """Build a labeled member; the seed resolves the free vertex choices.
+
+    The generator writes only the certificate, and the graph is its replay.
+    The family's clause checker must accept the pair, so a returned member
+    is proved by the checks the recognizer applies.
+    """
+    _check_fields_read(params)
+    cert = _GENERATORS.get(params.family, _generate_composed)(params, random.Random(seed))
+    g = replay_certificate(cert)
+    if isinstance(cert, ComposedCert):
+        problems = check_composed_cert(g, params.family, cert)
     else:
-        return _generate_composed(params, rng)
+        problems = _CERT_CHECKERS[type(cert)](g, cert)
     if problems:
         raise ParameterError(f"{params.family.value}: generated graph violates: {problems[0]}")
     return g, cert

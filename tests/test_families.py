@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -113,11 +114,68 @@ class TestGenerate:
                            ComponentSpec("c2n_bridge", (3,), (1, 2)),
                            ComponentSpec("c2n_bridge", (3,), (1, 2)))),
              "at least half"),
+            (FamilyParams(FamilyKind.C2N, (2, 2, 2), (2, 1, 1)),
+             "cannot host disjoint junction sets"),
+            (FamilyParams(FamilyKind.C2N, (3, 3, 3), (2, 2)), "exactly t junction sizes"),
+            (FamilyParams(FamilyKind.C2N, (3, 3, 3), (2, 0, 2)), "junctions must be nonempty"),
+            (FamilyParams(FamilyKind.C3NQ, (3,)), "at least 4 vertices"),
+            (FamilyParams(FamilyKind.C1N, (4, 4), ()), "exactly t-1 junction sizes"),
+            (FamilyParams(FamilyKind.C1NP, (9,), (),
+                          (ComponentSpec("c1n", (2,), (2, 2)),
+                           ComponentSpec("c2n", (3, 3), (2, 1, 2)))),
+             "one junction per clique"),
+            (FamilyParams(FamilyKind.C1NP, (9,), (),
+                          (ComponentSpec("c1n", (2,), (2,)), ComponentSpec("c2n", (3,), (2, 2)))),
+             "at least three cliques"),
+            (FamilyParams(FamilyKind.C1NP, (3,), (),
+                          (ComponentSpec("c1n", (4,), (4,)),
+                           ComponentSpec("c2n", (3, 3), (2, 1, 2)))),
+             "host clique too small"),
         ],
     )
     def test_parameter_errors_name_the_clause(self, params, needle):
         with pytest.raises(ParameterError, match=needle):
             generate(params, seed=0)
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ("family=C1N\nk_sizes=4,4\nu_sizes=2,2\ncomponent=c1n k_sizes=2 u_sizes=2,2\n",
+             "component"),
+            ("family=C3NQ\nk_sizes=6\nu_sizes=2,2\n", "u_sizes"),
+            ("family=C1NPQ\nk_sizes=8\nu_sizes=2,2;2,2\ncomponent=c3nq\n", "u_sizes"),
+            ("family=C1NPQ\nk_sizes=8\ncomponent=c3nq k_sizes=5 u_sizes=3,3\n",
+             "c3nq component k_sizes"),
+            ("family=C1NPQ\nk_sizes=8\ncomponent=c3nq u_sizes=3,3\n", "c3nq component u_sizes"),
+        ],
+        ids=["base-component", "c3nq-u_sizes", "composed-u_sizes", "c3nq-component-k_sizes",
+             "c3nq-component-u_sizes"],
+    )
+    def test_unused_params_fields_are_refused(self, text, field):
+        with pytest.raises(ParameterError, match=f"{field} is not used by this family"):
+            generate(parse_params(text), seed=0)
+
+    def test_generator_output_is_pinned(self):
+        # graph6 and certificate of every grid member and of the README's
+        # two params examples: any change to a generator's rng draw order
+        # or vertex numbering moves this digest
+        readme = [
+            (parse_params("family=C1N\nt=3\nk_sizes=4,5,4\nu_sizes=2,2;2,2\n"), 3),
+            (parse_params(
+                "family=C2NPQ\nk_sizes=10,2\ncomponent=c3nq\n"
+                "component=c2n_bridge k_sizes=2,2 u_sizes=1,1;1,1;1,1\n"
+                "component=c2n_bridge k_sizes=2,2 u_sizes=1,1;1,1;1,1\n"
+            ), 0),
+        ]
+        members = [m for grid in acceptance_grids().values() for m in grid] + readme
+        digest = hashlib.sha256()
+        for params, seed in members:
+            g, cert = generate_with_certificate(params, seed)
+            digest.update(f"{emit_graph6(g)} {cert!r}\n".encode())
+        assert len(members) == 398
+        assert digest.hexdigest() == (
+            "bab880ae157295b397d9a9bf28ae120b880fe6fab64d060da1bed827c684eea9"
+        )
 
 
 class TestBaseRecognizers:
