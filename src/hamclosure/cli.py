@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 precondition violation, 3 budget exhaustion,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -262,8 +263,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; ``parse_args`` only reads it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "detect" and not args.heaviness and not args.pattern:
         parser.error("detect needs --pattern or --heaviness")

@@ -1,7 +1,12 @@
 """Exact Hamiltonicity decisions with verified cycle certificates.
 
-Backtracking over bitmask neighborhoods with degree-2 and connectivity
-pruning; a node budget turns runaway searches into an explicit UNDECIDED
+Depth-first search from vertex 0 over bitmask neighborhoods, trying
+neighbors in ascending order. Each node prunes children by usable degrees
+(computed once per node), by the edges that degree-2 vertices force, and by
+connectivity of the unvisited region; a per-call memo skips path states
+whose subtree already failed. Pruning only removes subtrees that hold no
+hamiltonian cycle, so the first cycle found is the one the unpruned search
+finds. A node budget turns runaway searches into an explicit UNDECIDED
 answer instead of a wrong one.
 """
 
@@ -30,12 +35,17 @@ def default_node_budget() -> int:
 
 @dataclass(frozen=True, slots=True)
 class HamiltonicityCertificate:
-    """``result`` is None exactly when the search ran out of budget."""
+    """``result`` is None exactly when the search ran out of budget.
+
+    ``nodes_explored`` counts the search nodes entered and ``cache_hits`` the
+    children skipped because their path state had already failed.
+    """
 
     result: bool | None
     cycle: tuple[int, ...] | None
     nodes_explored: int
     note: str = ""
+    cache_hits: int = 0
 
     @property
     def undecided(self) -> bool:
@@ -57,52 +67,82 @@ def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCer
         # a hamiltonian cycle tolerates no cut vertex
         return HamiltonicityCertificate(False, None, 0)
 
-    rows = [g.row(v) for v in range(g.n)]
+    n = g.n
+    rows = [g.row(v) for v in range(n)]
     full = g.full_mask
     start_bit = 1
+    start_row = rows[0]
     nodes = 0
+    cache_hits = 0
+    # (visited, end) states whose subtree returned False, keyed visited * n + end
+    failed: set[int] = set()
     path = [0]
 
-    def feasible(visited: int, cur: int) -> bool:
-        remaining = full & ~visited
-        if remaining == 0:
-            return True
-        # every unvisited vertex still needs two usable connections
-        usable = remaining | (1 << cur) | start_bit
-        for v in _bits(remaining):
-            d = (rows[v] & usable).bit_count()
-            if d < 2:
-                return False
-        # unvisited region plus the path end must stay connected
-        return remaining & ~flood(rows, 1 << cur, remaining) == 0
-
     def search(visited: int, cur: int) -> bool | None:
-        nonlocal nodes
+        nonlocal nodes, cache_hits
         nodes += 1
         if nodes > budget:
             return None
-        if visited == full:
+        remaining = full & ~visited
+        if remaining == 0:
             return bool(rows[cur] & start_bit)
-        for v in _bits(rows[cur] & ~visited):
+        # every child sees the same usable set, so degrees are read once here
+        usable = remaining | start_bit
+        weak = tight = 0
+        for u in _bits(remaining):
+            d = (rows[u] & usable).bit_count()
+            if d < 2:
+                weak |= 1 << u
+            elif d == 2:
+                tight |= 1 << u
+        children = rows[cur] & remaining
+        if weak:
+            if weak & (weak - 1):
+                return False
+            # an unvisited vertex short of two connections must come next
+            children &= weak
+        for v in _bits(children):
             bit = 1 << v
-            if not feasible(visited | bit, v):
+            rest = remaining & ~bit
+            # a degree-2 vertex of rest uses both its edges; v and the start
+            # each have one cycle edge left to give
+            forced = tight & ~bit
+            to_v = rows[v] & forced
+            to_start = start_row & forced
+            if to_v & (to_v - 1) or to_start & (to_start - 1):
+                continue
+            # the closing edge joins the start to the last vertex of the path
+            if not start_row & (rest or bit):
+                continue
+            # a forced v-u-start would close a cycle before rest is covered
+            shortcut = to_v & to_start
+            if shortcut and shortcut != rest:
+                continue
+            visited_v = visited | bit
+            key = visited_v * n + v
+            if key in failed:
+                cache_hits += 1
+                continue
+            # unvisited region plus the path end must stay connected
+            if rest & ~flood(rows, bit, rest):
                 continue
             path.append(v)
-            hit = search(visited | bit, v)
+            hit = search(visited_v, v)
             if hit:
                 return True
             path.pop()
             if hit is None:
                 return None
+            failed.add(key)
         return False
 
     outcome = search(start_bit, 0)
     if outcome is None:
-        return HamiltonicityCertificate(None, None, nodes, note="node budget exhausted")
+        return HamiltonicityCertificate(None, None, nodes, note="node budget exhausted",
+                                        cache_hits=cache_hits)
     if outcome:
         cycle = tuple(path)
         if not validate_cycle(g, cycle):
             raise AssertionError("internal error: produced cycle failed validation")
-        return HamiltonicityCertificate(True, cycle, nodes)
-    return HamiltonicityCertificate(False, None, nodes)
-
+        return HamiltonicityCertificate(True, cycle, nodes, cache_hits=cache_hits)
+    return HamiltonicityCertificate(False, None, nodes, cache_hits=cache_hits)

@@ -209,8 +209,14 @@ def find_induced_naive(g: Graph, pattern: PatternKind) -> list[Embedding]:
     ref = REFERENCE[pattern]
     k = ref.n
     ref_degseq = sorted(ref.degrees())
+    ref_twice_edges = 2 * ref.edge_count
+    rows = g.rows
     canon = set()
     for subset in combinations(range(g.n), k):
+        mask = sum(1 << v for v in subset)
+        # each induced edge is counted from both ends
+        if sum((rows[v] & mask).bit_count() for v in subset) != ref_twice_edges:
+            continue
         sub = g.induced(subset)
         if sorted(sub.degrees()) != ref_degseq:
             continue

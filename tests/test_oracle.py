@@ -6,11 +6,16 @@ from hamclosure.errors import PreconditionError
 from hamclosure.families import generate
 from hamclosure.graphs import (
     Graph,
+    _bits,
     complete_bipartite,
     cycle_graph,
     emit_graph6,
     empty_graph,
+    flood,
+    is_2_connected,
+    parse_graph6,
     path_graph,
+    sample_graphs,
 )
 from hamclosure.hamiltonicity import is_hamiltonian, validate_cycle
 from hamclosure.patterns import PatternKind, REFERENCE, is_free
@@ -119,12 +124,80 @@ def _hamiltonicity_inputs(name):
         return list(_labelled_graphs(5))
     if name == "corpus":
         return full_corpus(0)
+    if name == "sampled":
+        return [g for n in range(8, 15)
+                for g in sample_graphs(n, 0.3, seed=n, predicate=is_2_connected, limit=30)]
+    max_n = {"grid": 12, "grid-15": 15}[name]
     members = (generate(params, seed) for grid in acceptance_grids().values()
                for params, seed in grid)
-    return list(dict.fromkeys(g for g in members if g.n <= 12))
+    return list(dict.fromkeys(g for g in members if g.n <= max_n))
 
 
 @pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus", "grid"])
 def test_hamiltonicity_matches_the_subset_dp(inputs):
     for g in _hamiltonicity_inputs(inputs):
         assert is_hamiltonian(g).result is held_karp_hamiltonian(g), emit_graph6(g)
+
+
+def plain_hamiltonian_search(g: Graph) -> tuple[bool, tuple[int, ...] | None, int]:
+    """The unpruned backtracking search: depth-first from vertex 0, neighbours
+    ascending, every child checked for usable degrees and connectivity on its
+    own, no memo. Returns (result, cycle, nodes); the pruned search must find
+    the same first cycle in no more nodes."""
+    if g.n < 3 or min(g.degrees()) < 2 or not is_2_connected(g):
+        return False, None, 0
+    rows = [g.row(v) for v in range(g.n)]
+    full = g.full_mask
+    start_bit = 1
+    nodes = 0
+    path = [0]
+
+    def feasible(visited: int, cur: int) -> bool:
+        remaining = full & ~visited
+        if remaining == 0:
+            return True
+        usable = remaining | (1 << cur) | start_bit
+        for v in _bits(remaining):
+            if (rows[v] & usable).bit_count() < 2:
+                return False
+        return remaining & ~flood(rows, 1 << cur, remaining) == 0
+
+    def search(visited: int, cur: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if visited == full:
+            return bool(rows[cur] & start_bit)
+        for v in _bits(rows[cur] & ~visited):
+            bit = 1 << v
+            if not feasible(visited | bit, v):
+                continue
+            path.append(v)
+            if search(visited | bit, v):
+                return True
+            path.pop()
+        return False
+
+    if search(start_bit, 0):
+        return True, tuple(path), nodes
+    return False, None, nodes
+
+
+@pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus", "grid-15", "sampled"])
+def test_pruned_search_matches_the_plain_search(inputs):
+    for g in _hamiltonicity_inputs(inputs):
+        cert = is_hamiltonian(g)
+        result, cycle, nodes = plain_hamiltonian_search(g)
+        assert (cert.result, cert.cycle) == (result, cycle), emit_graph6(g)
+        assert cert.nodes_explored <= nodes, emit_graph6(g)
+        if cert.nodes_explored:
+            # one node short of what the search needs, it must not decide
+            assert is_hamiltonian(g, node_budget=cert.nodes_explored - 1).undecided
+
+
+def test_heavy_grid_member_decides_within_a_small_budget():
+    # a 20-vertex C1NP grid member; the unpruned search explores 522,506 nodes
+    g = parse_graph6("S~~~~~~~~~~~?CG?_?W???@C?_WA?_O?c")
+    cert = is_hamiltonian(g, node_budget=20_000)
+    assert cert.result is True
+    assert validate_cycle(g, cert.cycle)
+    assert cert.cache_hits > 0
