@@ -20,6 +20,7 @@ from . import __version__
 from .closures import (
     EligibilityMode,
     c_closure,
+    closures_of,
     o_closure,
     r_closure,
     trace_to_text,
@@ -36,8 +37,9 @@ from .graphs import (
     parse_graph6,
 )
 from .hamiltonicity import is_hamiltonian
-from .heaviness import a_heavy_pairs, is_pattern_o_heavy, o_heavy_pairs
-from .patterns import PatternKind, find_induced, has_induced, net_profile
+from .heaviness import a_heavy_pairs, o_heavy_pairs
+# has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
+from .patterns import PatternKind, find_induced, has_induced, net_profile  # noqa: F401
 from .regions import decompose
 from .verify import SUITES, run_suite
 
@@ -135,27 +137,18 @@ def cmd_verify(args) -> int:
 
 
 def _report(g: Graph, seed: int, budget: int | None) -> dict:
-    claw_free = not has_induced(g, PatternKind.CLAW)
-    claw_o_heavy = claw_free or is_pattern_o_heavy(g, PatternKind.CLAW)
+    ladder = closures_of(g)
+    claw_free, claw_o_heavy = "r" in ladder, "c" in ladder
     two_connected = is_2_connected(g)
     profile = net_profile(g)
-    closures: dict[str, dict] = {}
-    closed_o, trace_o = o_closure(g)
-    closures["o"] = {"edges_added": closed_o.edge_count - g.edge_count, "steps": len(trace_o.steps)}
+    closures = {
+        kind: {"edges_added": closed.edge_count - g.edge_count, "steps": len(trace.steps)}
+        for kind, (closed, trace) in ladder.items()
+    }
     region_summary = None
     c_closed = None
-    if claw_free:
-        closed_r, trace_r = r_closure(g)
-        closures["r"] = {
-            "edges_added": closed_r.edge_count - g.edge_count,
-            "steps": len(trace_r.steps),
-        }
     if claw_o_heavy:
-        closed_c, trace_c = c_closure(g)
-        closures["c"] = {
-            "edges_added": closed_c.edge_count - g.edge_count,
-            "steps": len(trace_c.steps),
-        }
+        closed_c = ladder["c"][0]
         c_closed = closed_c == g
         decomposition = decompose(g, closure=closed_c)
         region_summary = {

@@ -1,6 +1,8 @@
 """The three closure operators as deterministic fixpoint procedures.
 
 Each closure returns the closed graph together with a replayable trace.
+One walk over the induced claws decides which closures are defined on a
+graph; ``closures_of`` returns exactly those, without re-checking.
 ``minimum_supergraph_oracle`` is the independent ground truth the
 neighborhood-completion closure is tested against: exhaustive enumeration
 of spanning supergraphs for the minimum one that is claw-free,
@@ -34,9 +36,8 @@ from .errors import (
     PreconditionError,
 )
 from .graphs import Edge, Graph, _bits, component_masks, flood
-from .heaviness import o_heavy_pairs
-from .patterns import PatternKind, has_induced
-from .heaviness import is_pattern_o_heavy
+from .heaviness import o_heavy_pairs, subgraph_is_o_heavy
+from .patterns import PatternKind, embeddings, has_induced
 
 
 class EligibilityMode(Enum):
@@ -146,6 +147,22 @@ def _fixpoint(g: Graph, kind: str, candidates, edges_of, policy: str, seed: int)
     return cur, ClosureTrace(g, cur, tuple(steps))
 
 
+def _claw_status(g: Graph) -> tuple[bool, bool]:
+    """(claw-free, claw-o-heavy) from one walk over the induced claws,
+    stopping at the first claw with no o-heavy pair. The r-closure is
+    defined on claw-free graphs, the c-closure on claw-o-heavy ones."""
+    claw_free = True
+    for claw in embeddings(g, PatternKind.CLAW):
+        if not subgraph_is_o_heavy(g, claw):
+            return False, False
+        claw_free = False
+    return claw_free, True
+
+
+_C_UNDEFINED = ("input has an induced claw with no o-heavy pair: "
+                "degree-sum completion undefined")
+
+
 # -- o-closure ---------------------------------------------------------------
 
 
@@ -182,15 +199,19 @@ def r_eligible(g: Graph, x: int) -> bool:
     """Connected non-complete neighborhood; input must be claw-free."""
     if not 0 <= x < g.n:
         raise InputError(f"vertex {x} out of range")
-    if has_induced(g, PatternKind.CLAW):
+    if not _claw_status(g)[0]:
         raise PreconditionError("r-eligibility is defined for claw-free graphs only")
     return _r_eligible_inner(g, x)
 
 
 def r_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
     _require_policy(policy)
-    if has_induced(g, PatternKind.CLAW):
+    if not _claw_status(g)[0]:
         raise PreconditionError("input not claw-free: r-closure undefined")
+    return _r_fixpoint(g, policy, seed)
+
+
+def _r_fixpoint(g: Graph, policy: str, seed: int):
     return _fixpoint(g, "r-completion",
                      lambda cur: [x for x in range(cur.n) if _r_eligible_inner(cur, x)],
                      _neighborhood_missing, policy, seed)
@@ -255,18 +276,11 @@ def _c_eligible_inner(g: Graph, x: int, mode: EligibilityMode) -> bool:
     return False
 
 
-def _require_claw_o_heavy(g: Graph) -> None:
-    if not is_pattern_o_heavy(g, PatternKind.CLAW):
-        raise PreconditionError(
-            "input has an induced claw with no o-heavy pair: "
-            "degree-sum completion undefined"
-        )
-
-
 def c_eligible(g: Graph, x: int, mode: EligibilityMode = EligibilityMode.AMENDED) -> bool:
     if not 0 <= x < g.n:
         raise InputError(f"vertex {x} out of range")
-    _require_claw_o_heavy(g)
+    if not _claw_status(g)[1]:
+        raise PreconditionError(_C_UNDEFINED)
     return _c_eligible_inner(g, x, mode)
 
 
@@ -277,21 +291,45 @@ def c_closure(
     seed: int = 0,
 ) -> tuple[Graph, ClosureTrace]:
     _require_policy(policy)
-    _require_claw_o_heavy(g)
+    if not _claw_status(g)[1]:
+        raise PreconditionError(_C_UNDEFINED)
+    return _c_fixpoint(g, mode, policy, seed)
+
+
+def _c_fixpoint(g: Graph, mode: EligibilityMode, policy: str, seed: int):
     return _fixpoint(g, "c-completion",
                      lambda cur: [x for x in range(cur.n) if _c_eligible_inner(cur, x, mode)],
                      _neighborhood_missing, policy, seed)
 
 
 def is_c_closed(g: Graph) -> bool:
-    _require_claw_o_heavy(g)
+    if not _claw_status(g)[1]:
+        raise PreconditionError(_C_UNDEFINED)
+    return _c_closed(g)
+
+
+def _c_closed(g: Graph) -> bool:
+    """No vertex is c-eligible (amended mode); g must be claw-o-heavy."""
     return not any(_c_eligible_inner(g, x, EligibilityMode.AMENDED) for x in range(g.n))
+
+
+def closures_of(g: Graph, policy: str = "min",
+                seed: int = 0) -> dict[str, tuple[Graph, ClosureTrace]]:
+    """The closures defined on g, keyed "o", "r", "c" in that order: r only
+    when g is claw-free, c (amended mode) only when g is claw-o-heavy."""
+    ladder = {"o": o_closure(g, policy, seed)}
+    claw_free, claw_o_heavy = _claw_status(g)
+    if claw_free:
+        ladder["r"] = _r_fixpoint(g, policy, seed)
+    if claw_o_heavy:
+        ladder["c"] = _c_fixpoint(g, EligibilityMode.AMENDED, policy, seed)
+    return ladder
 
 
 def c_mode_divergence(g: Graph) -> tuple[Graph, Graph, bool]:
     """(amended closure, literal closure, whether they differ)."""
     amended, _ = c_closure(g, EligibilityMode.AMENDED)
-    literal, _ = c_closure(g, EligibilityMode.LITERAL)
+    literal, _ = _c_fixpoint(g, EligibilityMode.LITERAL, "min", 0)
     return amended, literal, amended != literal
 
 
@@ -323,7 +361,7 @@ def validate_c_trace(trace: ClosureTrace) -> list[str]:
         for y in nxt.neighbors(x):
             if nxt.degree(y) < dx:
                 problems.append(f"step {i}: neighbor {y} lighter than completed vertex {x}")
-        if not is_pattern_o_heavy(nxt, PatternKind.CLAW):
+        if not _claw_status(nxt)[1]:
             problems.append(f"step {i}: intermediate graph lost claw-o-heaviness")
         cur = nxt
     if cur != trace.final:

@@ -14,21 +14,24 @@ from dataclasses import dataclass, field
 
 from .closures import (
     EligibilityMode,
+    _c_closed,
+    _claw_status,
     c_closure,
-    is_c_closed,
+    closures_of,
     minimum_supergraph_oracle,
     o_closure,
     r_closure,
     supergraph_search,
     validate_c_trace,
 )
-from .errors import ExhaustionError, InputError, PreconditionError
+from .errors import BudgetError, ExhaustionError, InputError
 from .families import (
     ComponentSpec,
     FamilyKind,
     FamilyParams,
     P_HEAVY_UNION,
     VerdictStatus,
+    classify_theorem,
     generate,
     recognize,
     theorem_verdict,
@@ -38,6 +41,7 @@ from .graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    emit_graph6,
     is_2_connected,
     is_connected,
     path_graph,
@@ -121,12 +125,8 @@ def full_corpus(seed: int = 0) -> list[Graph]:
     return list(curated_graphs().values()) + random_corpus(seed)
 
 
-def _claw_o_heavy(g: Graph) -> bool:
-    return is_pattern_o_heavy(g, PatternKind.CLAW)
-
-
 def claw_o_heavy_samples(corpus) -> list[Graph]:
-    return [g for g in corpus if _claw_o_heavy(g)]
+    return [g for g in corpus if _claw_status(g)[1]]
 
 
 # -- acceptance grids ----------------------------------------------------------
@@ -268,7 +268,7 @@ def verify_closure_preservation(
     before = is_hamiltonian(g, node_budget)
     after = is_hamiltonian(closed, node_budget)
     if before.undecided or after.undecided:
-        raise PreconditionError("hamiltonicity oracle ran out of budget")
+        raise BudgetError("hamiltonicity oracle ran out of budget")
     return before.result == after.result
 
 
@@ -306,34 +306,22 @@ def suite_closure_preservation(result: SuiteResult, seed: int, node_budget) -> N
         if before.undecided:
             result.failures.append(f"graph {i}: oracle undecided")
             continue
-        closed_o, _ = o_closure(g)
-        after = is_hamiltonian(closed_o, node_budget)
-        result.checked += 1
-        if before.result != after.result:
-            result.failures.append(f"graph {i}: o-closure changed hamiltonicity")
-        if not has_induced(g, PatternKind.CLAW):
-            closed_r, _ = r_closure(g)
+        for kind, (closed, _) in closures_of(g).items():
+            after = is_hamiltonian(closed, node_budget)
             result.checked += 1
-            if is_hamiltonian(closed_r, node_budget).result != before.result:
-                result.failures.append(f"graph {i}: r-closure changed hamiltonicity")
-        if _claw_o_heavy(g):
-            closed_c, _ = c_closure(g)
-            result.checked += 1
-            if is_hamiltonian(closed_c, node_budget).result != before.result:
-                result.failures.append(f"graph {i}: c-closure changed hamiltonicity")
+            if after.undecided:
+                result.failures.append(f"graph {i}: oracle undecided on the {kind}-closure")
+            elif after.result != before.result:
+                result.failures.append(f"graph {i}: {kind}-closure changed hamiltonicity")
 
 
 @_suite("minimality-oracle")
 def suite_minimality_oracle(result: SuiteResult, seed: int, node_budget) -> None:
-    corpus = full_corpus(seed)
-    eligible = [
-        g for g in claw_o_heavy_samples(corpus) if len(g.non_edges()) <= 14
-    ]
-    result.notes.append(f"{len(eligible)} claw-o-heavy samples with <= 14 non-edges")
-    from .graphs import emit_graph6
-
-    for i, g in enumerate(eligible):
-        closed, _ = c_closure(g, EligibilityMode.AMENDED)
+    small = [g for g in full_corpus(seed) if len(g.non_edges()) <= 14]
+    c_closures = [ladder["c"] for ladder in map(closures_of, small) if "c" in ladder]
+    result.notes.append(f"{len(c_closures)} claw-o-heavy samples with <= 14 non-edges")
+    for i, (closed, trace) in enumerate(c_closures):
+        g = trace.initial
         search = supergraph_search(g, budget=14)
         result.checked += 1
         if not search.unique_minimum:
@@ -358,42 +346,31 @@ def suite_uniqueness(result: SuiteResult, seed: int, node_budget) -> None:
     corpus = full_corpus(seed)
     policies = ("min", "max", "random")
     for i, g in enumerate(corpus):
-        closures = [o_closure(g, policy=p, seed=seed + 1)[0] for p in policies]
-        result.checked += 1
-        if len({c for c in closures}) != 1:
-            result.failures.append(f"graph {i}: o-closure depends on the join order")
-        if not has_induced(g, PatternKind.CLAW):
-            closures = [r_closure(g, policy=p, seed=seed + 1)[0] for p in policies]
+        ladders = [closures_of(g, policy=p, seed=seed + 1) for p in policies]
+        for kind in ladders[0]:
             result.checked += 1
-            if len(set(closures)) != 1:
-                result.failures.append(f"graph {i}: r-closure depends on the completion order")
-        if _claw_o_heavy(g):
-            closures = [c_closure(g, policy=p, seed=seed + 1)[0] for p in policies]
-            result.checked += 1
-            if len(set(closures)) != 1:
-                result.failures.append(f"graph {i}: c-closure depends on the completion order")
+            if len({ladder[kind][0] for ladder in ladders}) != 1:
+                order = "join" if kind == "o" else "completion"
+                result.failures.append(f"graph {i}: {kind}-closure depends on the {order} order")
 
 
 @_suite("closure-contracts")
 def suite_closure_contracts(result: SuiteResult, seed: int, node_budget) -> None:
     corpus = full_corpus(seed)
     for i, g in enumerate(corpus):
-        if not has_induced(g, PatternKind.CLAW):
-            closed, _ = r_closure(g)
+        for kind, (closed, trace) in closures_of(g).items():
+            if kind == "o":
+                continue
             result.checked += 1
             if not is_free(closed, (PatternKind.CLAW, PatternKind.DIAMOND)):
-                result.failures.append(f"graph {i}: r-closure output not claw/diamond-free")
-        if _claw_o_heavy(g):
-            closed, trace = c_closure(g, EligibilityMode.AMENDED)
-            result.checked += 1
-            if not is_free(closed, (PatternKind.CLAW, PatternKind.DIAMOND)):
-                result.failures.append(f"graph {i}: c-closure output not claw/diamond-free")
-            if o_heavy_pairs(closed):
-                result.failures.append(f"graph {i}: c-closure output keeps an o-heavy pair")
-            problems = validate_c_trace(trace)
-            result.checked += 1
-            if problems:
-                result.failures.append(f"graph {i}: trace law violation: {problems[0]}")
+                result.failures.append(f"graph {i}: {kind}-closure output not claw/diamond-free")
+            if kind == "c":
+                if o_heavy_pairs(closed):
+                    result.failures.append(f"graph {i}: c-closure output keeps an o-heavy pair")
+                problems = validate_c_trace(trace)
+                result.checked += 1
+                if problems:
+                    result.failures.append(f"graph {i}: trace law violation: {problems[0]}")
 
 
 _HEAVINESS_CELLS: dict[PatternKind, list[tuple[int, float]]] = {
@@ -462,23 +439,23 @@ def suite_family_forward(result: SuiteResult, seed: int, node_budget) -> None:
             if not (10 <= g.n <= 20):
                 result.failures.append(f"{label}: order {g.n} outside the grid range")
             cert = is_hamiltonian(g, node_budget)
-            if cert.result is not True:
+            if cert.undecided:
+                result.failures.append(f"{label}: oracle undecided")
+            elif not cert.result:
                 result.failures.append(f"{label}: member not hamiltonian")
-            profile = net_profile(g)
+            verdict = classify_theorem(g)
             if kind in P_HEAVY_UNION:
-                if not is_2_connected(g):
+                if not verdict.two_connected:
                     result.failures.append(f"{label}: not 2-connected")
-                if has_induced(g, PatternKind.CLAW):
+                if not verdict.claw_free:
                     result.failures.append(f"{label}: not claw-free")
-                if not is_c_closed(g):
+                if not verdict.c_closed:
                     result.failures.append(f"{label}: not closed under degree-sum completion")
-                if not profile.n_p_heavy:
+                if not verdict.n_p_heavy:
                     result.failures.append(f"{label}: nets not all p-heavy")
-            else:
-                if not profile.n_pq_heavy:
-                    result.failures.append(f"{label}: nets not all p- or q-heavy")
-            witness = recognize(g)
-            if kind not in witness.families:
+            elif not verdict.n_pq_heavy:
+                result.failures.append(f"{label}: nets not all p- or q-heavy")
+            if kind not in verdict.families:
                 result.failures.append(f"{label}: recognizer misses the generating family")
         result.notes.append(f"{kind.value}: {count} members")
 
@@ -507,9 +484,8 @@ def suite_thcpq_reverse(result: SuiteResult, seed: int, node_budget) -> None:
     result.notes.append(f"{len(candidates)} candidates ({perturbed} perturbations)")
     hits = 0
     for g in candidates:
-        if has_induced(g, PatternKind.CLAW) or not is_2_connected(g):
-            continue
-        if not is_c_closed(g):
+        # claw-free implies claw-o-heavy, where the c-closed test is defined
+        if has_induced(g, PatternKind.CLAW) or not is_2_connected(g) or not _c_closed(g):
             continue
         profile = net_profile(g)
         if not profile.n_pq_heavy:
@@ -539,7 +515,7 @@ def suite_detector_oracle(result: SuiteResult, seed: int, node_budget) -> None:
 def suite_region_properties(result: SuiteResult, seed: int, node_budget) -> None:
     corpus = [g for g in full_corpus(seed) if g.n <= 12]
     for i, g in enumerate(corpus):
-        if not _claw_o_heavy(g):
+        if not _claw_status(g)[1]:
             continue
         problems = region_law_violations(decompose(g))
         result.checked += 1
@@ -584,7 +560,9 @@ def suite_npq_hamiltonicity(result: SuiteResult, seed: int, node_budget) -> None
         hits += 1
         result.checked += 1
         cert = is_hamiltonian(g, node_budget)
-        if cert.result is not True:
+        if cert.undecided:
+            result.failures.append(f"graph {i}: oracle undecided")
+        elif not cert.result:
             result.failures.append(f"graph {i}: 2-connected claw-free pq-heavy but not hamiltonian")
     result.notes.append(f"{hits} qualifying graphs")
 

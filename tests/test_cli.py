@@ -1,16 +1,29 @@
+import hashlib
 import io
 import json
 import re
 import sys
 from collections import Counter
+from pathlib import Path
+
+import pytest
 
 from hamclosure.cli import main
-from hamclosure.closures import c_closure
+from hamclosure.closures import _c_fixpoint, c_closure
 from hamclosure.families import classify_theorem, generate, recognize
-from hamclosure.graphs import complete_graph, cycle_graph, emit_graph6, parse_graph6
-from hamclosure.patterns import REFERENCE, PatternKind, net_profile
+from hamclosure.graphs import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    emit_graph6,
+    parse_graph6,
+)
+from hamclosure.patterns import REFERENCE, PatternKind, embeddings, net_profile
 from hamclosure.verify import acceptance_grids, curated_graphs
 
+CLASSIFY_REFERENCE = (
+    Path(__file__).resolve().parents[1] / "benchmark" / "reference" / "classify_random.json"
+)
 C4 = emit_graph6(cycle_graph(4))
 K4 = emit_graph6(complete_graph(4))
 CLAW = emit_graph6(REFERENCE[PatternKind.CLAW])
@@ -22,6 +35,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_calls(monkeypatch, fns) -> Counter:
+    """Count calls to each of fns by name in every hamclosure module that
+    holds it, and the claw enumerations among the ``embeddings`` calls."""
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            if fn is not embeddings:
+                calls[fn.__name__] += 1
+            elif args[1] is PatternKind.CLAW:
+                calls["claw enumerations"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (*fns, embeddings):
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hamclosure") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
+    return calls
 
 
 class TestClosureCommand:
@@ -37,15 +71,7 @@ class TestClosureCommand:
         assert "disagree" in err
 
     def test_literal_mode_builds_each_closure_once(self, capsys, monkeypatch):
-        calls = Counter()
-
-        def counting(*args, **kwargs):
-            calls["c_closure"] += 1
-            return c_closure(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("hamclosure") and getattr(module, "c_closure", None) is c_closure:
-                monkeypatch.setattr(module, "c_closure", counting)
+        calls = count_calls(monkeypatch, (c_closure,))
         code, _, err = run(capsys, "closure", "--kind", "c", "--mode", "literal", C4)
         assert code == 0
         assert err == ("warning: literal and amended eligibility disagree here "
@@ -210,19 +236,28 @@ class TestClassifyCommand:
             assert report["families"] == sorted(k.value for k in verdict.families)
             assert report["verdict"] == verdict.status.value, report["input"]
 
+    def test_reports_match_the_recorded_digests(self, capsys):
+        # the benchmark's pinned classify answers: a change that means to
+        # alter them re-records the file with benchmark/record_reference.py
+        reports = json.loads(CLASSIFY_REFERENCE.read_text())["reports"]
+        assert len(reports) == 123
+        changed = []
+        for g6, digest in reports.items():
+            code, out, _ = run(capsys, "classify", g6)
+            if code != 0 or hashlib.sha256(out.encode()).hexdigest() != digest:
+                changed.append(g6)
+        assert not changed, f"{len(changed)} reports differ, first {changed[0]}"
+
     def test_one_classify_computes_each_fact_once(self, capsys, monkeypatch):
-        calls = Counter()
-
-        def counting(fn):
-            def wrapper(*args, **kwargs):
-                calls[fn.__name__] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for fn in (net_profile, c_closure, recognize):
-            for name, module in list(sys.modules.items()):
-                if name.startswith("hamclosure") and getattr(module, fn.__name__, None) is fn:
-                    monkeypatch.setattr(module, fn.__name__, counting(fn))
+        calls = count_calls(monkeypatch, (net_profile, _c_fixpoint, recognize))
         code, _, _ = run(capsys, "classify", G8)
         assert code == 0
-        assert calls == {"net_profile": 1, "c_closure": 1, "recognize": 1}
+        assert calls == {"net_profile": 1, "_c_fixpoint": 1, "recognize": 1,
+                         "claw enumerations": 1}
+
+    @pytest.mark.parametrize("g", [parse_graph6(G8), complete_bipartite(2, 3)],
+                             ids=["G8", "K23"])
+    def test_classify_theorem_enumerates_claws_once(self, monkeypatch, g):
+        calls = count_calls(monkeypatch, ())
+        classify_theorem(g)
+        assert calls == {"claw enumerations": 1}

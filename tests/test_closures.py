@@ -1,3 +1,4 @@
+import re
 from itertools import combinations
 
 import pytest
@@ -10,6 +11,7 @@ from hamclosure.closures import (
     c_closure,
     c_eligible,
     c_mode_divergence,
+    closures_of,
     is_c_closed,
     minimum_supergraph_oracle,
     o_closure,
@@ -31,7 +33,7 @@ from hamclosure.graphs import (
     path_graph,
 )
 from hamclosure.heaviness import is_pattern_o_heavy, o_heavy_pairs
-from hamclosure.patterns import REFERENCE, PatternKind, is_free
+from hamclosure.patterns import REFERENCE, PatternKind, has_induced, is_free
 from hamclosure.verify import claw_o_heavy_samples
 
 
@@ -40,6 +42,33 @@ def test_unknown_policy_rejected_on_a_closed_graph(closure):
     # K4 is already closed, so no pick ever happens: the policy is checked at entry
     with pytest.raises(InputError, match="selection policy"):
         closure(complete_graph(4), policy="bogus")
+
+
+_C_UNDEFINED = "input has an induced claw with no o-heavy pair: degree-sum completion undefined"
+
+
+@pytest.mark.parametrize("check,message", [
+    (r_closure, "input not claw-free: r-closure undefined"),
+    (lambda g: r_eligible(g, 0), "r-eligibility is defined for claw-free graphs only"),
+    (c_closure, _C_UNDEFINED),
+    (lambda g: c_eligible(g, 0), _C_UNDEFINED),
+    (is_c_closed, _C_UNDEFINED),
+], ids=["r_closure", "r_eligible", "c_closure", "c_eligible", "is_c_closed"])
+def test_checked_entry_points_reject_the_claw(check, message):
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        check(REFERENCE[PatternKind.CLAW])
+
+
+def test_closures_of_holds_exactly_the_closures_defined_on_g(corpus):
+    for g in corpus:
+        expected = {"o": o_closure(g)}
+        if not has_induced(g, PatternKind.CLAW):
+            expected["r"] = r_closure(g)
+        if is_pattern_o_heavy(g, PatternKind.CLAW):
+            expected["c"] = c_closure(g)
+        ladder = closures_of(g)
+        assert list(ladder) == list(expected)
+        assert ladder == expected
 
 
 class TestOClosure:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hamclosure.errors import PreconditionError
+from hamclosure.errors import BudgetError
 from hamclosure.families import generate
 from hamclosure.graphs import (
     Graph,
@@ -19,7 +19,12 @@ from hamclosure.graphs import (
 )
 from hamclosure.hamiltonicity import is_hamiltonian, validate_cycle
 from hamclosure.patterns import PatternKind, REFERENCE, is_free
-from hamclosure.verify import acceptance_grids, full_corpus, verify_closure_preservation
+from hamclosure.verify import (
+    acceptance_grids,
+    full_corpus,
+    run_suite,
+    verify_closure_preservation,
+)
 
 
 class TestOracle:
@@ -77,8 +82,19 @@ class TestClosurePreservation:
             verify_closure_preservation(cycle_graph(4), "x")
 
     def test_budget_surfaces(self):
-        with pytest.raises(PreconditionError):
+        with pytest.raises(BudgetError):
             verify_closure_preservation(cycle_graph(12), "o", node_budget=2)
+
+
+# budgets at which each suite's oracle runs out on some graph but not all:
+# an exhausted search is no evidence against the claim being checked
+@pytest.mark.parametrize("suite,budget", [
+    ("closure-preservation", 40), ("family-forward", 40), ("npq-hamiltonicity", 10),
+])
+def test_budget_exhaustion_reads_undecided(suite, budget):
+    result = run_suite(suite, seed=0, node_budget=budget)
+    assert result.failures
+    assert all("oracle undecided" in f for f in result.failures), result.failures[:3]
 
 
 def test_claw_net_free_two_connected_implies_hamiltonian(corpus):
