@@ -21,9 +21,10 @@ cycles of cliques share one clause checker, and the component gate the
 recognizer applies before any glue search comes from the counting clauses.
 
 The C1N, C2N and C3NQ recognizers read their candidates from their own
-clauses: chain cells are maximal cliques of g, a C2N cycle links the maximal
-cliques that are not matching edges, and degrees fix the C3NQ path. The
-clause checkers alone decide whether a candidate certificate is accepted.
+clauses. Chains and cycles share one cell reader: the cells are the maximal
+cliques of g that are not matching edges, and one walk along their links
+gives the chain or the cycle. Degrees fix the C3NQ path. The clause checkers
+alone decide whether a candidate certificate is accepted.
 """
 
 from __future__ import annotations
@@ -326,98 +327,67 @@ def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
 
 def is_c1n(g: Graph) -> ChainCert | None:
     """Chain-of-cliques decomposition, or None."""
+    return _c1n_of(g, maximal_cliques(g))
+
+
+def _c1n_of(g: Graph, cliques) -> ChainCert | None:
+    """``is_c1n`` of g, given g's maximal cliques."""
     if g.n < 2 or not is_connected(g):
         return None
     if g.is_clique_mask(g.full_mask):
         return ChainCert(g.n, (tuple(range(g.n)),), ())
-    # With two or more cells, a vertex outside a cell has at most one
-    # neighbour in it and every cell has at least 2 vertices, so every cell
-    # is a maximal clique of g. The junction to the rest taken at each step
-    # keeps that true of the candidates below.
-    cliques = [c for c in maximal_cliques(g) if len(c) >= 2]
-
-    def extend(cells, matchings, rest: frozenset[int], anchor: set[int]):
-        for cell in cliques:
-            if not anchor <= cell <= rest:
-                continue
-            new_rest = rest - cell
-            if not new_rest:
-                return cells + [cell], matchings
-            if len(cell) < 4:
-                continue  # interior cell
-            junction = _junction_between(g, cell, new_rest)
-            if junction is None:
-                continue
-            pairs = junction[1]
-            if anchor & {u for u, _ in pairs}:
-                continue  # junction sets inside the cell must be disjoint
-            found = extend(cells + [cell], matchings + [pairs], new_rest, {v for _, v in pairs})
-            if found:
-                return found
+    links = _cell_links(g, cliques, cyclic=False)
+    ends = [i for i in links or () if len(links[i]) == 1]
+    if not ends or any(len(joined) > 2 for joined in links.values()):
         return None
-
-    for first in cliques:
-        rest = frozenset(range(g.n)) - first
-        junction = _junction_between(g, first, rest)
-        if junction is None:
-            continue
-        pairs = junction[1]
-        found = extend([first], [pairs], rest, {v for _, v in pairs})
-        if found:
-            cells, matchings = found
-            cert = ChainCert(
-                g.n,
-                tuple(tuple(sorted(c)) for c in cells),
-                tuple(tuple(sorted(m)) for m in matchings),
-            )
-            if not check_chain_cert(g, cert):
-                return cert
-    return None
-
-
-def _junction_between(g: Graph, left: frozenset[int], right: frozenset[int]):
-    """Valid junction joining two cliques, or None."""
-    inter = left & right
-    if len(inter) == 1:
-        z = next(iter(inter))
-        for u in left - {z}:
-            for v in right - {z}:
-                if g.has_edge(u, v):
-                    return None
-        return ("identify", z)
-    if inter:
+    start = min(ends)
+    order, junctions = _walk(links, start, links[start][0])
+    if any(kind != "matching" for kind, _ in junctions):
         return None
-    pairs = []
-    targets = set()
-    for u in sorted(left):
-        outs = [v for v in g.neighbors(u) if v in right]
-        if len(outs) > 1:
-            return None
-        if outs:
-            pairs.append((u, outs[0]))
-            targets.add(outs[0])
-    if len(pairs) < 2 or len(targets) != len(pairs):
-        return None
-    for v in targets:
-        if len([u for u in g.neighbors(v) if u in left]) != 1:
-            return None
-    return ("matching", tuple(sorted(pairs)))
+    cert = ChainCert(
+        g.n, tuple(tuple(sorted(cliques[i])) for i in order), tuple(m for _, m in junctions)
+    )
+    return None if check_chain_cert(g, cert) else cert
 
 
 def is_c2n(g: Graph) -> CycleCert | None:
     """Cyclic chain-of-cliques decomposition, or None."""
-    # The clauses fix the cycle. A member is 2-connected: deleting a vertex
-    # breaks at most one junction. A vertex outside a cell has at most one
-    # neighbour in it, so the cells are maximal cliques, the other maximal
-    # cliques are single matching edges, and no vertex lies in three. A cell
-    # hosting a matching keeps a vertex for its other junction, so it has at
-    # least 3 vertices, and a matching has at least 2 edges. So the
-    # matchings are the bundles of 2 or more edge-cliques joining the same
-    # two cliques of 3 or more vertices, and every other maximal clique is
-    # a cell linked to exactly two others.
+    return _c2n_of(g, maximal_cliques(g))
+
+
+def _c2n_of(g: Graph, cliques) -> CycleCert | None:
+    """``is_c2n`` of g, given g's maximal cliques."""
+    # A member is 2-connected: deleting a vertex breaks at most one junction.
     if not is_2_connected(g):
         return None
-    cliques = maximal_cliques(g)
+    links = _cell_links(g, cliques, cyclic=True)
+    if links is None or any(len(joined) != 2 for joined in links.values()):
+        return None
+    start = min(i for i in links if 0 in cliques[i])
+    near, far = sorted(links[start])
+    order, junctions = _walk(links, start, near)
+    if [j[0] for j in junctions] == ["matching", "identify", "identify"]:
+        # A certificate of a 3-cycle with one matching never opens with it:
+        # the third cell's edge between the identified vertices also joins
+        # the two matched cells.
+        order, junctions = _walk(links, start, far)
+    cert = CycleCert(g.n, tuple(tuple(sorted(cliques[i])) for i in order), tuple(junctions))
+    return None if check_cycle_cert(g, cert) else cert
+
+
+def _cell_links(g: Graph, cliques, cyclic: bool):
+    """The cells of a chain (or, with ``cyclic``, a cycle) of cliques, read
+    from g's maximal cliques: each cell's clique index maps to its links
+    ``(cell, junction)``. None when a vertex lies in three maximal cliques.
+
+    The clauses fix the cells. A vertex outside a cell has at most one
+    neighbour in it, so the cells are maximal cliques, the other maximal
+    cliques are single matching edges, and no vertex lies in three. A
+    matching has at least 2 edges, so the matchings are the bundles of 2 or
+    more edge-cliques joining the same two cliques, and every other maximal
+    clique is a cell. The checker decides whether the cells read this way
+    form a member.
+    """
     owners: list[list[int]] = [[] for _ in range(g.n)]
     for i, clique in enumerate(cliques):
         for v in clique:
@@ -426,14 +396,19 @@ def is_c2n(g: Graph) -> CycleCert | None:
         return None
     bundles: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
     for i, clique in enumerate(cliques):
-        if len(clique) == 2:
-            (p, x), (q, y) = sorted((next(o for o in owners[v] if o != i), v) for v in clique)
-            if len(cliques[p]) >= 3 and len(cliques[q]) >= 3:
-                bundles.setdefault((p, q), []).append((i, (x, y)))
+        if len(clique) != 2:
+            continue
+        sides = sorted((o, v) for v in clique for o in owners[v] if o != i)
+        # A cycle's cell hosting a matching keeps a vertex for its other
+        # junction, so it has at least 3 vertices; a chain's end cell may
+        # have 2.
+        if len(sides) == 2 and (not cyclic or min(len(cliques[o]) for o, _ in sides) >= 3):
+            (p, x), (q, y) = sides
+            bundles.setdefault((p, q), []).append((i, (x, y)))
     bundles = {pq: edges for pq, edges in bundles.items() if len(edges) >= 2}
     bundled = {i for edges in bundles.values() for i, _ in edges}
     cells = [i for i in range(len(cliques)) if i not in bundled]
-    if len(cells) == 2 and bundles:
+    if cyclic and len(cells) == 2 and bundles:
         # Two cliques joined by k parallel edges: the first edge is a cell,
         # and with k = 2 so is the second, which alone matches nothing.
         (edges,) = bundles.values()
@@ -441,6 +416,11 @@ def is_c2n(g: Graph) -> CycleCert | None:
         if len(edges) < 2:
             cells.append(edges.pop()[0])
             bundles.clear()
+    elif not cells:
+        # Only the 4-cycle bundles every edge-clique, each with its opposite
+        # edge: as a chain, the bundle that holds clique 0 is the two cells.
+        pq = next(pq for pq, edges in bundles.items() if edges[0][0] == 0)
+        cells = [i for i, _ in bundles.pop(pq)]
     links: dict[int, list[tuple[int, Junction]]] = {i: [] for i in cells}
     for v, own in enumerate(owners):
         if len(own) == 2 and all(o in links for o in own):
@@ -451,30 +431,23 @@ def is_c2n(g: Graph) -> CycleCert | None:
         pairs = [pair for _, pair in edges]
         links[p].append((q, ("matching", tuple(sorted(pairs)))))
         links[q].append((p, ("matching", tuple(sorted((y, x) for x, y in pairs)))))
-    if any(len(ends) != 2 for ends in links.values()):
-        return None
-    start = min(i for i in cells if 0 in cliques[i])
+    return links
 
-    def walk(link):
-        order, junctions = [start], []
-        prev, (cur, junction) = start, link
-        while True:
-            junctions.append(junction)
-            if cur == start:
-                return order, junctions
-            order.append(cur)
-            a, b = links[cur]
-            prev, (cur, junction) = cur, (b if a[0] == prev else a)
 
-    near, far = sorted(links[start])
-    order, junctions = walk(near)
-    if [j[0] for j in junctions] == ["matching", "identify", "identify"]:
-        # A certificate of a 3-cycle with one matching never opens with it:
-        # the third cell's edge between the identified vertices also joins
-        # the two matched cells.
-        order, junctions = walk(far)
-    cert = CycleCert(g.n, tuple(tuple(sorted(cliques[i])) for i in order), tuple(junctions))
-    return None if check_cycle_cert(g, cert) else cert
+def _walk(links, start: int, link):
+    """The cells and junctions met leaving ``start`` by ``link``, until the
+    walk comes back to ``start`` or stops at a cell with one link."""
+    order, junctions = [start], []
+    prev, (cur, junction) = start, link
+    while True:
+        junctions.append(junction)
+        if cur == start:
+            return order, junctions
+        order.append(cur)
+        if len(links[cur]) == 1:
+            return order, junctions
+        a, b = links[cur]
+        prev, (cur, junction) = cur, (b if a[0] == prev else a)
 
 
 def is_c3nq(g: Graph) -> C3NQCert | None:
@@ -924,18 +897,22 @@ def recognize(g: Graph) -> FamilyWitness:
     The composed families share one list of g's maximal cliques and one
     memo of glue searches: a search's answer depends only on its vertex set
     and base family, and the certificates are frozen. The base families
-    come first, and their searches on g answer the glue searches that span
-    all of g.
+    come first, C1N and C2N read from the same clique list, and their
+    searches on g answer the glue searches that span all of g.
     """
     certs: dict[FamilyKind, Certificate] = {}
     cliques = maximal_cliques(g)
     searched: dict = {}
     for kind in FamilyKind:
         spec = FAMILY_SPECS.get(kind)
-        if spec is None:
-            cert = searched[g.full_mask, kind] = _base_search(kind, g)
-        else:
+        if spec is not None:
             cert = _recognize_composed(g, spec, cliques, searched)
+        else:
+            cert = searched[g.full_mask, kind] = (
+                _c1n_of(g, cliques) if kind is FamilyKind.C1N
+                else _c2n_of(g, cliques) if kind is FamilyKind.C2N
+                else is_c3nq(g)
+            )
         if cert is not None:
             certs[kind] = cert
     return FamilyWitness(frozenset(certs), certs, g.n >= 10)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from .closures import (
     EligibilityMode,
     _c_closed,
+    _c_fixpoint,
     _claw_status,
     c_closure,
     closures_of,
@@ -414,7 +415,8 @@ def suite_heaviness_propagation(result: SuiteResult, seed: int, node_budget) -> 
         if not accepted:
             continue
         for g in accepted:
-            closed, _ = c_closure(g)
+            # the predicate has just checked that g is claw-o-heavy
+            closed, _ = _c_fixpoint(g, EligibilityMode.AMENDED, "min", 0)
             profile = net_profile(closed)
             result.checked += 1
             if has_induced(closed, PatternKind.CLAW):
@@ -517,7 +519,8 @@ def suite_region_properties(result: SuiteResult, seed: int, node_budget) -> None
     for i, g in enumerate(corpus):
         if not _claw_status(g)[1]:
             continue
-        problems = region_law_violations(decompose(g))
+        closed, _ = _c_fixpoint(g, EligibilityMode.AMENDED, "min", 0)
+        problems = region_law_violations(decompose(g, closure=closed))
         result.checked += 1
         if problems:
             result.failures.append(f"graph {i}: {problems[0]}")
