@@ -17,8 +17,9 @@ The composed families' clauses live in two tables: ``FAMILY_SPECS``, one
 glues, counting clauses, heavy-pair condition), and ``GLUES``, one row per
 glue tag (base family, host clique(s), attachment rule). The certificate
 checker, the recognizer and the generator all read these rows. Chains and
-cycles of cliques share one clause checker, and the component gate the
-recognizer applies before any glue search comes from the counting clauses.
+cycles of cliques share one clause checker. The counting clauses give the
+recognizer's component gate, and it picks the first glue assignment that
+the checker's reading of those clauses (``_count_problems``) accepts.
 
 The C1N, C2N and C3NQ recognizers read their candidates from their own
 clauses. Chains and cycles share one cell reader: the cells are the maximal
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .closures import _c_closed, _claw_status
@@ -99,7 +100,7 @@ def _cell_faults(g: Graph, cell) -> list[str]:
     faults = []
     if len(set(cell)) != len(cell):
         faults.append("repeats a vertex")
-    if not all(0 <= v < g.n for v in cell):
+    if not all(isinstance(v, int) and 0 <= v < g.n for v in cell):
         faults.append("names a vertex outside the graph")
     return faults
 
@@ -158,7 +159,7 @@ class C3NQCert:
 class ComponentCert:
     """``sub.n`` reads two ways: recognized certificates store the order of
     the component with its host cliques, generated ones the whole graph's
-    order. ``_check_sub_cert`` overrides it, so both check clean."""
+    order. No clause checker reads ``n``, so both check clean."""
 
     vertices: tuple[int, ...]
     glue: str  # component kind; records how the component attaches
@@ -197,13 +198,15 @@ def _junction_faults(junction) -> list[str]:
     not a vertex pair."""
     if not (isinstance(junction, tuple) and len(junction) == 2):
         return ["is not a (type, data) pair"]
-    kind, matching = junction
+    kind, data = junction
+    if kind == "identify" and not isinstance(data, int):
+        return ["identification vertex is not a vertex"]
     if kind != "matching":
         return []
-    if not isinstance(matching, tuple):
+    if not isinstance(data, tuple):
         return ["matching is not a tuple of edges"]
     return [
-        f"edge {pair!r} is not a vertex pair" for pair in matching
+        f"edge {pair!r} is not a vertex pair" for pair in data
         if not (isinstance(pair, tuple) and len(pair) == 2
                 and all(isinstance(v, int) for v in pair))
     ]
@@ -619,35 +622,18 @@ def _base_search(kind: FamilyKind, g: Graph):
     return {FamilyKind.C1N: is_c1n, FamilyKind.C2N: is_c2n, FamilyKind.C3NQ: is_c3nq}[kind](g)
 
 
-def _map_cert(cert, table):
-    if isinstance(cert, ChainCert):
-        return ChainCert(
-            cert.n,
-            tuple(tuple(sorted(table[v] for v in cell)) for cell in cert.cells),
-            tuple(
-                tuple(sorted((table[u], table[v]) for u, v in m)) for m in cert.matchings
-            ),
-        )
-    if isinstance(cert, CycleCert):
-        junctions = []
-        for j in cert.junctions:
-            if j[0] == "identify":
-                junctions.append(("identify", table[j[1]]))
-            else:
-                junctions.append(("matching", tuple(sorted((table[u], table[v]) for u, v in j[1]))))
-        return CycleCert(
-            cert.n,
-            tuple(tuple(sorted(table[v] for v in cell)) for cell in cert.cells),
-            tuple(junctions),
-        )
-    if isinstance(cert, C3NQCert):
-        return C3NQCert(
-            cert.n,
-            tuple(sorted(table[v] for v in cert.clique)),
-            table[cert.a1], table[cert.c2], table[cert.c3],
-            table[cert.b2], table[cert.a2], table[cert.a3], table[cert.b3],
-        )
-    raise InputError(f"cannot map certificate of type {type(cert).__name__}")
+def _relabel(cert, table):
+    """A base certificate with every vertex v renamed ``table[v]``. ``n``,
+    the junction tags and any other non-integer stay for the checker to
+    report. An increasing table keeps sorted cells and matchings sorted."""
+    n, *rest = vars(cert).values()  # the fields in order, n first
+    return type(cert)(n, *[_renamed(x, table) for x in rest])
+
+
+def _renamed(x, table):
+    if isinstance(x, tuple):
+        return tuple([_renamed(y, table) for y in x])
+    return table[x] if isinstance(x, int) else x
 
 
 def _glue_search(g: Graph, vertices, base: FamilyKind):
@@ -656,7 +642,7 @@ def _glue_search(g: Graph, vertices, base: FamilyKind):
     cert = _base_search(base, g.induced(ordered))
     if cert is None:
         return None
-    return _map_cert(cert, ordered)
+    return _relabel(cert, ordered)
 
 
 _CERT_CHECKERS = {
@@ -665,16 +651,18 @@ _CERT_CHECKERS = {
 
 
 def _check_sub_cert(g: Graph, vertices, cert) -> list[str]:
+    check = _CERT_CHECKERS.get(type(cert))
+    if check is None:
+        raise InputError(f"cannot map certificate of type {type(cert).__name__}")
     ordered = sorted(vertices)
     try:
-        local = _map_cert(cert, {v: i for i, v in enumerate(ordered)})
+        local = _relabel(cert, {v: i for i, v in enumerate(ordered)})
     except KeyError as exc:
         return [
             f"component certificate names vertex {exc.args[0]} "
             "outside its component and host cliques"
         ]
-    sub = g.induced(ordered)
-    return _CERT_CHECKERS[type(local)](sub, replace(local, n=sub.n))
+    return check(g.induced(ordered), local)
 
 
 def _frontier_of(g: Graph, clique) -> list[int]:
@@ -736,7 +724,7 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
     cells = [("K", cert.k_clique), ("K'", cert.k_prime or ())]
     cells += [(f"component {i}", c.vertices) for i, c in enumerate(cert.components)]
     problems = [f"{name} {fault}" for name, cell in cells for fault in _cell_faults(g, cell)]
-    if cert.u0 is not None and not 0 <= cert.u0 < g.n:
+    if cert.u0 is not None and not (isinstance(cert.u0, int) and 0 <= cert.u0 < g.n):
         problems.append("shared vertex outside the graph")
     if problems:
         return problems
@@ -825,37 +813,6 @@ def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
     return out
 
 
-def _pick_glues(spec: FamilySpec, options):
-    """The first assignment in option order that meets the counting
-    clauses, or None. A branch is cut once a count passes its upper bound
-    or can no longer reach its lower bound."""
-    clauses = [c for c in spec.counts if c.only_with in (None, len(options))]
-    # reach[i][j]: components i.. that have an option counted by clause j
-    reach = [[0] * len(clauses)]
-    for comp_options in reversed(options):
-        reach.append([
-            r + any(c.covers(tag) for tag, _ in comp_options)
-            for r, c in zip(reach[-1], clauses)
-        ])
-    reach.reverse()
-    picked = []
-
-    def extend(i: int, counts: list[int]):
-        for n, r, c in zip(counts, reach[i], clauses):
-            if n + r < c.lo or (c.hi is not None and n > c.hi):
-                return None
-        if i == len(options):
-            return picked
-        for tag, sub in options[i]:
-            picked.append((tag, sub))
-            if extend(i + 1, [n + c.covers(tag) for n, c in zip(counts, clauses)]) is not None:
-                return picked
-            picked.pop()
-        return None
-
-    return extend(0, [0] * len(clauses))
-
-
 def _recognize_composed(
     g: Graph, spec: FamilySpec, cliques, searched: dict
 ) -> ComposedCert | None:
@@ -870,7 +827,11 @@ def _recognize_composed(
             if len(comps) < spec.min_components:
                 continue
             options = _glue_options(g, comps, {"K": k_clique, "K'": kp}, spec.glues, searched)
-            picked = None if options is None else _pick_glues(spec, options)
+            if options is None:
+                continue
+            # the first assignment in option order that meets the counting clauses
+            picked = next((p for p in itertools.product(*options)
+                           if not _count_problems(spec, [tag for tag, _ in p])), None)
             if picked is None:
                 continue
             cert = ComposedCert(g.n, k_clique, kp, u0, tuple(

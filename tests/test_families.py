@@ -2,7 +2,7 @@ import hashlib
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import networkx as nx
 import pytest
@@ -64,6 +64,28 @@ def isomorphic(a: Graph, b: Graph) -> bool:
 def replayed(cert, *extra_edges):
     """The graph a certificate names, plus any extra edges, and the certificate."""
     return replay_certificate(cert).add_edges(extra_edges)[0], cert
+
+
+def _one_leaf_mutants(part, n):
+    """Every certificate made from ``part`` by one leaf change: a vertex set
+    to None, -1, n, 'x' or 2.0; a vertex tuple (cell, clique, matching edge)
+    with its last vertex dropped or its first repeated; a junction's kind
+    flipped. ``n`` fields stay."""
+    if is_dataclass(part):
+        for f in fields(part):
+            if f.name != "n":
+                for changed in _one_leaf_mutants(getattr(part, f.name), n):
+                    yield replace(part, **{f.name: changed})
+    elif isinstance(part, tuple):
+        for i, item in enumerate(part):
+            for changed in _one_leaf_mutants(item, n):
+                yield part[:i] + (changed,) + part[i + 1:]
+        if part and all(isinstance(v, int) for v in part):
+            yield from (part[:-1], part + part[:1])
+    elif isinstance(part, int):
+        yield from (None, -1, n, "x", 2.0)
+    elif part in ("identify", "matching"):
+        yield "matching" if part == "identify" else "identify"
 
 
 def skeleton(cert):
@@ -178,6 +200,21 @@ class TestGenerate:
             "bab880ae157295b397d9a9bf28ae120b880fe6fab64d060da1bed827c684eea9"
         )
 
+    def test_recognized_certificates_are_pinned(self):
+        # graph6 and every certificate recognize() returns, over the grid
+        # members and full_corpus(0): any change to a recognizer's candidate
+        # order, glue choice or vertex renaming moves this digest
+        graphs = [generate(p, s) for grid in acceptance_grids().values() for p, s in grid]
+        graphs += full_corpus(0)
+        digest = hashlib.sha256()
+        for g in graphs:
+            certs = sorted((kind.value, cert) for kind, cert in recognize(g).certificates.items())
+            digest.update(f"{emit_graph6(g)} {certs!r}\n".encode())
+        assert len(graphs) == 934
+        assert digest.hexdigest() == (
+            "e7ba3a784f385e1b6863dc0eef06bd39b462d4a1b551368ac46b0aa8e7a0f8ec"
+        )
+
 
 class TestBaseRecognizers:
     def test_c5_is_a_clique_cycle(self):
@@ -245,6 +282,15 @@ class TestBaseRecognizers:
             pytest.param(cycle_graph(6), CycleCert(6, ((0, 1), (2, 3), (4, 5)),
                                                    (("matching", 3), (), ("identify", 5))),
                          id="cycle-junctions-of-the-wrong-shape"),
+            pytest.param(complete_graph(3), ChainCert(3, ((0, 1, None),), ()),
+                         id="cell-vertex-none"),
+            pytest.param(complete_graph(3), ChainCert(3, ((0, 1, 2.0),), ()),
+                         id="cell-vertex-float"),
+            pytest.param(cycle_graph(5), CycleCert(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4)),
+                                                   (("identify", 1.0), ("identify", 2),
+                                                    ("identify", 3), ("identify", 4),
+                                                    ("identify", 0))),
+                         id="identification-vertex-float"),
         ],
     )
     def test_sequence_checkers_reject_each_broken_clause(self, g, cert):
@@ -252,11 +298,18 @@ class TestBaseRecognizers:
         assert check(g, cert)
 
     @pytest.mark.parametrize(
-        "clique", [(0, 1, 2, 3, 3), (0, 1, 2, 3, 8)], ids=["repeat", "stranger"]
+        "change,part",
+        [
+            pytest.param({"clique": (0, 1, 2, 3, 3)}, "core clique", id="repeat"),
+            pytest.param({"clique": (0, 1, 2, 3, 8)}, "core clique", id="stranger"),
+            pytest.param({"clique": (0, 1, 2, "x")}, "core clique", id="string"),
+            pytest.param({"a1": None}, "path plus attachments", id="attachment-none"),
+            pytest.param({"b2": 4.0}, "path plus attachments", id="path-vertex-float"),
+        ],
     )
-    def test_c3nq_checker_reports_a_malformed_clique(self, g8, clique):
-        problems = check_c3nq_cert(g8, replace(is_c3nq(g8), clique=clique))
-        assert problems and all(p.startswith("core clique") for p in problems)
+    def test_c3nq_checker_reports_a_malformed_clique(self, g8, change, part):
+        problems = check_c3nq_cert(g8, replace(is_c3nq(g8), **change))
+        assert problems and all(p.startswith(part) for p in problems)
 
     @pytest.fixture
     def c1npq_member(self):
@@ -285,21 +338,40 @@ class TestBaseRecognizers:
             "K names a vertex outside the graph"
         ]
 
-    @pytest.mark.parametrize("part", ["u0", "component"])
+    @pytest.mark.parametrize("part", ["u0", "component", "K"])
     def test_composed_checker_reports_an_anchor_or_component_vertex_outside_the_graph(
         self, part
     ):
         params, seed = acceptance_grids()[FamilyKind.C2NP][0]
         g, cert = generate_with_certificate(params, seed)
-        if part == "u0":
-            cert, expected = replace(cert, u0=g.n), "shared vertex outside the graph"
-        else:
-            first = cert.components[0]
-            cert = replace(cert, components=(
-                replace(first, vertices=first.vertices + (g.n,)), *cert.components[1:]
-            ))
-            expected = "component 0 names a vertex outside the graph"
-        assert check_composed_cert(g, FamilyKind.C2NP, cert) == [expected]
+        first = cert.components[0]
+        # a None u0 means there is no K'
+        for vertex in (g.n, -1, 1.5, "x") + (() if part == "u0" else (None,)):
+            if part == "u0":
+                bad, expected = replace(cert, u0=vertex), "shared vertex outside the graph"
+            elif part == "K":
+                bad = replace(cert, k_clique=cert.k_clique + (vertex,))
+                expected = "K names a vertex outside the graph"
+            else:
+                bad = replace(cert, components=(
+                    replace(first, vertices=first.vertices + (vertex,)), *cert.components[1:]
+                ))
+                expected = "component 0 names a vertex outside the graph"
+            assert check_composed_cert(g, FamilyKind.C2NP, bad) == [expected], vertex
+
+    def test_composed_checker_reads_each_sub_certificate_through_its_base_checker(self):
+        params, seed = acceptance_grids()[FamilyKind.C1NP][0]
+        g, cert = generate_with_certificate(params, seed)
+        chain = cert.components[0]
+        assert isinstance(chain.sub, ChainCert)
+        (u, v), *rest = chain.sub.matchings[0]
+        longer = replace(chain.sub, matchings=(((u, v, chain.vertices[0]), *rest),))
+        bad = replace(cert, components=(replace(chain, sub=longer), *cert.components[1:]))
+        problems = check_composed_cert(g, FamilyKind.C1NP, bad)
+        assert any(p.endswith("is not a vertex pair") for p in problems), problems
+        bad = replace(cert, components=(replace(chain, sub=chain.vertices), *cert.components[1:]))
+        with pytest.raises(InputError, match="cannot map certificate of type tuple"):
+            check_composed_cert(g, FamilyKind.C1NP, bad)
 
     def test_generated_chain_and_cycle_certificates_check_clean(self):
         g, cert = generate_with_certificate(FamilyParams(FamilyKind.C1N, (3, 6, 3), (2, 2)), 3)
@@ -316,6 +388,30 @@ class TestBaseRecognizers:
         assert gates == {
             FamilyKind.C1NP: 2, FamilyKind.C2NP: 2, FamilyKind.C1NPQ: 1, FamilyKind.C2NPQ: 2,
         }
+
+    def test_checkers_report_every_one_leaf_mutation(self):
+        # the generated certificates of the grid members with n <= 13 and of
+        # the smallest member of every family, each changed at one leaf; a
+        # checker must report each change, never raise, and answer the same
+        # way twice
+        members = []
+        for kind, grid in acceptance_grids().items():
+            certified = [(kind, *generate_with_certificate(p, s)) for p, s in grid]
+            smallest = min(certified, key=lambda member: member[1].n)
+            members += [m for m in certified if m[1].n <= 13 or m is smallest]
+        checkers = {ChainCert: check_chain_cert, CycleCert: check_cycle_cert,
+                    C3NQCert: check_c3nq_cert}
+        mutants = 0
+        for kind, g, cert in members:
+            for mutant in _one_leaf_mutants(cert, g.n):
+                if kind in FAMILY_SPECS:
+                    runs = [check_composed_cert(g, kind, mutant) for _ in range(2)]
+                else:
+                    runs = [checkers[type(mutant)](g, mutant) for _ in range(2)]
+                assert isinstance(runs[0], list) and runs[0], mutant
+                assert runs[0] == runs[1], mutant
+                mutants += 1
+        assert mutants > 10000
 
 
 class TestRecognize:
