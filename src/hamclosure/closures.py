@@ -14,6 +14,16 @@ o-heavy non-edge in every supergraph of the subtree. Every leaf the walk
 reaches still runs the full target test, and the record reports how many
 tree nodes were entered.
 
+Every degree-sum question reads one table per graph,
+``heaviness.degree_thresholds``: ``at[d]`` is the mask of the vertices of
+degree at least d, so the o-heavy partners of u are ``~rows[u] & at[n -
+d(u)]`` without u. The claw walk, each c-eligibility scan and the
+augmented neighborhoods it floods are built from that table. The
+o-closure steps on a row list and keeps its sorted list of o-heavy pairs
+across steps: joining uv removes uv, and since degrees only grow, the
+only new pairs sit at u or v. It builds one graph at the end. The r- and
+c-closures rescan the current graph at every step.
+
 Two readings of completion eligibility are implemented. The AMENDED mode
 (default) asks whether the neighborhood is a clique in the input graph;
 the LITERAL mode asks the same question after the degree-sum edges have
@@ -25,6 +35,7 @@ default and literal stays available behind the mode switch.
 from __future__ import annotations
 
 import random
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,7 +47,7 @@ from .errors import (
     PreconditionError,
 )
 from .graphs import Edge, Graph, _bits, component_masks, flood
-from .heaviness import o_heavy_pairs, subgraph_is_o_heavy
+from .heaviness import _heavy_pairs_at, _o_heavy_within, degree_thresholds, o_heavy_pairs
 from .patterns import PatternKind, embeddings, has_induced
 
 
@@ -151,9 +162,10 @@ def _claw_status(g: Graph) -> tuple[bool, bool]:
     """(claw-free, claw-o-heavy) from one walk over the induced claws,
     stopping at the first claw with no o-heavy pair. The r-closure is
     defined on claw-free graphs, the c-closure on claw-o-heavy ones."""
+    degs, at = degree_thresholds(g.rows)
     claw_free = True
     for claw in embeddings(g, PatternKind.CLAW):
-        if not subgraph_is_o_heavy(g, claw):
+        if not _o_heavy_within(g, degs, at, claw):
             return False, False
         claw_free = False
     return claw_free, True
@@ -167,23 +179,43 @@ _C_UNDEFINED = ("input has an induced claw with no o-heavy pair: "
 
 
 def o_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
-    """Join one o-heavy pair at a time, re-scanning degrees, to a fixpoint."""
+    """Join one o-heavy pair at a time, to a fixpoint.
+
+    The sorted list of o-heavy pairs is kept across steps rather than
+    rescanned. Joining uv removes uv and raises only d(u) and d(v), so a
+    pair that was o-heavy stays o-heavy, and the new ones are the pairs at
+    u or v whose degree sum has just reached n exactly.
+    """
     _require_policy(policy)
-    return _fixpoint(g, "o-pair", lambda cur: [(p.u, p.v) for p in o_heavy_pairs(cur)],
-                     lambda cur, pair: [pair], policy, seed)
+    rng = random.Random(seed)
+    n = g.n
+    rows = list(g.rows)
+    degs, at = degree_thresholds(rows)
+    pairs = _heavy_pairs_at(rows, degs, at, adjacent=False)
+    steps = []
+    while pairs:
+        u, v = pair = _pick(pairs, policy, rng)
+        pairs.remove(pair)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        for x in pair:
+            degs[x] += 1
+            at[degs[x]] |= 1 << x
+        for x in pair:
+            exact = at[n - degs[x]] & ~at[n - degs[x] + 1]
+            for y in _bits(exact & ~(rows[x] | 1 << x)):
+                insort(pairs, (min(x, y), max(x, y)))
+        steps.append(TraceStep("o-pair", pair, (pair,)))
+    final = Graph._unsafe(n, tuple(rows)) if steps else g
+    return final, ClosureTrace(g, final, tuple(steps))
 
 
 # -- neighborhood completion closures ---------------------------------------
 
 
 def _neighborhood_missing(g: Graph, x: int) -> list[Edge]:
-    nbrs = g.neighbors(x)
-    return [
-        (u, v)
-        for i, u in enumerate(nbrs)
-        for v in nbrs[i + 1:]
-        if not g.has_edge(u, v)
-    ]
+    mask, rows = g.row(x), g.rows
+    return [(u, v) for u in _bits(mask) for v in _bits(mask & ~rows[u] & (-2 << u))]
 
 
 def _r_eligible_inner(g: Graph, x: int) -> bool:
@@ -224,40 +256,30 @@ def bc_local(g: Graph, x: int) -> list[Edge]:
     """Nonadjacent neighbor pairs of x with degree sum at least n."""
     if not 0 <= x < g.n:
         raise InputError(f"vertex {x} out of range")
-    degs = g.degrees()
-    nbrs = g.neighbors(x)
-    return [
-        (u, v)
-        for i, u in enumerate(nbrs)
-        for v in nbrs[i + 1:]
-        if not g.has_edge(u, v) and degs[u] + degs[v] >= g.n
-    ]
+    aug = _bc_rows(g, x, *degree_thresholds(g.rows))
+    return [(u, v) for u in aug for v in _bits(aug[u] & ~g.row(u) & (-2 << u))]
 
 
-def _bc_components(g: Graph, x: int) -> tuple[list[int], list[int]]:
-    """Connected components of the degree-sum-augmented neighborhood.
-
-    Returns (component masks, augmented rows restricted to N(x)).
-    """
-    mask = g.row(x)
-    aug = {v: g.row(v) & mask for v in _bits(mask)}
-    for u, v in bc_local(g, x):
-        aug[u] |= 1 << v
-        aug[v] |= 1 << u
-    return component_masks(aug, mask), aug
+def _bc_rows(g: Graph, x: int, degs, at) -> dict[int, int]:
+    """The degree-sum-augmented neighborhood of x: each neighbor's row
+    within N(x), joined to its o-heavy partners there. ``degs`` and ``at``
+    are ``degree_thresholds(g.rows)``."""
+    n, rows = g.n, g.rows
+    mask = rows[x]
+    return {v: mask & (rows[v] | at[n - degs[v]]) & ~(1 << v) for v in _bits(mask)}
 
 
-def _c_eligible_inner(g: Graph, x: int, mode: EligibilityMode) -> bool:
+def _c_eligible_inner(g: Graph, x: int, mode: EligibilityMode, degs, at) -> bool:
+    """Is x c-eligible? ``degs`` and ``at`` are ``degree_thresholds(g.rows)``."""
     mask = g.row(x)
     if mask == 0:
         return False
-    comps, aug = _bc_components(g, x)
-    if mode is EligibilityMode.AMENDED:
-        if g.is_clique_mask(mask):
-            return False
-    else:
-        if all(aug[v] == mask ^ (1 << v) for v in _bits(mask)):
-            return False
+    if mode is EligibilityMode.AMENDED and g.is_clique_mask(mask):
+        return False
+    aug = _bc_rows(g, x, degs, at)
+    if mode is EligibilityMode.LITERAL and all(aug[v] == mask ^ (1 << v) for v in aug):
+        return False
+    comps = component_masks(aug, mask)
     if len(comps) == 1:
         return True
     if len(comps) != 2:
@@ -267,13 +289,16 @@ def _c_eligible_inner(g: Graph, x: int, mode: EligibilityMode) -> bool:
         for v in _bits(comp):
             if aug[v] != comp ^ (1 << v):
                 return False
-    degs = g.degrees()
-    for z in range(g.n):
-        if z == x or g.has_edge(x, z) or degs[x] + degs[z] < g.n:
-            continue
-        if g.row(z) & c1 and g.row(z) & c2:
-            return True
-    return False
+    rows = g.rows
+    partners = ~(rows[x] | 1 << x) & at[g.n - degs[x]]
+    return any(rows[z] & c1 and rows[z] & c2 for z in _bits(partners))
+
+
+def _c_eligible_vertices(g: Graph, mode: EligibilityMode):
+    """The c-eligible vertices of g in increasing order, from one degree
+    table."""
+    degs, at = degree_thresholds(g.rows)
+    return (x for x in range(g.n) if _c_eligible_inner(g, x, mode, degs, at))
 
 
 def c_eligible(g: Graph, x: int, mode: EligibilityMode = EligibilityMode.AMENDED) -> bool:
@@ -281,7 +306,7 @@ def c_eligible(g: Graph, x: int, mode: EligibilityMode = EligibilityMode.AMENDED
         raise InputError(f"vertex {x} out of range")
     if not _claw_status(g)[1]:
         raise PreconditionError(_C_UNDEFINED)
-    return _c_eligible_inner(g, x, mode)
+    return _c_eligible_inner(g, x, mode, *degree_thresholds(g.rows))
 
 
 def c_closure(
@@ -297,8 +322,7 @@ def c_closure(
 
 
 def _c_fixpoint(g: Graph, mode: EligibilityMode, policy: str, seed: int):
-    return _fixpoint(g, "c-completion",
-                     lambda cur: [x for x in range(cur.n) if _c_eligible_inner(cur, x, mode)],
+    return _fixpoint(g, "c-completion", lambda cur: list(_c_eligible_vertices(cur, mode)),
                      _neighborhood_missing, policy, seed)
 
 
@@ -310,7 +334,7 @@ def is_c_closed(g: Graph) -> bool:
 
 def _c_closed(g: Graph) -> bool:
     """No vertex is c-eligible (amended mode); g must be claw-o-heavy."""
-    return not any(_c_eligible_inner(g, x, EligibilityMode.AMENDED) for x in range(g.n))
+    return next(_c_eligible_vertices(g, EligibilityMode.AMENDED), None) is None
 
 
 def closures_of(g: Graph, policy: str = "min",
@@ -352,7 +376,8 @@ def validate_c_trace(trace: ClosureTrace) -> list[str]:
         if not 0 <= x < cur.n:
             problems.append(f"step {i}: vertex {x} out of range")
             break
-        if not _c_eligible_inner(cur, x, EligibilityMode.AMENDED):
+        if not _c_eligible_inner(cur, x, EligibilityMode.AMENDED,
+                                 *degree_thresholds(cur.rows)):
             problems.append(f"step {i}: vertex {x} was not eligible")
         if set(step.edges_added) != set(_neighborhood_missing(cur, x)):
             problems.append(f"step {i}: added edges are not the missing pairs of N({x})")

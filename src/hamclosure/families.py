@@ -96,11 +96,14 @@ def _cell_mask(cell) -> int:
 
 
 def _cell_faults(g: Graph, cell) -> list[str]:
-    """Why a certificate cell has no vertex mask: a repeat or a stranger."""
+    """Why a certificate cell has no vertex mask: a repeat or a stranger.
+    Repeats are sought only among vertices, since a stranger may be
+    unhashable."""
+    named = [v for v in cell if isinstance(v, int)]
     faults = []
-    if len(set(cell)) != len(cell):
+    if len(set(named)) != len(named):
         faults.append("repeats a vertex")
-    if not all(isinstance(v, int) and 0 <= v < g.n for v in cell):
+    if len(named) != len(cell) or not all(0 <= v < g.n for v in named):
         faults.append("names a vertex outside the graph")
     return faults
 
@@ -330,15 +333,18 @@ def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
 
 def is_c1n(g: Graph) -> ChainCert | None:
     """Chain-of-cliques decomposition, or None."""
-    return _c1n_of(g, maximal_cliques(g))
+    return _c1n_of(g)
 
 
-def _c1n_of(g: Graph, cliques) -> ChainCert | None:
-    """``is_c1n`` of g, given g's maximal cliques."""
+def _c1n_of(g: Graph, cliques=None) -> ChainCert | None:
+    """``is_c1n`` of g; g's maximal cliques are built only once g is
+    connected and not complete, unless the caller hands them in."""
     if g.n < 2 or not is_connected(g):
         return None
     if g.is_clique_mask(g.full_mask):
         return ChainCert(g.n, (tuple(range(g.n)),), ())
+    if cliques is None:
+        cliques = maximal_cliques(g)
     links = _cell_links(g, cliques, cyclic=False)
     ends = [i for i in links or () if len(links[i]) == 1]
     if not ends or any(len(joined) > 2 for joined in links.values()):
@@ -355,14 +361,17 @@ def _c1n_of(g: Graph, cliques) -> ChainCert | None:
 
 def is_c2n(g: Graph) -> CycleCert | None:
     """Cyclic chain-of-cliques decomposition, or None."""
-    return _c2n_of(g, maximal_cliques(g))
+    return _c2n_of(g)
 
 
-def _c2n_of(g: Graph, cliques) -> CycleCert | None:
-    """``is_c2n`` of g, given g's maximal cliques."""
+def _c2n_of(g: Graph, cliques=None) -> CycleCert | None:
+    """``is_c2n`` of g; g's maximal cliques are built only once g is
+    2-connected, unless the caller hands them in."""
     # A member is 2-connected: deleting a vertex breaks at most one junction.
     if not is_2_connected(g):
         return None
+    if cliques is None:
+        cliques = maximal_cliques(g)
     links = _cell_links(g, cliques, cyclic=True)
     if links is None or any(len(joined) != 2 for joined in links.values()):
         return None

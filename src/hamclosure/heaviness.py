@@ -3,6 +3,12 @@ and per-pattern heavy-subgraph predicates.
 
 All thresholds use integer arithmetic: v is heavy iff 2*d(v) >= n, and a
 pair is heavy iff d(u) + d(v) >= n.
+
+Every "which pairs are heavy" question is answered from one table per
+call, ``degree_thresholds``: ``at[d]`` is the mask of the vertices of
+degree at least d. The heavy partners of u are then ``at[n - d(u)]``
+without u, and its o-heavy partners are those outside ``rows[u]``, so no
+pair is tested on its own.
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,14 +37,38 @@ def heavy_vertices(g: Graph) -> list[int]:
     return [v for v in range(g.n) if 2 * g.degree(v) >= g.n]
 
 
-def _pairs(g: Graph, adjacent: bool, kind: str) -> list[HeavyPair]:
-    degs = g.degrees()
+def degree_thresholds(rows) -> tuple[list[int], list[int]]:
+    """(degrees, at) of the adjacency rows: ``at[d]`` is the mask of the
+    vertices of degree at least d, for d in 0..n."""
+    degs = [row.bit_count() for row in rows]
+    at = [0] * (len(rows) + 1)
+    for v, d in enumerate(degs):
+        at[d] |= 1 << v
+    for d in range(len(rows) - 1, -1, -1):
+        at[d] |= at[d + 1]
+    return degs, at
+
+
+def _heavy_pairs_at(rows, degs, at, adjacent: bool) -> list[tuple[int, int]]:
+    """The sorted pairs u < v with degree sum at least n, adjacent or not
+    as asked. ``degs`` and ``at`` are ``degree_thresholds(rows)``."""
+    n = len(rows)
     out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v) == adjacent and degs[u] + degs[v] >= g.n:
-                out.append(HeavyPair(u, v, kind, degs[u] + degs[v]))
+    for u in range(n):
+        partners = (rows[u] if adjacent else ~rows[u]) & at[n - degs[u]] & (-2 << u)
+        while partners:  # _bits inlined: supergraph_search asks this at every leaf
+            low = partners & -partners
+            out.append((u, low.bit_length() - 1))
+            partners ^= low
     return out
+
+
+def _pairs(g: Graph, adjacent: bool, kind: str) -> list[HeavyPair]:
+    degs, at = degree_thresholds(g.rows)
+    return [
+        HeavyPair(u, v, kind, degs[u] + degs[v])
+        for u, v in _heavy_pairs_at(g.rows, degs, at, adjacent)
+    ]
 
 
 def o_heavy_pairs(g: Graph) -> list[HeavyPair]:
@@ -57,23 +87,28 @@ def is_a_heavy_pair(g: Graph, u: int, v: int) -> bool:
 
 def satisfies_ore(g: Graph) -> bool:
     """True iff every nonadjacent pair is o-heavy (vacuous for cliques)."""
-    degs = g.degrees()
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.has_edge(u, v) and degs[u] + degs[v] < g.n:
-                return False
-    return True
+    n, rows = g.n, g.rows
+    degs, at = degree_thresholds(rows)
+    full = g.full_mask
+    return not any(full & ~(rows[u] | 1 << u | at[n - degs[u]]) for u in range(n))
+
+
+def _o_heavy_within(g: Graph, degs, at, vertices) -> bool:
+    """Do the vertices hold an o-heavy pair of g? ``degs`` and ``at`` are
+    ``degree_thresholds(g.rows)``."""
+    n, rows = g.n, g.rows
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    for u in _bits(mask):
+        if mask & ~(rows[u] | 1 << u) & at[n - degs[u]]:
+            return True
+    return False
 
 
 def subgraph_is_o_heavy(g: Graph, vertices) -> bool:
     """Does the vertex set contain an o-heavy pair of the host graph?"""
-    verts = sorted(vertices)
-    degs = g.degrees()
-    for i, u in enumerate(verts):
-        for v in verts[i + 1:]:
-            if not g.has_edge(u, v) and degs[u] + degs[v] >= g.n:
-                return True
-    return False
+    return _o_heavy_within(g, *degree_thresholds(g.rows), vertices)
 
 
 def is_pattern_o_heavy(g: Graph, pattern) -> bool:
@@ -83,4 +118,5 @@ def is_pattern_o_heavy(g: Graph, pattern) -> bool:
     """
     from .patterns import embeddings
 
-    return all(subgraph_is_o_heavy(g, emb) for emb in embeddings(g, pattern))
+    degs, at = degree_thresholds(g.rows)
+    return all(_o_heavy_within(g, degs, at, emb) for emb in embeddings(g, pattern))

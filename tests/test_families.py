@@ -241,6 +241,29 @@ class TestBaseRecognizers:
         g = complete_bipartite(2, 3)
         assert is_c1n(g) is None and is_c2n(g) is None and is_c3nq(g) is None
 
+    def test_chain_and_cycle_searches_gate_before_building_cliques(self, monkeypatch):
+        built = []
+
+        def counting_cliques(graph):
+            built.append(graph)
+            return maximal_cliques(graph)
+
+        monkeypatch.setattr(families, "maximal_cliques", counting_cliques)
+        two_paths = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+        assert is_c1n(two_paths) is None and is_c2n(two_paths) is None
+        assert is_c2n(complete_bipartite(1, 3)) is None  # connected, not 2-connected
+        assert is_c1n(complete_graph(4)) == ChainCert(4, ((0, 1, 2, 3),), ())
+        assert built == []
+        assert is_c2n(cycle_graph(5)) is not None
+        assert built == [cycle_graph(5)]
+
+    def test_chain_checker_reports_an_unhashable_cell_vertex(self):
+        # a list in a cell is no vertex; it must not reach set(cell)
+        cert = ChainCert(3, ((0, [1], 2),), ())
+        assert check_chain_cert(complete_graph(3), cert) == [
+            "cell 0 names a vertex outside the graph"
+        ]
+
     @pytest.mark.parametrize(
         "g,cert",
         [
