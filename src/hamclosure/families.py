@@ -20,6 +20,11 @@ checker, the recognizer and the generator all read these rows. Chains and
 cycles of cliques share one clause checker. The counting clauses give the
 recognizer's component gate, and it picks the first glue assignment that
 the checker's reading of those clauses (``_count_problems``) accepts.
+The composed clauses read vertex sets as integer masks. The checker and the
+recognizer share one attachment test (``_attaches``) and one core-clique
+rule (``_core_faults``); the recognizer proposes K and K' from the masks of
+g's maximal cliques, so only the checker, which decides every candidate,
+runs the one maximality test (``_is_maximal``) on both.
 
 The C1N, C2N and C3NQ recognizers read their candidates from their own
 clauses. Chains and cycles share one cell reader: the cells are the maximal
@@ -34,6 +39,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
+from operator import or_
 
 from .closures import _c_closed, _claw_status
 from .errors import InputError, ParameterError
@@ -96,9 +103,11 @@ def _cell_mask(cell) -> int:
 
 
 def _cell_faults(g: Graph, cell) -> list[str]:
-    """Why a certificate cell has no vertex mask: a repeat or a stranger.
-    Repeats are sought only among vertices, since a stranger may be
-    unhashable."""
+    """Why a certificate cell has no vertex mask: not a tuple, a repeat or a
+    stranger. Repeats are sought only among vertices, since a stranger may
+    be unhashable."""
+    if not isinstance(cell, tuple):
+        return ["is not a tuple of vertices"]
     named = [v for v in cell if isinstance(v, int)]
     faults = []
     if len(set(named)) != len(named):
@@ -106,6 +115,12 @@ def _cell_faults(g: Graph, cell) -> list[str]:
     if len(named) != len(cell) or not all(0 <= v < g.n for v in named):
         faults.append("names a vertex outside the graph")
     return faults
+
+
+def _untupled(cert, *names) -> list[str]:
+    """The named fields of ``cert`` that are not tuples."""
+    return [f"{name} is not a tuple" for name in names
+            if not isinstance(getattr(cert, name), tuple)]
 
 
 @dataclass(frozen=True)
@@ -289,6 +304,8 @@ def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]
 
 
 def check_chain_cert(g: Graph, cert: ChainCert) -> list[str]:
+    if faults := _untupled(cert, "cells", "matchings"):
+        return faults
     if len(cert.cells) < 1:
         return ["chain needs at least one clique"]
     if len(cert.matchings) != len(cert.cells) - 1:
@@ -297,6 +314,8 @@ def check_chain_cert(g: Graph, cert: ChainCert) -> list[str]:
 
 
 def check_cycle_cert(g: Graph, cert: CycleCert) -> list[str]:
+    if faults := _untupled(cert, "cells", "junctions"):
+        return faults
     if len(cert.cells) < 3:
         return ["cycle needs at least 3 cliques"]
     if len(cert.junctions) != len(cert.cells):
@@ -611,18 +630,34 @@ def _count_problems(spec: FamilySpec, tags) -> list[str]:
 # -- composed families: shared helpers ----------------------------------------
 
 
-def _neighbors_of_set(g: Graph, vs) -> set[int]:
-    mask = 0
-    inner = _cell_mask(vs)
-    for v in vs:
-        mask |= g.row(v)
-    return set(_bits(mask & ~inner))
+def _neighbor_mask(g: Graph, mask: int) -> int:
+    """The vertices outside ``mask`` adjacent to a vertex in it."""
+    out = 0
+    for v in _bits(mask):
+        out |= g.row(v)
+    return out & ~mask
 
 
-def _attaches(outside: set[int], cliques) -> bool:
-    if len(cliques) == 1:
-        return outside <= set(cliques[0])
-    return all(outside & set(c) for c in cliques)
+def _attaches(outside: int, host_masks) -> bool:
+    """Does a component with outside neighbors ``outside`` attach to its
+    host cliques: inside its one host, or meeting each of two?"""
+    if len(host_masks) == 1:
+        return not outside & ~host_masks[0]
+    return all(outside & host for host in host_masks)
+
+
+def _is_maximal(g: Graph, mask: int) -> bool:
+    """No vertex outside ``mask`` is adjacent to all of it."""
+    return not any(g.rows[v] & mask == mask for v in _bits(g.full_mask & ~mask))
+
+
+def _core_faults(spec: FamilySpec, n: int, kmask: int, heavy: int) -> list[str]:
+    """Why ``kmask`` cannot be the core clique K of ``spec``: K holds every
+    heavy vertex (``heavy`` is their mask), or K spans at least half of the
+    n vertices."""
+    if spec.k_holds_heavy:
+        return ["K must contain every heavy vertex"] if heavy & ~kmask else []
+    return ["K must span at least half the graph"] if 2 * kmask.bit_count() < n else []
 
 
 def _base_search(kind: FamilyKind, g: Graph):
@@ -659,11 +694,12 @@ _CERT_CHECKERS = {
 }
 
 
-def _check_sub_cert(g: Graph, vertices, cert) -> list[str]:
+def _check_sub_cert(g: Graph, span: int, cert) -> list[str]:
+    """Check a component certificate on the subgraph induced by ``span``."""
     check = _CERT_CHECKERS.get(type(cert))
     if check is None:
         raise InputError(f"cannot map certificate of type {type(cert).__name__}")
-    ordered = sorted(vertices)
+    ordered = list(_bits(span))
     try:
         local = _relabel(cert, {v: i for i, v in enumerate(ordered)})
     except KeyError as exc:
@@ -674,35 +710,13 @@ def _check_sub_cert(g: Graph, vertices, cert) -> list[str]:
     return check(g.induced(ordered), local)
 
 
-def _frontier_of(g: Graph, clique) -> list[int]:
-    cmask = _cell_mask(clique)
-    return [v for v in sorted(clique) if g.row(v) & ~cmask]
-
-
-def _outside_neighbors(g: Graph, v: int, clique_mask: int) -> list[int]:
-    return list(_bits(g.row(v) & ~clique_mask))
-
-
-def _independent_triple_exists(g: Graph, choice_lists) -> bool:
-    l0, l1, l2 = choice_lists
-    for v0 in l0:
-        for v1 in l1:
-            if v1 == v0 or g.has_edge(v0, v1):
-                continue
-            for v2 in l2:
-                if v2 in (v0, v1) or g.has_edge(v0, v2) or g.has_edge(v1, v2):
-                    continue
-                return True
-    return False
-
-
-def _heavy_pairs_hold(g: Graph, clique, u0: int | None) -> bool:
-    """Every frontier triple of the clique whose outside neighbors can be
-    chosen independent contains an adjacent heavy pair. Without K' (u0
-    None) a triple is any three frontier vertices; with it, u0 plus two
-    other frontier vertices."""
-    cmask = _cell_mask(clique)
-    frontier = _frontier_of(g, clique)
+def _heavy_pairs_hold(g: Graph, clique: int, u0: int | None) -> bool:
+    """Every frontier triple of the clique (a vertex mask) whose outside
+    neighbors can be chosen independent contains an adjacent heavy pair.
+    Without K' (u0 None) a triple is any three frontier vertices; with it,
+    u0 plus two other frontier vertices."""
+    rows = g.rows
+    frontier = [v for v in _bits(clique) if rows[v] & ~clique]
     if u0 is None:
         triples = itertools.combinations(frontier, 3)
     else:
@@ -711,25 +725,23 @@ def _heavy_pairs_hold(g: Graph, clique, u0: int | None) -> bool:
     for trio in triples:
         if any(is_a_heavy_pair(g, a, b) for a, b in itertools.combinations(trio, 2)):
             continue
-        if _independent_triple_exists(g, [_outside_neighbors(g, u, cmask) for u in trio]):
-            return False
+        out0, out1, out2 = (rows[u] & ~clique for u in trio)
+        for v0 in _bits(out0):
+            for v1 in _bits(out1 & ~(rows[v0] | 1 << v0)):
+                if out2 & ~(rows[v0] | rows[v1] | 1 << v0 | 1 << v1):
+                    return False
     return True
 
 
 # -- composed-family certificate checker --------------------------------------
 
 
-def _comp_tag_checks(g: Graph, comp: ComponentCert, hosts) -> list[str]:
-    glue = GLUES[comp.glue]
-    cliques = [hosts[h] for h in glue.hosts]
-    problems = [] if _attaches(_neighbors_of_set(g, comp.vertices), cliques) else [glue.misplaced]
-    return problems + _check_sub_cert(g, set(comp.vertices).union(*cliques), comp.sub)
-
-
 def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> list[str]:
     spec = FAMILY_SPECS.get(family)
     if spec is None:
         raise InputError(f"{family} is not a composed family")
+    if faults := _untupled(cert, "components"):
+        return faults
     cells = [("K", cert.k_clique), ("K'", cert.k_prime or ())]
     cells += [(f"component {i}", c.vertices) for i, c in enumerate(cert.components)]
     problems = [f"{name} {fault}" for name, cell in cells for fault in _cell_faults(g, cell)]
@@ -737,39 +749,37 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
         problems.append("shared vertex outside the graph")
     if problems:
         return problems
-    k_set = set(cert.k_clique)
-    kmask = _cell_mask(k_set)
+    kmask, kpmask = _cell_mask(cert.k_clique), _cell_mask(cert.k_prime or ())
     if not g.is_clique_mask(kmask):
         problems.append("K is not a clique")
-    kp_set = set(cert.k_prime) if cert.k_prime else None
-    if spec.k_holds_heavy:
-        if not set(heavy_vertices(g)) <= k_set:
-            problems.append("K must contain every heavy vertex")
-        if any(g.row(v) & kmask == kmask for v in range(g.n) if v not in k_set):
-            problems.append("K must be a maximal clique")
-    elif 2 * len(k_set) < g.n:
-        problems.append("K must span at least half the graph")
+    heavy = _cell_mask(heavy_vertices(g)) if spec.k_holds_heavy else 0
+    problems += _core_faults(spec, g.n, kmask, heavy)
+    if spec.k_holds_heavy and not _is_maximal(g, kmask):
+        problems.append("K must be a maximal clique")
     if spec.two_clique:
-        if kp_set is None or cert.u0 is None:
+        if not kpmask or cert.u0 is None:
             return ["secondary clique and shared vertex required"]
-        kpmask = _cell_mask(kp_set)
         if not g.is_clique_mask(kpmask):
             problems.append("K' is not a clique")
-        if any(g.row(v) & kpmask == kpmask for v in range(g.n) if v not in kp_set):
+        if not _is_maximal(g, kpmask):
             problems.append("K' must be a maximal clique")
-        if k_set & kp_set != {cert.u0}:
+        if kmask & kpmask != 1 << cert.u0:
             problems.append("K and K' must share exactly the anchor vertex")
-    elif kp_set is not None:
+    elif kpmask:
         problems.append("this family takes no secondary clique")
-    outside = g.full_mask & ~_cell_mask(k_set | (kp_set or set()))
-    if set(component_masks(g.rows, outside)) != {_cell_mask(c.vertices) for c in cert.components}:
+    comp_masks = [_cell_mask(c.vertices) for c in cert.components]
+    if set(component_masks(g.rows, g.full_mask & ~(kmask | kpmask))) != set(comp_masks):
         problems.append("certificate components do not match the graph's components")
-    hosts = {"K": cert.k_clique, "K'": cert.k_prime}
-    for comp in cert.components:
+    hosts = {"K": kmask, "K'": kpmask}
+    for comp, cmask in zip(cert.components, comp_masks):
         if comp.glue not in spec.glues:
             problems.append(f"component glue {comp.glue!r} not allowed in {family.value}")
             continue
-        problems += _comp_tag_checks(g, comp, hosts)
+        glue = GLUES[comp.glue]
+        host_masks = [hosts[h] for h in glue.hosts]
+        if not _attaches(_neighbor_mask(g, cmask), host_masks):
+            problems.append(glue.misplaced)
+        problems += _check_sub_cert(g, reduce(or_, host_masks, cmask), comp.sub)
     problems += _count_problems(spec, [c.glue for c in cert.components])
     for clique, message in spec.heavy_pairs:
         if not _heavy_pairs_hold(g, hosts[clique], cert.u0):
@@ -780,39 +790,22 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
 # -- composed-family recognizer -----------------------------------------------
 
 
-def _k_candidates(g: Graph, spec: FamilySpec, cliques) -> list[tuple[int, ...]]:
-    if spec.k_holds_heavy:
-        heavy = set(heavy_vertices(g))
-        keep = [c for c in cliques if heavy <= c]
-    else:
-        keep = [c for c in cliques if 2 * len(c) >= g.n]
-    return [tuple(sorted(c)) for c in keep]
-
-
-def _prime_candidates(k_clique, cliques):
-    k_set = set(k_clique)
-    for kp in cliques:
-        inter = set(kp) & k_set
-        if len(inter) == 1 and kp != frozenset(k_clique):
-            yield tuple(sorted(kp)), next(iter(inter))
-
-
 def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
-    """(tag, sub-cert) options per component, in option order; None as
+    """(tag, sub-cert) options per component mask, in option order; None as
     soon as one component has no option. ``searched`` holds the answer of
     every glue search already run on g, keyed by vertex mask and base."""
     out = []
     for comp in comps:
-        outside = _neighbors_of_set(g, comp)
+        outside = _neighbor_mask(g, comp)
         options = []
         for tag in glues:
             glue = GLUES[tag]
-            cliques = [hosts[h] for h in glue.hosts]
-            if _attaches(outside, cliques):
-                vertices = set(comp).union(*cliques)
-                key = (_cell_mask(vertices), glue.base)
+            host_masks = [hosts[h] for h in glue.hosts]
+            if _attaches(outside, host_masks):
+                span = reduce(or_, host_masks, comp)
+                key = (span, glue.base)
                 if key not in searched:
-                    searched[key] = _glue_search(g, vertices, glue.base)
+                    searched[key] = _glue_search(g, list(_bits(span)), glue.base)
                 cert = searched[key]
                 if cert:
                     options.append((tag, cert))
@@ -823,19 +816,26 @@ def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
 
 
 def _recognize_composed(
-    g: Graph, spec: FamilySpec, cliques, searched: dict
+    g: Graph, spec: FamilySpec, cliques, heavy: int, searched: dict
 ) -> ComposedCert | None:
     """The first certificate of ``spec`` in candidate order, or None.
-    ``cliques`` are the maximal cliques of g; ``searched`` is the glue
-    search memo of ``_glue_options``, shared by the specs of one call."""
-    for k_clique in _k_candidates(g, spec, cliques):
-        primes = _prime_candidates(k_clique, cliques) if spec.two_clique else [(None, None)]
-        for kp, u0 in primes:
-            outside = g.full_mask & ~_cell_mask(k_clique) & ~_cell_mask(kp or ())
-            comps = [tuple(_bits(c)) for c in component_masks(g.rows, outside)]
+    ``cliques`` are the vertex masks of g's maximal cliques and ``heavy``
+    the mask of its heavy vertices; ``searched`` is the glue search memo of
+    ``_glue_options``, shared by the specs of one call. K is a maximal
+    clique that passes the core-clique rule, and K' any other maximal
+    clique meeting K in exactly one vertex u0."""
+    for kmask in cliques:
+        if _core_faults(spec, g.n, kmask, heavy):
+            continue
+        primes = [(0, None)]
+        if spec.two_clique:
+            primes = [(m, (m & kmask).bit_length() - 1) for m in cliques
+                      if m != kmask and (m & kmask).bit_count() == 1]
+        for kpmask, u0 in primes:
+            comps = component_masks(g.rows, g.full_mask & ~(kmask | kpmask))
             if len(comps) < spec.min_components:
                 continue
-            options = _glue_options(g, comps, {"K": k_clique, "K'": kp}, spec.glues, searched)
+            options = _glue_options(g, comps, {"K": kmask, "K'": kpmask}, spec.glues, searched)
             if options is None:
                 continue
             # the first assignment in option order that meets the counting clauses
@@ -843,8 +843,8 @@ def _recognize_composed(
                            if not _count_problems(spec, [tag for tag, _ in p])), None)
             if picked is None:
                 continue
-            cert = ComposedCert(g.n, k_clique, kp, u0, tuple(
-                ComponentCert(comp, tag, sub) for comp, (tag, sub) in zip(comps, picked)
+            cert = ComposedCert(g.n, tuple(_bits(kmask)), tuple(_bits(kpmask)) or None, u0, tuple(
+                ComponentCert(tuple(_bits(c)), tag, sub) for c, (tag, sub) in zip(comps, picked)
             ))
             if not check_composed_cert(g, spec.kind, cert):
                 return cert
@@ -864,19 +864,21 @@ class FamilyWitness:
 def recognize(g: Graph) -> FamilyWitness:
     """Match g against every family; empty match set is a valid answer.
 
-    The composed families share one list of g's maximal cliques and one
-    memo of glue searches: a search's answer depends only on its vertex set
-    and base family, and the certificates are frozen. The base families
-    come first, C1N and C2N read from the same clique list, and their
-    searches on g answer the glue searches that span all of g.
+    The composed families share the masks of g's maximal cliques and of its
+    heavy vertices, and one memo of glue searches: a search's answer
+    depends only on its vertex set and base family, and the certificates
+    are frozen. The base families come first, C1N and C2N read from the
+    same clique list, and their searches on g answer the glue searches
+    that span all of g.
     """
     certs: dict[FamilyKind, Certificate] = {}
     cliques = maximal_cliques(g)
+    masks, heavy = [_cell_mask(c) for c in cliques], _cell_mask(heavy_vertices(g))
     searched: dict = {}
     for kind in FamilyKind:
         spec = FAMILY_SPECS.get(kind)
         if spec is not None:
-            cert = _recognize_composed(g, spec, cliques, searched)
+            cert = _recognize_composed(g, spec, masks, heavy, searched)
         else:
             cert = searched[g.full_mask, kind] = (
                 _c1n_of(g, cliques) if kind is FamilyKind.C1N

@@ -15,6 +15,7 @@ from hamclosure.families import (
     C3NQCert,
     ChainCert,
     ComponentSpec,
+    ComposedCert,
     CycleCert,
     FamilyKind,
     FamilyParams,
@@ -46,8 +47,10 @@ from hamclosure.graphs import (
     parse_graph6,
 )
 from hamclosure.hamiltonicity import is_hamiltonian
-from hamclosure.patterns import PatternKind, is_free, net_profile
+from hamclosure.heaviness import heavy_vertices
+from hamclosure.patterns import PatternKind, find_induced_naive, is_free, net_profile
 from hamclosure.verify import acceptance_grids, full_corpus
+from test_oracle import plain_hamiltonian_search
 
 
 def isomorphic(a: Graph, b: Graph) -> bool:
@@ -69,7 +72,8 @@ def replayed(cert, *extra_edges):
 def _one_leaf_mutants(part, n):
     """Every certificate made from ``part`` by one leaf change: a vertex set
     to None, -1, n, 'x' or 2.0; a vertex tuple (cell, clique, matching edge)
-    with its last vertex dropped or its first repeated; a junction's kind
+    with its last vertex dropped or its first repeated; any tuple (a field,
+    a cell, a junction, an edge) set to 0 or None; a junction's kind
     flipped. ``n`` fields stay."""
     if is_dataclass(part):
         for f in fields(part):
@@ -82,10 +86,15 @@ def _one_leaf_mutants(part, n):
                 yield part[:i] + (changed,) + part[i + 1:]
         if part and all(isinstance(v, int) for v in part):
             yield from (part[:-1], part + part[:1])
+        yield from (0, None)
     elif isinstance(part, int):
         yield from (None, -1, n, "x", 2.0)
     elif part in ("identify", "matching"):
         yield "matching" if part == "identify" else "identify"
+
+
+def _check_c1np(g, cert):
+    return check_composed_cert(g, FamilyKind.C1NP, cert)
 
 
 def skeleton(cert):
@@ -321,6 +330,30 @@ class TestBaseRecognizers:
         assert check(g, cert)
 
     @pytest.mark.parametrize(
+        "check,g,cert,expected",
+        [
+            pytest.param(check_chain_cert, complete_graph(3), ChainCert(3, (5,), ()),
+                         "cell 0 is not a tuple of vertices", id="chain-cell"),
+            pytest.param(check_chain_cert, complete_graph(3), ChainCert(3, ((0, 1, 2),), 7),
+                         "matchings is not a tuple", id="chain-matchings"),
+            pytest.param(check_cycle_cert, cycle_graph(5), CycleCert(5, 3, ()),
+                         "cells is not a tuple", id="cycle-cells"),
+            pytest.param(check_cycle_cert, cycle_graph(5),
+                         CycleCert(5, ((0, 1), (1, 2), (2, 3)), 5),
+                         "junctions is not a tuple", id="cycle-junctions"),
+            pytest.param(check_c3nq_cert, complete_graph(8), C3NQCert(8, 5, 0, 1, 2, 3, 4, 5, 6),
+                         "core clique is not a tuple of vertices", id="c3nq-clique"),
+            pytest.param(_check_c1np, complete_graph(8), ComposedCert(8, 3, None, None, ()),
+                         "K is not a tuple of vertices", id="composed-k-clique"),
+            pytest.param(_check_c1np, complete_graph(8),
+                         ComposedCert(8, tuple(range(8)), None, None, 4),
+                         "components is not a tuple", id="composed-components"),
+        ],
+    )
+    def test_checkers_report_a_field_of_the_wrong_shape(self, check, g, cert, expected):
+        assert check(g, cert) == [expected]
+
+    @pytest.mark.parametrize(
         "change,part",
         [
             pytest.param({"clique": (0, 1, 2, 3, 3)}, "core clique", id="repeat"),
@@ -478,8 +511,9 @@ class TestRecognize:
                 assert skeleton(found) == skeleton(cert), params.family
 
     def test_one_recognize_asks_each_question_of_g_once(self, monkeypatch):
-        clique_calls, searches = Counter(), Counter()
-        glue_search = families._glue_search
+        clique_calls, searches, heavy_calls = Counter(), Counter(), Counter()
+        glue_search, checker = families._glue_search, families.check_composed_cert
+        checking = []
 
         def counting_cliques(graph):
             clique_calls[graph] += 1
@@ -489,17 +523,34 @@ class TestRecognize:
             searches[frozenset(vertices), base] += 1
             return glue_search(graph, vertices, base)
 
+        def counting_heavy(graph):
+            if not checking:
+                heavy_calls[graph] += 1
+            return heavy_vertices(graph)
+
+        def flagged_checker(graph, kind, cert):
+            checking.append(kind)
+            try:
+                return checker(graph, kind, cert)
+            finally:
+                checking.pop()
+
         monkeypatch.setattr(families, "maximal_cliques", counting_cliques)
         monkeypatch.setattr(families, "_glue_search", counting_search)
+        monkeypatch.setattr(families, "heavy_vertices", counting_heavy)
+        monkeypatch.setattr(families, "check_composed_cert", flagged_checker)
         for kind in FAMILY_SPECS:
             g = min((generate(params, seed) for params, seed in acceptance_grids()[kind]),
                     key=lambda member: member.n)
             clique_calls.clear()
             searches.clear()
+            heavy_calls.clear()
             assert kind in recognize(g).families
             # once, shared by the composed families and the C1N and C2N searches
             assert clique_calls[g] == 1, kind
             assert searches and max(searches.values()) == 1, kind
+            # once beside the clique masks; the checker asks on its own
+            assert heavy_calls == {g: 1}, kind
 
     def test_shared_cliques_and_searches_change_no_answer(self):
         def unshared(g):
@@ -509,7 +560,9 @@ class TestRecognize:
                 if spec is None:
                     cert = families._base_search(kind, g)
                 else:
-                    cert = families._recognize_composed(g, spec, maximal_cliques(g), {})
+                    masks = [sum(1 << v for v in c) for c in maximal_cliques(g)]
+                    heavy = sum(1 << v for v in heavy_vertices(g))
+                    cert = families._recognize_composed(g, spec, masks, heavy, {})
                 if cert is not None:
                     certs[kind] = cert
             return certs
@@ -603,6 +656,56 @@ class TestClassifyTheorem:
         verdict = classify_theorem(g)
         assert verdict.member_p and not verdict.c_closed
         assert verdict.status is VerdictStatus.COUNTEREXAMPLE_CANDIDATE
+
+
+# The four kinds of graph on which the verdict rule and the family clause
+# tables disagree (ROADMAP item 1), each 2-connected and hamiltonian:
+# A, the hypotheses hold and no family is recognized; B, a C1NPQ member
+# whose nets are not heavy; C, pq-heavy C2NPQ members with a claw that holds
+# no o-heavy pair; D, claw-free chain and cycle members that are not c-closed.
+_DISAGREEMENTS = [
+    # g6, claw-free, c-closed, N-p-heavy, N-pq-heavy, families
+    ("I~CWGNqAO", True, True, True, True, ()),
+    ("J~{NoWE@GA_", True, True, True, True, ()),
+    ("K~~~w?@?oI_U", True, True, True, True, ()),
+    ("K~BoWVs@_V?I", True, True, True, True, ()),
+    ("K~FooWHA^g_S", True, True, True, True, ()),
+    ("K~FovgaAOGG@", True, True, False, False, ("C1NPQ",)),
+    ("O~~~~~~_?A@@A@?GgA?C_", False, False, False, True, ("C2NPQ",)),
+    ("P~~~~~~~{??GO@O?_AGOO@A?", False, False, False, True, ("C2NPQ",)),
+    ("Q~~~~~~~~~o??OO?g?G?PA@?CC?", False, False, False, True, ("C2NPQ",)),
+    ("IDIXSlitW", True, False, True, True, ("C2N",)),
+    ("ItmyADJPw", True, False, True, True, ("C1N", "C2N")),
+    ("I{eWIKFHw", True, False, True, True, ("C2N",)),
+]
+
+
+@pytest.mark.parametrize(
+    "g6,claw_free,c_closed,n_p_heavy,n_pq_heavy,names", _DISAGREEMENTS,
+    ids=[row[0] for row in _DISAGREEMENTS],
+)
+def test_verdict_disagreements_are_pinned(g6, claw_free, c_closed, n_p_heavy, n_pq_heavy, names):
+    g = parse_graph6(g6)
+    kinds = frozenset(map(FamilyKind, names))
+    assert classify_theorem(g) == TheoremVerdict(
+        g.n, True, claw_free, c_closed, n_p_heavy, n_pq_heavy, kinds,
+        VerdictStatus.COUNTEREXAMPLE_CANDIDATE,
+    )
+    assert recognize(g).families == kinds
+    # the facts that can be read off the recognizer's path
+    assert plain_hamiltonian_search(g)[0]
+    h = nx.Graph(g.edges())
+    assert h.number_of_nodes() == g.n and nx.is_biconnected(h)
+    claws = find_induced_naive(g, PatternKind.CLAW)
+    assert (not claws) == claw_free
+    # a claw with no o-heavy pair is why kind C is not c-closed
+    degs = g.degrees()
+    light_claws = [
+        claw for claw in claws
+        if not any(degs[u] + degs[v] >= g.n
+                   for u, v in itertools.combinations(claw, 2) if not g.has_edge(u, v))
+    ]
+    assert bool(light_claws) == bool(claws)
 
 
 # the classify pool graphs that benchmark/reference/classify_random.json
@@ -939,3 +1042,57 @@ def test_base_recognizers_match_their_oracles(inputs):
         for kind in kinds:
             recognizer, oracle = _ORACLES[kind]
             assert recognizer(g) == oracle(g), (kind, emit_graph6(g))
+
+
+def plain_independent_triple_exists(g: Graph, choice_lists) -> bool:
+    l0, l1, l2 = choice_lists
+    for v0 in l0:
+        for v1 in l1:
+            if v1 == v0 or g.has_edge(v0, v1):
+                continue
+            for v2 in l2:
+                if v2 in (v0, v1) or g.has_edge(v0, v2) or g.has_edge(v1, v2):
+                    continue
+                return True
+    return False
+
+
+def plain_heavy_pairs_hold(g: Graph, clique, u0) -> bool:
+    """The frontier heavy-pair clause of the composed families on vertex
+    sets, one pair at a time: every frontier triple of the clique (u0 and
+    two other frontier vertices when u0 is set) whose outside neighbours can
+    be chosen independent holds an adjacent pair with degree sum >= n."""
+    inside = set(clique)
+
+    def outside_neighbours(u):
+        return [w for w in g.neighbors(u) if w not in inside]
+
+    frontier = [u for u in sorted(inside) if outside_neighbours(u)]
+    if u0 is None:
+        triples = itertools.combinations(frontier, 3)
+    else:
+        others = [v for v in frontier if v != u0]
+        triples = ((u0, u1, u2) for u1, u2 in itertools.combinations(others, 2))
+    for trio in triples:
+        if any(g.has_edge(a, b) and g.degree(a) + g.degree(b) >= g.n
+               for a, b in itertools.combinations(trio, 2)):
+            continue
+        if plain_independent_triple_exists(g, [outside_neighbours(u) for u in trio]):
+            return False
+    return True
+
+
+def test_frontier_heavy_pair_clause_matches_the_plain_oracle():
+    # every maximal clique of the small grid members, the corpus and the
+    # edits of the C1NP and C2NP members, with no u0 and with each vertex
+    graphs = [g for g in _small_grid_members() if g.n <= 13] + full_corpus(0)
+    graphs += _edits_of((FamilyKind.C1NP, FamilyKind.C2NP), 14)
+    outcomes = Counter()
+    for g in graphs:
+        for clique in maximal_cliques(g):
+            mask = sum(1 << v for v in clique)
+            for u0 in (None, *sorted(clique)):
+                held = families._heavy_pairs_hold(g, mask, u0)
+                assert held == plain_heavy_pairs_hold(g, clique, u0), (emit_graph6(g), u0)
+                outcomes[held] += 1
+    assert outcomes[False] > 1000 and outcomes[True] > 30000

@@ -22,3 +22,34 @@ def test_runtime_imports_only_the_standard_library():
                 if name.partition(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def _defined_names(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    )
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_every_private_helper_is_read_outside_its_definition():
+    # a module-level _name that nothing in the package loads, apart from its
+    # own body, is a helper left behind
+    private, reads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            private += [(path.name, name, stmt) for name in _defined_names(stmt)
+                        if name.startswith("_") and not name.startswith("__")]
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+            reads.append((stmt, read))
+    unread = [
+        f"{module}: {name}" for module, name, stmt in private
+        if not any(name in read for other, read in reads if other is not stmt)
+    ]
+    assert unread == []
