@@ -45,7 +45,7 @@ from operator import or_
 from .closures import _c_closed, _claw_status
 from .errors import InputError, ParameterError
 from .graphs import Graph, _bits, component_masks, is_2_connected, is_connected, maximal_cliques
-from .heaviness import heavy_vertices, is_a_heavy_pair
+from .heaviness import degree_thresholds, heavy_vertices
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
 from .patterns import NetProfile, has_induced, net_profile  # noqa: F401
 
@@ -696,9 +696,6 @@ _CERT_CHECKERS = {
 
 def _check_sub_cert(g: Graph, span: int, cert) -> list[str]:
     """Check a component certificate on the subgraph induced by ``span``."""
-    check = _CERT_CHECKERS.get(type(cert))
-    if check is None:
-        raise InputError(f"cannot map certificate of type {type(cert).__name__}")
     ordered = list(_bits(span))
     try:
         local = _relabel(cert, {v: i for i, v in enumerate(ordered)})
@@ -707,7 +704,7 @@ def _check_sub_cert(g: Graph, span: int, cert) -> list[str]:
             f"component certificate names vertex {exc.args[0]} "
             "outside its component and host cliques"
         ]
-    return check(g.induced(ordered), local)
+    return _CERT_CHECKERS[type(cert)](g.induced(ordered), local)
 
 
 def _heavy_pairs_hold(g: Graph, clique: int, u0: int | None) -> bool:
@@ -715,7 +712,8 @@ def _heavy_pairs_hold(g: Graph, clique: int, u0: int | None) -> bool:
     neighbors can be chosen independent contains an adjacent heavy pair.
     Without K' (u0 None) a triple is any three frontier vertices; with it,
     u0 plus two other frontier vertices."""
-    rows = g.rows
+    n, rows = g.n, g.rows
+    degs, at = degree_thresholds(rows)
     frontier = [v for v in _bits(clique) if rows[v] & ~clique]
     if u0 is None:
         triples = itertools.combinations(frontier, 3)
@@ -723,7 +721,7 @@ def _heavy_pairs_hold(g: Graph, clique: int, u0: int | None) -> bool:
         others = [v for v in frontier if v != u0]
         triples = ((u0, u1, u2) for u1, u2 in itertools.combinations(others, 2))
     for trio in triples:
-        if any(is_a_heavy_pair(g, a, b) for a, b in itertools.combinations(trio, 2)):
+        if any(rows[u] & at[n - degs[u]] & _cell_mask(trio) for u in trio):
             continue
         out0, out1, out2 = (rows[u] & ~clique for u in trio)
         for v0 in _bits(out0):
@@ -736,13 +734,28 @@ def _heavy_pairs_hold(g: Graph, clique: int, u0: int | None) -> bool:
 # -- composed-family certificate checker --------------------------------------
 
 
+def _component_faults(components) -> list[str]:
+    """The first shape fault of each component: not a component
+    certificate, a glue that is not a tag, or a sub-certificate of no
+    base family."""
+    faults = []
+    for i, comp in enumerate(components):
+        if not isinstance(comp, ComponentCert):
+            faults.append(f"component {i} is not a component certificate")
+        elif not isinstance(comp.glue, str):
+            faults.append(f"component {i} glue is not a tag")
+        elif type(comp.sub) not in _CERT_CHECKERS:
+            faults.append(f"component {i} certificate is not a chain, cycle or path certificate")
+    return faults
+
+
 def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> list[str]:
     spec = FAMILY_SPECS.get(family)
     if spec is None:
         raise InputError(f"{family} is not a composed family")
-    if faults := _untupled(cert, "components"):
+    if faults := _untupled(cert, "components") or _component_faults(cert.components):
         return faults
-    cells = [("K", cert.k_clique), ("K'", cert.k_prime or ())]
+    cells = [("K", cert.k_clique), ("K'", () if cert.k_prime is None else cert.k_prime)]
     cells += [(f"component {i}", c.vertices) for i, c in enumerate(cert.components)]
     problems = [f"{name} {fault}" for name, cell in cells for fault in _cell_faults(g, cell)]
     if cert.u0 is not None and not (isinstance(cert.u0, int) and 0 <= cert.u0 < g.n):

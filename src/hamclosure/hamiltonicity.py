@@ -12,25 +12,11 @@ answer instead of a wrong one.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .errors import InputError
 from .graphs import Graph, _bits, flood, is_2_connected
 
 DEFAULT_NODE_BUDGET = 10_000_000
-
-_BUDGET_ENV = "HAMCLOSURE_NODE_BUDGET"
-
-
-def default_node_budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"{_BUDGET_ENV} must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,8 +45,9 @@ def validate_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 
 
 def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCertificate:
-    """Exact search; cycles are validated before they are returned."""
-    budget = default_node_budget() if node_budget is None else node_budget
+    """Exact search; cycles are validated before they are returned. A None
+    budget means ``DEFAULT_NODE_BUDGET``."""
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
     if g.n < 3:
         return HamiltonicityCertificate(False, None, 0, note="fewer than 3 vertices")
     if min(g.degrees()) < 2 or not is_2_connected(g):

@@ -6,9 +6,10 @@ pair is heavy iff d(u) + d(v) >= n.
 
 Every "which pairs are heavy" question is answered from one table per
 call, ``degree_thresholds``: ``at[d]`` is the mask of the vertices of
-degree at least d. The heavy partners of u are then ``at[n - d(u)]``
-without u, and its o-heavy partners are those outside ``rows[u]``, so no
-pair is tested on its own.
+degree at least d. The heavy vertices are ``at[ceil(n/2)]``; the heavy
+partners of u are ``at[n - d(u)]`` without u, its adjacent heavy partners
+are those inside ``rows[u]`` and its o-heavy partners those outside, so
+no pair is tested on its own.
 """
 
 from __future__ import annotations
@@ -79,10 +80,6 @@ def o_heavy_pairs(g: Graph) -> list[HeavyPair]:
 def a_heavy_pairs(g: Graph) -> list[HeavyPair]:
     """All adjacent pairs with degree sum at least n, sorted."""
     return _pairs(g, adjacent=True, kind="a-heavy")
-
-
-def is_a_heavy_pair(g: Graph, u: int, v: int) -> bool:
-    return g.has_edge(u, v) and g.degree(u) + g.degree(v) >= g.n
 
 
 def satisfies_ore(g: Graph) -> bool:

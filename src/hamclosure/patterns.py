@@ -1,14 +1,16 @@
 """Induced-subgraph detection for the fixed pattern catalog.
 
 Embeddings are reported one per vertex-set/role orbit as a tuple in the
-pattern's role order, canonicalized to the lexicographically least tuple
-over the pattern's automorphisms. One backtracking matcher reads every
-pattern from its reference graph: it places the roles in order with
+pattern's role order, the lexicographically least tuple over the
+pattern's automorphisms. One backtracking matcher reads every pattern
+from its reference graph: it places the roles in order with
 neighbourhood bitmask algebra and keeps one embedding per orbit by
-symmetry breaking on the automorphism group. The claw and the diamond,
-the hot tests of the supergraph oracle, keep hand-written loops.
-``find_induced_naive`` is the independent subset-enumeration oracle the
-detectors are tested against.
+symmetry breaking on the automorphism group, which leaves that least
+tuple. The claw and the diamond, the hot tests of the supergraph oracle,
+keep hand-written loops that emit it too. Nets are classified straight
+from the matcher's embeddings, with one ``degree_thresholds`` table per
+graph. ``find_induced_naive`` is the independent subset-enumeration
+oracle the detectors are tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import combinations, permutations
 
 from .errors import InputError
 from .graphs import Graph, _bits
-from .heaviness import is_a_heavy_pair, is_heavy, subgraph_is_o_heavy
+from .heaviness import _o_heavy_within, degree_thresholds
 
 
 class PatternKind(Enum):
@@ -193,7 +195,7 @@ def embeddings(g: Graph, pattern: PatternKind) -> Iterator[Embedding]:
 
 def find_induced(g: Graph, pattern: PatternKind) -> list[Embedding]:
     """All induced embeddings, one canonical representative per orbit."""
-    return sorted(canonical_embedding(pattern, emb) for emb in embeddings(g, pattern))
+    return sorted(embeddings(g, pattern))
 
 
 def has_induced(g: Graph, pattern: PatternKind) -> bool:
@@ -256,7 +258,7 @@ class NetEmbedding:
 
     def validate(self, g: Graph) -> None:
         verts = self.as_tuple()
-        if len(set(verts)) != 6 or not all(0 <= v < g.n for v in verts):
+        if not all(isinstance(v, int) and 0 <= v < g.n for v in verts) or len(set(verts)) != 6:
             raise InputError("net embedding must name six distinct vertices in range")
         net = REFERENCE[PatternKind.NET]
         for i in range(6):
@@ -280,36 +282,28 @@ class NetHeaviness:
 def classify_net(g: Graph, emb: NetEmbedding) -> NetHeaviness:
     """Heaviness flags of one induced net, degrees measured in g."""
     emb.validate(g)
-    o_heavy = subgraph_is_o_heavy(g, emb.as_tuple())
-    corners = emb.corners()
-    p_heavy = any(
-        is_a_heavy_pair(g, corners[i], corners[j])
-        for i in range(3) for j in range(i + 1, 3)
-    )
-    pendants = emb.pendants()
-    q_index = None
-    c_pair = None
+    return _net_flags(g, degree_thresholds(g.rows), emb.as_tuple())
+
+
+def _net_flags(g: Graph, table, emb: Embedding) -> NetHeaviness:
+    """Flags of the induced net ``emb``; ``table`` is ``degree_thresholds(g.rows)``."""
+    n, rows = g.n, g.rows
+    degs, at = table
+    corners, pendants = emb[:3], emb[3:]
+    corner_mask = sum(1 << a for a in corners)
+    p_heavy = any(rows[a] & at[n - degs[a]] & corner_mask for a in corners)
+    o_heavy, heavy = _o_heavy_within(g, degs, at, emb), at[(n + 1) // 2]
     for i in range(3):
-        if not (is_heavy(g, corners[i]) and is_heavy(g, pendants[i])):
-            continue
+        # q-heavy at i: a_i and b_i heavy and, for both j != i, a_j of degree
+        # 3 and b_j of degree 2, whose other neighbour c_j is heavy
         others = [j for j in range(3) if j != i]
-        ok = True
-        cs = []
-        for j in others:
-            aj, bj = corners[j], pendants[j]
-            if g.degree(aj) != 3 or g.degree(bj) != 2:
-                ok = False
-                break
-            cj = next(v for v in g.neighbors(bj) if v != aj)
-            if not is_heavy(g, cj):
-                ok = False
-                break
-            cs.append(cj)
-        if ok:
-            q_index = i + 1
-            c_pair = (cs[0], cs[1])
-            break
-    return NetHeaviness(o_heavy, p_heavy, q_index is not None, q_index, c_pair)
+        cs = [(rows[pendants[j]] & ~(1 << corners[j])).bit_length() - 1 for j in others]
+        if heavy >> corners[i] & heavy >> pendants[i] & 1 and all(
+            degs[corners[j]] == 3 and degs[pendants[j]] == 2 and heavy >> c & 1
+            for j, c in zip(others, cs)
+        ):
+            return NetHeaviness(o_heavy, p_heavy, True, i + 1, tuple(cs))
+    return NetHeaviness(o_heavy, p_heavy, False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,7 +319,9 @@ class NetProfile:
 
 
 def net_profile(g: Graph) -> NetProfile:
-    flags = [classify_net(g, NetEmbedding.from_tuple(e)) for e in find_induced(g, PatternKind.NET)]
+    # no flag changes under the net's automorphisms: one embedding per orbit will do
+    table = degree_thresholds(g.rows)
+    flags = [_net_flags(g, table, emb) for emb in embeddings(g, PatternKind.NET)]
     return NetProfile(
         net_count=len(flags),
         net_free=not flags,

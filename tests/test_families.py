@@ -12,8 +12,10 @@ from hamclosure.closures import c_closure, is_c_closed
 from hamclosure.errors import InputError, ParameterError
 from hamclosure.families import (
     FAMILY_SPECS,
+    GLUES,
     C3NQCert,
     ChainCert,
+    ComponentCert,
     ComponentSpec,
     ComposedCert,
     CycleCert,
@@ -69,20 +71,23 @@ def replayed(cert, *extra_edges):
     return replay_certificate(cert).add_edges(extra_edges)[0], cert
 
 
-def _one_leaf_mutants(part, n):
+def _one_leaf_mutants(part, n, nested=False):
     """Every certificate made from ``part`` by one leaf change: a vertex set
     to None, -1, n, 'x' or 2.0; a vertex tuple (cell, clique, matching edge)
     with its last vertex dropped or its first repeated; any tuple (a field,
-    a cell, a junction, an edge) set to 0 or None; a junction's kind
-    flipped. ``n`` fields stay."""
+    a cell, a junction, an edge) and any nested certificate (a component or
+    its sub-certificate) set to 0 or None; a junction's kind flipped; a glue
+    tag set to a list. ``n`` fields stay."""
     if is_dataclass(part):
         for f in fields(part):
             if f.name != "n":
-                for changed in _one_leaf_mutants(getattr(part, f.name), n):
+                for changed in _one_leaf_mutants(getattr(part, f.name), n, nested=True):
                     yield replace(part, **{f.name: changed})
+        if nested:
+            yield from (0, None)
     elif isinstance(part, tuple):
         for i, item in enumerate(part):
-            for changed in _one_leaf_mutants(item, n):
+            for changed in _one_leaf_mutants(item, n, nested=True):
                 yield part[:i] + (changed,) + part[i + 1:]
         if part and all(isinstance(v, int) for v in part):
             yield from (part[:-1], part + part[:1])
@@ -91,10 +96,20 @@ def _one_leaf_mutants(part, n):
         yield from (None, -1, n, "x", 2.0)
     elif part in ("identify", "matching"):
         yield "matching" if part == "identify" else "identify"
+    elif part in GLUES:
+        yield [part]
 
 
 def _check_c1np(g, cert):
     return check_composed_cert(g, FamilyKind.C1NP, cert)
+
+
+def _check_c2np(g, cert):
+    return check_composed_cert(g, FamilyKind.C2NP, cert)
+
+
+def _check_c1npq(g, cert):
+    return check_composed_cert(g, FamilyKind.C1NPQ, cert)
 
 
 def skeleton(cert):
@@ -348,6 +363,24 @@ class TestBaseRecognizers:
             pytest.param(_check_c1np, complete_graph(8),
                          ComposedCert(8, tuple(range(8)), None, None, 4),
                          "components is not a tuple", id="composed-components"),
+            pytest.param(_check_c1np, complete_graph(8),
+                         ComposedCert(8, tuple(range(8)), None, None, (4,)),
+                         "component 0 is not a component certificate", id="composed-component"),
+            pytest.param(_check_c1npq, complete_graph(8),
+                         ComposedCert(8, tuple(range(8)), None, None,
+                                      (ComponentCert((0,), ["x"], None),)),
+                         "component 0 glue is not a tag", id="composed-glue"),
+            pytest.param(_check_c1np, complete_graph(8),
+                         ComposedCert(8, tuple(range(8)), None, None,
+                                      (ComponentCert((0,), "c1n", 5),)),
+                         "component 0 certificate is not a chain, cycle or path certificate",
+                         id="composed-sub-certificate"),
+            pytest.param(_check_c1np, complete_graph(8),
+                         ComposedCert(8, tuple(range(8)), 0, None, ()),
+                         "K' is not a tuple of vertices", id="composed-k-prime"),
+            pytest.param(_check_c2np, complete_graph(8),
+                         ComposedCert(8, tuple(range(8)), 0, 0, ()),
+                         "K' is not a tuple of vertices", id="composed-k-prime-of-two-cliques"),
         ],
     )
     def test_checkers_report_a_field_of_the_wrong_shape(self, check, g, cert, expected):
@@ -426,8 +459,9 @@ class TestBaseRecognizers:
         problems = check_composed_cert(g, FamilyKind.C1NP, bad)
         assert any(p.endswith("is not a vertex pair") for p in problems), problems
         bad = replace(cert, components=(replace(chain, sub=chain.vertices), *cert.components[1:]))
-        with pytest.raises(InputError, match="cannot map certificate of type tuple"):
-            check_composed_cert(g, FamilyKind.C1NP, bad)
+        assert check_composed_cert(g, FamilyKind.C1NP, bad) == [
+            "component 0 certificate is not a chain, cycle or path certificate"
+        ]
 
     def test_generated_chain_and_cycle_certificates_check_clean(self):
         g, cert = generate_with_certificate(FamilyParams(FamilyKind.C1N, (3, 6, 3), (2, 2)), 3)

@@ -53,3 +53,16 @@ def test_every_private_helper_is_read_outside_its_definition():
         if not any(name in read for other, read in reads if other is not stmt)
     ]
     assert unread == []
+
+
+def test_no_module_reads_the_environment():
+    # operations are functions of their inputs: no setting comes from os.environ
+    readers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else (
+                node.id if isinstance(node, ast.Name) else None
+            )
+            if name in ("environ", "getenv", "environb", "getenvb"):
+                readers.append(f"{path.name}:{node.lineno}: {name}")
+    assert readers == []

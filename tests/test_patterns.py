@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
 
@@ -9,14 +11,19 @@ from hamclosure.heaviness import is_heavy, is_pattern_o_heavy, subgraph_is_o_hea
 from hamclosure.patterns import (
     REFERENCE,
     NetEmbedding,
+    NetProfile,
     PatternKind,
+    canonical_embedding,
     classify_net,
+    embeddings,
     find_induced,
     find_induced_naive,
     has_induced,
     is_free,
     net_profile,
 )
+from hamclosure.verify import acceptance_grids, full_corpus
+from test_families import _single_edge_edits
 
 
 class TestCatalog:
@@ -73,6 +80,11 @@ class TestFindInduced:
                 expected = find_induced_naive(g, kind)
                 assert find_induced(g, kind) == expected, (kind, emit_graph6(g))
                 assert has_induced(g, kind) == bool(expected), (kind, emit_graph6(g))
+                # canonical by construction: the matcher and the hand loops
+                # emit the least tuple of each orbit, so sorting them is enough
+                found = list(embeddings(g, kind))
+                assert all(emb == canonical_embedding(kind, emb) for emb in found), kind
+                assert find_induced(g, kind) == sorted(found), (kind, emit_graph6(g))
                 assert is_pattern_o_heavy(g, kind) == all(
                     subgraph_is_o_heavy(g, emb) for emb in expected), (kind, emit_graph6(g))
 
@@ -116,9 +128,13 @@ class TestClassifyNet:
         flags = classify_net(g8, NetEmbedding.from_tuple(emb))
         assert (flags.o_heavy, flags.p_heavy, flags.q_heavy) == (False, True, False)
 
-    def test_invalid_embedding_rejected(self, g8):
+    def test_invalid_embedding_rejected(self, g8, net):
         with pytest.raises(InputError):
             classify_net(g8, NetEmbedding(0, 1, 2, 3, 4, 5))
+        # a repeated vertex, or one that is not a vertex of the net
+        for b3 in (4, 5.0, "x", [5], None):
+            with pytest.raises(InputError):
+                classify_net(net, NetEmbedding(0, 1, 2, 3, 4, b3))
 
     def test_all_light_net_has_no_flags(self, net):
         # net plus a far-away clique: every net vertex degree < n/2, sums < n
@@ -166,6 +182,67 @@ class TestClassifyNet:
                 for b in named:
                     if a != b:
                         assert closed.has_edge(a, b)
+
+
+def plain_net_flags(g: Graph, emb):
+    """(o-heavy, p-heavy, q-heavy, q_index, c_neighbors) of the induced net
+    ``emb`` (a1, a2, a3, b1, b2, b3), by degree arithmetic on each pair."""
+    n, deg = g.n, g.degree
+    o_heavy = any(not g.has_edge(u, v) and deg(u) + deg(v) >= n
+                  for u, v in combinations(emb, 2))
+    corners, pendants = emb[:3], emb[3:]
+    p_heavy = any(g.has_edge(u, v) and deg(u) + deg(v) >= n
+                  for u, v in combinations(corners, 2))
+    for i in range(3):
+        if 2 * deg(corners[i]) < n or 2 * deg(pendants[i]) < n:
+            continue
+        cs = []
+        for j in range(3):
+            if j == i:
+                continue
+            aj, bj = corners[j], pendants[j]
+            if deg(aj) != 3 or deg(bj) != 2:
+                break
+            cj = next(v for v in g.neighbors(bj) if v != aj)
+            if 2 * deg(cj) < n:
+                break
+            cs.append(cj)
+        else:
+            return o_heavy, p_heavy, True, i + 1, tuple(cs)
+    return o_heavy, p_heavy, False, None, None
+
+
+def test_net_flags_match_the_plain_oracle():
+    # every graph of order 6 and 7 up to isomorphism, the seed-0 corpus, the
+    # acceptance-grid members of order at most 13, and a q-heavy net whose
+    # a1 = 0, b1 = 3, c2 = 6 and c3 = 7 have degree exactly ceil(11/2) = 6,
+    # with every graph one edge edit away from it: a light a1, b1 or c_j,
+    # an a_j or b_j of the wrong degree
+    graphs = [Graph.from_edges(h.number_of_nodes(), h.edges())
+              for h in nx.graph_atlas_g() if 6 <= h.number_of_nodes() <= 7]
+    graphs += full_corpus(0)
+    graphs += [g for grid in acceptance_grids().values()
+               for g in (generate(params, seed) for params, seed in grid) if g.n <= 13]
+    q_net = Graph.from_edges(11, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5), (3, 6), (3, 7),
+                                  (4, 6), (5, 7), (6, 7)] +
+                             [(u, x) for u in (0, 3, 6, 7) for x in (8, 9, 10)])
+    graphs += [q_net, *_single_edge_edits(q_net)]
+    nets = q_heavy = 0
+    for g in graphs:
+        flags = []
+        for emb in find_induced_naive(g, PatternKind.NET):
+            found = classify_net(g, NetEmbedding.from_tuple(emb))
+            flags.append(plain_net_flags(g, emb))
+            assert (found.o_heavy, found.p_heavy, found.q_heavy, found.q_index,
+                    found.c_neighbors) == flags[-1], (emb, emit_graph6(g))
+        o, p, q = ([f[k] for f in flags] for k in range(3))
+        assert net_profile(g) == NetProfile(
+            len(flags), not flags, all(o), all(p),
+            all(x or y for x, y in zip(o, p)), all(x or y for x, y in zip(p, q)),
+        ), emit_graph6(g)
+        nets += len(flags)
+        q_heavy += sum(q)
+    assert nets > 300 and q_heavy > 100
 
 
 class TestNetProfile:
