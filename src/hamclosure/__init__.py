@@ -7,7 +7,6 @@ from .closures import (
     bc_local,
     c_closure,
     c_eligible,
-    c_mode_divergence,
     is_c_closed,
     minimum_supergraph_oracle,
     o_closure,
@@ -33,7 +32,6 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    VertexSet,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -41,7 +39,6 @@ from .graphs import (
     emit_edge_list,
     emit_graph6,
     empty_graph,
-    induced_subgraph,
     is_2_connected,
     maximal_cliques,
     parse_edge_list,
@@ -60,7 +57,6 @@ from .heaviness import (
     satisfies_ore,
 )
 from .patterns import (
-    NetEmbedding,
     NetHeaviness,
     NetProfile,
     PatternKind,

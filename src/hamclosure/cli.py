@@ -26,7 +26,7 @@ from .closures import (
     trace_to_text,
 )
 from .errors import BudgetError, FormatError, HamclosureError, InputError, PreconditionError
-from .families import generate, parse_params, recognize, theorem_verdict
+from .families import TheoremVerdict, generate, parse_params, recognize
 from .graphs import (
     Graph,
     emit_dot,
@@ -157,8 +157,8 @@ def _report(g: Graph, seed: int, budget: int | None) -> dict:
             "frontier": sorted(v for v in range(g.n) if decomposition.is_frontier(v)),
         }
     # None (not claw-o-heavy) counts as not c-closed, as in classify_theorem
-    verdict = theorem_verdict(g.n, two_connected, claw_free, bool(c_closed), profile,
-                              recognize(g).families)
+    verdict = TheoremVerdict(g.n, two_connected, claw_free, bool(c_closed),
+                             profile.n_p_heavy, profile.n_pq_heavy, recognize(g).families)
     ham = is_hamiltonian(g, budget)
     return {
         "input": emit_graph6(g),

@@ -135,6 +135,12 @@ def _require_policy(policy: str) -> None:
         raise InputError(f"unknown selection policy {policy!r}")
 
 
+def _require_mode(mode: EligibilityMode) -> None:
+    # a mode that is neither enum member would fire neither eligibility test
+    if not isinstance(mode, EligibilityMode):
+        raise InputError(f"unknown eligibility mode {mode!r}")
+
+
 def _pick(items: list, policy: str, rng: random.Random):
     if policy == "min":
         return items[0]
@@ -302,6 +308,7 @@ def _c_eligible_vertices(g: Graph, mode: EligibilityMode):
 
 
 def c_eligible(g: Graph, x: int, mode: EligibilityMode = EligibilityMode.AMENDED) -> bool:
+    _require_mode(mode)
     if not 0 <= x < g.n:
         raise InputError(f"vertex {x} out of range")
     if not _claw_status(g)[1]:
@@ -315,6 +322,7 @@ def c_closure(
     policy: str = "min",
     seed: int = 0,
 ) -> tuple[Graph, ClosureTrace]:
+    _require_mode(mode)
     _require_policy(policy)
     if not _claw_status(g)[1]:
         raise PreconditionError(_C_UNDEFINED)
@@ -348,13 +356,6 @@ def closures_of(g: Graph, policy: str = "min",
     if claw_o_heavy:
         ladder["c"] = _c_fixpoint(g, EligibilityMode.AMENDED, policy, seed)
     return ladder
-
-
-def c_mode_divergence(g: Graph) -> tuple[Graph, Graph, bool]:
-    """(amended closure, literal closure, whether they differ)."""
-    amended, _ = c_closure(g, EligibilityMode.AMENDED)
-    literal, _ = _c_fixpoint(g, EligibilityMode.LITERAL, "min", 0)
-    return amended, literal, amended != literal
 
 
 def validate_c_trace(trace: ClosureTrace) -> list[str]:

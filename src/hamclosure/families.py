@@ -47,7 +47,7 @@ from .errors import InputError, ParameterError
 from .graphs import Graph, _bits, component_masks, is_2_connected, is_connected, maximal_cliques
 from .heaviness import degree_thresholds, heavy_vertices
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
-from .patterns import NetProfile, has_induced, net_profile  # noqa: F401
+from .patterns import has_induced, net_profile  # noqa: F401
 
 
 class FamilyKind(Enum):
@@ -868,10 +868,6 @@ def _recognize_composed(
 class FamilyWitness:
     families: frozenset[FamilyKind]
     certificates: dict
-    order_threshold_met: bool
-
-    def certificate(self, kind: FamilyKind):
-        return self.certificates.get(kind)
 
 
 def recognize(g: Graph) -> FamilyWitness:
@@ -900,7 +896,7 @@ def recognize(g: Graph) -> FamilyWitness:
             )
         if cert is not None:
             certs[kind] = cert
-    return FamilyWitness(frozenset(certs), certs, g.n >= 10)
+    return FamilyWitness(frozenset(certs), certs)
 
 
 # -- generators ----------------------------------------------------------------
@@ -1237,6 +1233,9 @@ class VerdictStatus(Enum):
 
 @dataclass(frozen=True)
 class TheoremVerdict:
+    """The facts the characterization reads about a graph of order n, and
+    its verdict on them."""
+
     n: int
     two_connected: bool
     claw_free: bool
@@ -1244,45 +1243,30 @@ class TheoremVerdict:
     n_p_heavy: bool
     n_pq_heavy: bool
     families: frozenset[FamilyKind]
-    status: VerdictStatus
 
     @property
-    def hypotheses_p(self) -> bool:
-        return self.two_connected and self.claw_free and self.c_closed and self.n_p_heavy
-
-    @property
-    def member_p(self) -> bool:
-        return bool(self.families & P_HEAVY_UNION)
-
-
-def theorem_verdict(n: int, two_connected: bool, claw_free: bool, c_closed: bool,
-                    profile: NetProfile, families: frozenset[FamilyKind]) -> TheoremVerdict:
-    """The characterization's verdict from facts already known about a
-    graph of order n. The equivalence is asserted only at order 10 and
-    up; below that, anything except agreement-by-absence is out of range."""
-    hypotheses = two_connected and claw_free and c_closed
-    # the p-heavy and the pq-heavy statement: do the hypotheses hold, is g a member
-    holds = (hypotheses and profile.n_p_heavy, hypotheses and profile.n_pq_heavy)
-    member = (bool(families & P_HEAVY_UNION), bool(families & PQ_HEAVY_UNION))
-    if n >= 10:
-        agree = holds == member
-        status = VerdictStatus.CONSISTENT if agree else VerdictStatus.COUNTEREXAMPLE_CANDIDATE
-    else:
-        status = VerdictStatus.OUT_OF_RANGE if any(holds + member) else VerdictStatus.CONSISTENT
-    return TheoremVerdict(
-        n, two_connected, claw_free, c_closed,
-        profile.n_p_heavy, profile.n_pq_heavy, families, status,
-    )
+    def status(self) -> VerdictStatus:
+        """The equivalence is asserted only at order 10 and up; below that,
+        anything except agreement-by-absence is out of range."""
+        hypotheses = self.two_connected and self.claw_free and self.c_closed
+        # the p-heavy and the pq-heavy statement: do the hypotheses hold, is g a member
+        holds = (hypotheses and self.n_p_heavy, hypotheses and self.n_pq_heavy)
+        member = (bool(self.families & P_HEAVY_UNION), bool(self.families & PQ_HEAVY_UNION))
+        if self.n >= 10:
+            agree = holds == member
+            return VerdictStatus.CONSISTENT if agree else VerdictStatus.COUNTEREXAMPLE_CANDIDATE
+        return VerdictStatus.OUT_OF_RANGE if any(holds + member) else VerdictStatus.CONSISTENT
 
 
 def classify_theorem(g: Graph) -> TheoremVerdict:
     """Check the characterization's hypotheses against recognized
-    membership: compute each fact of g once and pass it to
-    ``theorem_verdict``. A claw-free graph is vacuously claw-o-heavy."""
+    membership, computing each fact of g once. A claw-free graph is
+    vacuously claw-o-heavy."""
     claw_free, claw_o_heavy = _claw_status(g)
     c_closed = claw_o_heavy and _c_closed(g)
-    return theorem_verdict(g.n, is_2_connected(g), claw_free, c_closed,
-                           net_profile(g), recognize(g).families)
+    two_connected, profile = is_2_connected(g), net_profile(g)
+    return TheoremVerdict(g.n, two_connected, claw_free, c_closed,
+                          profile.n_p_heavy, profile.n_pq_heavy, recognize(g).families)
 
 
 # -- params file format --------------------------------------------------------

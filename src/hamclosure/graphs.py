@@ -12,8 +12,6 @@ from collections.abc import Callable, Iterable, Iterator
 
 from .errors import ExhaustionError, FormatError, InputError
 
-VertexSet = frozenset  # subset of range(n) of the graph it refers to
-
 Edge = tuple[int, int]
 
 
@@ -22,6 +20,22 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _edge(n: int, edge) -> Edge:
+    """``edge`` as a vertex pair of a graph on n vertices, or InputError:
+    not a pair of vertices, out of range, or a loop."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise InputError(f"edge {edge!r} is not a pair of vertices") from None
+    if not (isinstance(u, int) and isinstance(v, int)):
+        raise InputError(f"edge {edge!r} is not a pair of vertices")
+    if not (0 <= u < n and 0 <= v < n):
+        raise InputError(f"edge ({u}, {v}) out of range for n={n}")
+    if u == v:
+        raise InputError(f"loop edge ({u}, {v}) not allowed")
+    return u, v
 
 
 class Graph:
@@ -62,11 +76,8 @@ class Graph:
     @staticmethod
     def from_edges(n: int, edges: Iterable[Edge]) -> "Graph":
         rows = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise InputError(f"loop edge ({u}, {v}) not allowed")
+        for edge in edges:
+            u, v = _edge(n, edge)
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
@@ -75,11 +86,8 @@ class Graph:
         """Return a new graph plus the edges that were actually new."""
         rows = list(self._rows)
         added = []
-        for u, v in edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if u == v:
-                raise InputError(f"loop edge ({u}, {v}) not allowed")
+        for edge in edges:
+            u, v = _edge(self.n, edge)
             if not rows[u] >> v & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
@@ -190,10 +198,6 @@ def path_graph(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    return g.induced(vertices)
 
 
 # -- connectivity -----------------------------------------------------------

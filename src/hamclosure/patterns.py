@@ -7,10 +7,12 @@ from its reference graph: it places the roles in order with
 neighbourhood bitmask algebra and keeps one embedding per orbit by
 symmetry breaking on the automorphism group, which leaves that least
 tuple. The claw and the diamond, the hot tests of the supergraph oracle,
-keep hand-written loops that emit it too. Nets are classified straight
-from the matcher's embeddings, with one ``degree_thresholds`` table per
-graph. ``find_induced_naive`` is the independent subset-enumeration
-oracle the detectors are tested against.
+keep hand-written loops that emit it too. ``net_profile`` classifies
+nets straight from the matcher's embeddings, with one
+``degree_thresholds`` table per graph; ``classify_net`` takes one net as a
+role-ordered tuple and first checks that it induces a net in g.
+``find_induced_naive`` is the independent subset-enumeration oracle the
+detectors are tested against.
 """
 
 from __future__ import annotations
@@ -233,44 +235,6 @@ def find_induced_naive(g: Graph, pattern: PatternKind) -> list[Embedding]:
 
 
 @dataclass(frozen=True, slots=True)
-class NetEmbedding:
-    """Role-labeled induced net: triangle a1a2a3 with pendant bi at ai."""
-
-    a1: int
-    a2: int
-    a3: int
-    b1: int
-    b2: int
-    b3: int
-
-    @staticmethod
-    def from_tuple(emb: Embedding) -> "NetEmbedding":
-        return NetEmbedding(*emb)
-
-    def as_tuple(self) -> Embedding:
-        return (self.a1, self.a2, self.a3, self.b1, self.b2, self.b3)
-
-    def corners(self) -> tuple[int, int, int]:
-        return (self.a1, self.a2, self.a3)
-
-    def pendants(self) -> tuple[int, int, int]:
-        return (self.b1, self.b2, self.b3)
-
-    def validate(self, g: Graph) -> None:
-        verts = self.as_tuple()
-        if not all(isinstance(v, int) and 0 <= v < g.n for v in verts) or len(set(verts)) != 6:
-            raise InputError("net embedding must name six distinct vertices in range")
-        net = REFERENCE[PatternKind.NET]
-        for i in range(6):
-            for j in range(i + 1, 6):
-                if g.has_edge(verts[i], verts[j]) != net.has_edge(i, j):
-                    raise InputError(
-                        f"vertices {verts} do not induce a net "
-                        f"(pair ({verts[i]}, {verts[j]}) wrong)"
-                    )
-
-
-@dataclass(frozen=True, slots=True)
 class NetHeaviness:
     o_heavy: bool
     p_heavy: bool
@@ -279,10 +243,18 @@ class NetHeaviness:
     c_neighbors: tuple[int, int] | None = None
 
 
-def classify_net(g: Graph, emb: NetEmbedding) -> NetHeaviness:
-    """Heaviness flags of one induced net, degrees measured in g."""
-    emb.validate(g)
-    return _net_flags(g, degree_thresholds(g.rows), emb.as_tuple())
+def classify_net(g: Graph, emb: Embedding) -> NetHeaviness:
+    """Heaviness flags of one induced net, degrees measured in g. ``emb``
+    names the roles (a1, a2, a3, b1, b2, b3), with pendant bi at ai, as
+    ``find_induced(g, PatternKind.NET)`` yields them."""
+    if not (isinstance(emb, tuple) and len(emb) == 6
+            and all(isinstance(v, int) and 0 <= v < g.n for v in emb) and len(set(emb)) == 6):
+        raise InputError("net embedding must name six distinct vertices in range")
+    net = REFERENCE[PatternKind.NET]
+    for (i, u), (j, v) in combinations(enumerate(emb), 2):
+        if g.has_edge(u, v) != net.has_edge(i, j):
+            raise InputError(f"vertices {emb} do not induce a net (pair ({u}, {v}) wrong)")
+    return _net_flags(g, degree_thresholds(g.rows), emb)
 
 
 def _net_flags(g: Graph, table, emb: Embedding) -> NetHeaviness:

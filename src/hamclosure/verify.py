@@ -31,11 +31,11 @@ from .families import (
     FamilyKind,
     FamilyParams,
     P_HEAVY_UNION,
+    TheoremVerdict,
     VerdictStatus,
     classify_theorem,
     generate,
     recognize,
-    theorem_verdict,
 )
 from .graphs import (
     Graph,
@@ -495,7 +495,8 @@ def suite_thcpq_reverse(result: SuiteResult, seed: int, node_budget) -> None:
         hits += 1
         result.checked += 1
         # 2-connected, claw-free and c-closed, as filtered above
-        verdict = theorem_verdict(g.n, True, True, True, profile, recognize(g).families)
+        verdict = TheoremVerdict(g.n, True, True, True, profile.n_p_heavy, profile.n_pq_heavy,
+                                 recognize(g).families)
         if verdict.status is VerdictStatus.COUNTEREXAMPLE_CANDIDATE:
             result.failures.append("hypothesis-satisfying graph not matched by any family")
     result.notes.append(f"{hits} hypothesis-satisfying graphs classified")

@@ -10,7 +10,6 @@ from hamclosure.closures import (
     bc_local,
     c_closure,
     c_eligible,
-    c_mode_divergence,
     closures_of,
     is_c_closed,
     minimum_supergraph_oracle,
@@ -42,6 +41,16 @@ def test_unknown_policy_rejected_on_a_closed_graph(closure):
     # K4 is already closed, so no pick ever happens: the policy is checked at entry
     with pytest.raises(InputError, match="selection policy"):
         closure(complete_graph(4), policy="bogus")
+
+
+def test_unknown_eligibility_mode_rejected():
+    # with a mode that is neither enum member, neither eligibility test fires:
+    # K4's vertices would read as eligible, and the c-closure of C4 would pick
+    # such a vertex forever without adding an edge
+    with pytest.raises(InputError, match="eligibility mode"):
+        c_eligible(complete_graph(4), 0, "amended")
+    with pytest.raises(InputError, match="eligibility mode"):
+        c_closure(empty_graph(3), "amended")
 
 
 _C_UNDEFINED = "input has an induced claw with no o-heavy pair: degree-sum completion undefined"
@@ -158,8 +167,8 @@ class TestCClosure:
         assert not is_c_closed(cycle_graph(4))
 
     def test_literal_mode_keeps_c4(self):
-        amended, literal, diverges = c_mode_divergence(cycle_graph(4))
-        assert diverges
+        amended, _ = c_closure(cycle_graph(4), EligibilityMode.AMENDED)
+        literal, _ = c_closure(cycle_graph(4), EligibilityMode.LITERAL)
         assert amended == complete_graph(4)
         assert literal == cycle_graph(4)
 

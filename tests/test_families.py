@@ -471,7 +471,7 @@ class TestBaseRecognizers:
 
     def test_composed_checker_rejects_a_base_family(self, g8):
         with pytest.raises(InputError, match="not a composed family"):
-            check_composed_cert(g8, FamilyKind.C1N, recognize(g8).certificate(FamilyKind.C1NPQ))
+            check_composed_cert(g8, FamilyKind.C1N, recognize(g8).certificates[FamilyKind.C1NPQ])
 
     def test_component_gate_reads_the_counting_clauses(self):
         gates = {kind: spec.min_components for kind, spec in FAMILY_SPECS.items()}
@@ -508,13 +508,12 @@ class TestRecognize:
     def test_c5(self):
         witness = recognize(cycle_graph(5))
         assert FamilyKind.C2N in witness.families
-        assert not witness.order_threshold_met
 
     def test_g8_multi_membership(self, g8):
         witness = recognize(g8)
         assert {FamilyKind.C3NQ, FamilyKind.C1NPQ} <= witness.families
         for kind in witness.families:
-            assert replay_certificate(witness.certificate(kind)) == g8
+            assert replay_certificate(witness.certificates[kind]) == g8
 
     def test_k23_empty(self):
         assert recognize(complete_bipartite(2, 3)).families == frozenset()
@@ -539,7 +538,7 @@ class TestRecognize:
             g, cert = generate_with_certificate(params, seed=3)
             witness = recognize(g)
             assert params.family in witness.families, params.family
-            found = witness.certificate(params.family)
+            found = witness.certificates[params.family]
             assert replay_certificate(found) == g
             if params.components:
                 assert skeleton(found) == skeleton(cert), params.family
@@ -663,8 +662,10 @@ class TestKnownEdgeCases:
 class TestClassifyTheorem:
     def test_c5_out_of_range(self):
         verdict = classify_theorem(cycle_graph(5))
+        assert verdict.n < 10
         assert verdict.status is VerdictStatus.OUT_OF_RANGE
-        assert verdict.hypotheses_p and verdict.member_p
+        assert verdict.two_connected and verdict.claw_free and verdict.c_closed
+        assert verdict.n_p_heavy and FamilyKind.C2N in verdict.families
 
     def test_k23_consistent_by_absence(self):
         verdict = classify_theorem(complete_bipartite(2, 3))
@@ -680,7 +681,8 @@ class TestClassifyTheorem:
         g = generate(params, seed=4)
         verdict = classify_theorem(g)
         assert g.n >= 10
-        assert verdict.hypotheses_p and verdict.member_p
+        assert verdict.two_connected and verdict.claw_free and verdict.c_closed
+        assert verdict.n_p_heavy and FamilyKind.C1NP in verdict.families
         assert verdict.status is VerdictStatus.CONSISTENT
 
     def test_two_clique_chain_contradicts_the_equivalence(self):
@@ -688,8 +690,35 @@ class TestClassifyTheorem:
         # claimed equivalence breaks on it, and the classifier says so loudly
         g = generate(FamilyParams(FamilyKind.C1N, (5, 5), (2,)), seed=0)
         verdict = classify_theorem(g)
-        assert verdict.member_p and not verdict.c_closed
+        assert FamilyKind.C1N in verdict.families and not verdict.c_closed
         assert verdict.status is VerdictStatus.COUNTEREXAMPLE_CANDIDATE
+
+
+def test_verdict_rule_matches_its_truth_table():
+    # the characterization restated for every combination of the five facts,
+    # three membership classes and the orders either side of the threshold.
+    # A member of C1N is in both unions, one of C1NPQ in the pq union alone.
+    # At order 10 and up, each statement must agree: the hypotheses plus
+    # N-p-heaviness hold exactly for a p-union member, and likewise for pq.
+    # Below 10 a graph is out of range unless both statements are idle.
+    classes = {(): (False, False), ("C1N",): (True, True), ("C1NPQ",): (False, True)}
+    cases = 0
+    for n, (names, (member_p, member_pq)), facts in itertools.product(
+        (9, 10), classes.items(), itertools.product((False, True), repeat=5)
+    ):
+        two_connected, claw_free, c_closed, n_p_heavy, n_pq_heavy = facts
+        hypotheses = two_connected and claw_free and c_closed
+        p_holds, pq_holds = hypotheses and n_p_heavy, hypotheses and n_pq_heavy
+        if n < 10:
+            idle = not (p_holds or pq_holds or member_p or member_pq)
+            expected = "CONSISTENT" if idle else "OUT-OF-RANGE"
+        else:
+            agree = p_holds == member_p and pq_holds == member_pq
+            expected = "CONSISTENT" if agree else "COUNTEREXAMPLE-CANDIDATE"
+        verdict = TheoremVerdict(n, *facts, frozenset(map(FamilyKind, names)))
+        assert verdict.status.value == expected, (n, names, facts)
+        cases += 1
+    assert cases == 192
 
 
 # The four kinds of graph on which the verdict rule and the family clause
@@ -721,10 +750,9 @@ _DISAGREEMENTS = [
 def test_verdict_disagreements_are_pinned(g6, claw_free, c_closed, n_p_heavy, n_pq_heavy, names):
     g = parse_graph6(g6)
     kinds = frozenset(map(FamilyKind, names))
-    assert classify_theorem(g) == TheoremVerdict(
-        g.n, True, claw_free, c_closed, n_p_heavy, n_pq_heavy, kinds,
-        VerdictStatus.COUNTEREXAMPLE_CANDIDATE,
-    )
+    verdict = classify_theorem(g)
+    assert verdict == TheoremVerdict(g.n, True, claw_free, c_closed, n_p_heavy, n_pq_heavy, kinds)
+    assert verdict.status is VerdictStatus.COUNTEREXAMPLE_CANDIDATE
     assert recognize(g).families == kinds
     # the facts that can be read off the recognizer's path
     assert plain_hamiltonian_search(g)[0]
@@ -760,9 +788,9 @@ _SLOW_POOL_GRAPHS = [
     "g6,n,two_connected", _SLOW_POOL_GRAPHS, ids=[g6 for g6, _, _ in _SLOW_POOL_GRAPHS]
 )
 def test_slow_pool_graphs_classify(g6, n, two_connected):
-    assert classify_theorem(parse_graph6(g6)) == TheoremVerdict(
-        n, two_connected, False, False, False, False, frozenset(), VerdictStatus.CONSISTENT
-    )
+    verdict = classify_theorem(parse_graph6(g6))
+    assert verdict == TheoremVerdict(n, two_connected, False, False, False, False, frozenset())
+    assert verdict.status is VerdictStatus.CONSISTENT
 
 
 class TestParamsFormat:

@@ -64,6 +64,15 @@ class TestConstruction:
         with pytest.raises(InputError):
             Graph.from_edges(3, [(1, 1)])
 
+    @pytest.mark.parametrize("edge", [(0, 1, 2), (0,), (0, "a"), (0, 1.0), (0, None), 5, None],
+                             ids=repr)
+    def test_malformed_edge_rejected(self, edge):
+        # both constructors read an edge through one check
+        with pytest.raises(InputError, match="is not a pair of vertices"):
+            Graph.from_edges(3, [edge])
+        with pytest.raises(InputError, match="is not a pair of vertices"):
+            cycle_graph(4).add_edges([edge])
+
     def test_asymmetric_rows_rejected(self):
         with pytest.raises(InputError):
             Graph(2, (0b10, 0b00))

@@ -33,25 +33,50 @@ def _defined_names(stmt) -> list[str]:
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def _loaded_names(tree) -> set[str]:
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def _unread_names(checked, outside=()) -> list[str]:
+    """"module: name" for each module-level name of the package that
+    ``checked(name, stmt)`` selects and that nothing loads apart from its own
+    statement: no other statement of the package, no file in ``outside``."""
+    defined, reads = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            defined += [(path.name, name, stmt) for name in _defined_names(stmt)
+                        if checked(name, stmt)]
+            reads.append((stmt, _loaded_names(stmt)))
+    reads += [(path, _loaded_names(ast.parse(path.read_text(), str(path)))) for path in outside]
+    return [
+        f"{module}: {name}" for module, name, stmt in defined
+        if not any(name in read for other, read in reads if other is not stmt)
+    ]
+
+
 def test_every_private_helper_is_read_outside_its_definition():
     # a module-level _name that nothing in the package loads, apart from its
     # own body, is a helper left behind
-    private, reads = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text(), str(path)).body:
-            private += [(path.name, name, stmt) for name in _defined_names(stmt)
-                        if name.startswith("_") and not name.startswith("__")]
-            read = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    read.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    read.add(node.attr)
-            reads.append((stmt, read))
-    unread = [
-        f"{module}: {name}" for module, name, stmt in private
-        if not any(name in read for other, read in reads if other is not stmt)
-    ]
+    assert _unread_names(lambda name, _: name.startswith("_") and not name.startswith("__")) == []
+
+
+def test_every_public_name_is_read_outside_its_definition():
+    # a module-level public name that neither the package nor the tests nor
+    # the benchmark loads, apart from its own body, restates another name or
+    # names nothing. Re-exports are imports, not loads, so the package's
+    # __init__ reads nothing; a decorated definition registers itself.
+    root = Path(__file__).resolve().parent.parent
+    outside = sorted((root / "tests").rglob("*.py")) + sorted((root / "benchmark").rglob("*.py"))
+    unread = _unread_names(
+        lambda name, stmt: not name.startswith("_") and not getattr(stmt, "decorator_list", None),
+        outside,
+    )
     assert unread == []
 
 

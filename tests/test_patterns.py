@@ -10,7 +10,6 @@ from hamclosure.graphs import Graph, complete_graph, cycle_graph, emit_graph6
 from hamclosure.heaviness import is_heavy, is_pattern_o_heavy, subgraph_is_o_heavy
 from hamclosure.patterns import (
     REFERENCE,
-    NetEmbedding,
     NetProfile,
     PatternKind,
     canonical_embedding,
@@ -116,7 +115,7 @@ class TestMonotonicity:
 
 class TestClassifyNet:
     def test_standalone_net(self, net):
-        flags = classify_net(net, NetEmbedding(0, 1, 2, 3, 4, 5))
+        flags = classify_net(net, (0, 1, 2, 3, 4, 5))
         # corners have degree 3 on 6 vertices, so triangle edges reach the
         # degree-sum bound and the net is p-heavy; nothing is o- or q-heavy
         assert not flags.o_heavy
@@ -125,16 +124,20 @@ class TestClassifyNet:
 
     def test_g8_net(self, g8):
         (emb,) = find_induced(g8, PatternKind.NET)
-        flags = classify_net(g8, NetEmbedding.from_tuple(emb))
+        flags = classify_net(g8, emb)
         assert (flags.o_heavy, flags.p_heavy, flags.q_heavy) == (False, True, False)
 
     def test_invalid_embedding_rejected(self, g8, net):
         with pytest.raises(InputError):
-            classify_net(g8, NetEmbedding(0, 1, 2, 3, 4, 5))
+            classify_net(g8, (0, 1, 2, 3, 4, 5))
         # a repeated vertex, or one that is not a vertex of the net
         for b3 in (4, 5.0, "x", [5], None):
             with pytest.raises(InputError):
-                classify_net(net, NetEmbedding(0, 1, 2, 3, 4, b3))
+                classify_net(net, (0, 1, 2, 3, 4, b3))
+        # six roles exactly: a seventh entry, even a repeat, is refused
+        for emb in ((0, 1, 2, 3, 4), (0, 1, 2, 3, 4, 5, 5)):
+            with pytest.raises(InputError):
+                classify_net(net, emb)
 
     def test_all_light_net_has_no_flags(self, net):
         # net plus a far-away clique: every net vertex degree < n/2, sums < n
@@ -142,7 +145,7 @@ class TestClassifyNet:
             [(u, v) for u in range(6, 12) for v in range(u + 1, 12)]
         )
         (emb,) = find_induced(padded, PatternKind.NET)
-        flags = classify_net(padded, NetEmbedding.from_tuple(emb))
+        flags = classify_net(padded, emb)
         assert not (flags.o_heavy or flags.p_heavy or flags.q_heavy)
 
     def test_q_heavy_member(self):
@@ -153,7 +156,7 @@ class TestClassifyNet:
         g = generate(params, seed=0)
         q_nets = []
         for emb in find_induced(g, PatternKind.NET):
-            flags = classify_net(g, NetEmbedding.from_tuple(emb))
+            flags = classify_net(g, emb)
             assert flags.p_heavy or flags.q_heavy
             if flags.q_heavy and not flags.p_heavy:
                 q_nets.append((emb, flags))
@@ -172,12 +175,11 @@ class TestClassifyNet:
         g = generate(params, seed=0)
         closed, _ = c_closure(g)
         for emb in find_induced(g, PatternKind.NET):
-            net_emb = NetEmbedding.from_tuple(emb)
-            flags = classify_net(g, net_emb)
+            flags = classify_net(g, emb)
             if not flags.q_heavy:
                 continue
             i = flags.q_index - 1
-            named = [net_emb.corners()[i], net_emb.pendants()[i], *flags.c_neighbors]
+            named = [emb[i], emb[3 + i], *flags.c_neighbors]
             for a in named:
                 for b in named:
                     if a != b:
@@ -231,7 +233,7 @@ def test_net_flags_match_the_plain_oracle():
     for g in graphs:
         flags = []
         for emb in find_induced_naive(g, PatternKind.NET):
-            found = classify_net(g, NetEmbedding.from_tuple(emb))
+            found = classify_net(g, emb)
             flags.append(plain_net_flags(g, emb))
             assert (found.o_heavy, found.p_heavy, found.q_heavy, found.q_index,
                     found.c_neighbors) == flags[-1], (emb, emit_graph6(g))
@@ -265,7 +267,7 @@ class TestNetProfile:
     def test_p_heavy_restates_triangle_pair(self, corpus):
         for g in corpus[:80]:
             for emb in find_induced(g, PatternKind.NET):
-                flags = classify_net(g, NetEmbedding.from_tuple(emb))
+                flags = classify_net(g, emb)
                 corners = emb[:3]
                 has_pair = any(
                     g.has_edge(corners[i], corners[j])
