@@ -38,6 +38,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
+from itertools import takewhile
 
 from .errors import (
     BudgetError,
@@ -46,7 +47,7 @@ from .errors import (
     NonUniqueMinimumError,
     PreconditionError,
 )
-from .graphs import Edge, Graph, _bits, component_masks, flood
+from .graphs import Edge, Graph, _bits, _vertex, component_masks, flood
 from .heaviness import _heavy_pairs_at, _o_heavy_within, degree_thresholds, o_heavy_pairs
 from .patterns import PatternKind, embeddings, has_induced
 
@@ -149,8 +150,8 @@ def _pick(items: list, policy: str, rng: random.Random):
     return items[rng.randrange(len(items))]
 
 
-def _fixpoint(g: Graph, kind: str, candidates, edges_of, policy: str, seed: int):
-    """Add the edges of one picked candidate at a time, to a fixpoint."""
+def _fixpoint(g: Graph, kind: str, candidates, policy: str, seed: int):
+    """Complete one picked candidate's neighborhood at a time, to a fixpoint."""
     rng = random.Random(seed)
     cur = g
     steps = []
@@ -159,7 +160,7 @@ def _fixpoint(g: Graph, kind: str, candidates, edges_of, policy: str, seed: int)
         if not options:
             break
         subject = _pick(options, policy, rng)
-        cur, added = cur.add_edges(edges_of(cur, subject))
+        cur, added = cur.add_edges(_neighborhood_missing(cur, subject))
         steps.append(TraceStep(kind, subject, added))
     return cur, ClosureTrace(g, cur, tuple(steps))
 
@@ -235,8 +236,7 @@ def _r_eligible_inner(g: Graph, x: int) -> bool:
 
 def r_eligible(g: Graph, x: int) -> bool:
     """Connected non-complete neighborhood; input must be claw-free."""
-    if not 0 <= x < g.n:
-        raise InputError(f"vertex {x} out of range")
+    _vertex(g.n, x)
     if not _claw_status(g)[0]:
         raise PreconditionError("r-eligibility is defined for claw-free graphs only")
     return _r_eligible_inner(g, x)
@@ -252,7 +252,7 @@ def r_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, Clos
 def _r_fixpoint(g: Graph, policy: str, seed: int):
     return _fixpoint(g, "r-completion",
                      lambda cur: [x for x in range(cur.n) if _r_eligible_inner(cur, x)],
-                     _neighborhood_missing, policy, seed)
+                     policy, seed)
 
 
 # -- degree-sum completion (c-closure) ---------------------------------------
@@ -260,8 +260,7 @@ def _r_fixpoint(g: Graph, policy: str, seed: int):
 
 def bc_local(g: Graph, x: int) -> list[Edge]:
     """Nonadjacent neighbor pairs of x with degree sum at least n."""
-    if not 0 <= x < g.n:
-        raise InputError(f"vertex {x} out of range")
+    _vertex(g.n, x)
     aug = _bc_rows(g, x, *degree_thresholds(g.rows))
     return [(u, v) for u in aug for v in _bits(aug[u] & ~g.row(u) & (-2 << u))]
 
@@ -309,8 +308,7 @@ def _c_eligible_vertices(g: Graph, mode: EligibilityMode):
 
 def c_eligible(g: Graph, x: int, mode: EligibilityMode = EligibilityMode.AMENDED) -> bool:
     _require_mode(mode)
-    if not 0 <= x < g.n:
-        raise InputError(f"vertex {x} out of range")
+    _vertex(g.n, x)
     if not _claw_status(g)[1]:
         raise PreconditionError(_C_UNDEFINED)
     return _c_eligible_inner(g, x, mode, *degree_thresholds(g.rows))
@@ -331,7 +329,7 @@ def c_closure(
 
 def _c_fixpoint(g: Graph, mode: EligibilityMode, policy: str, seed: int):
     return _fixpoint(g, "c-completion", lambda cur: list(_c_eligible_vertices(cur, mode)),
-                     _neighborhood_missing, policy, seed)
+                     policy, seed)
 
 
 def is_c_closed(g: Graph) -> bool:
@@ -415,15 +413,18 @@ class SupergraphSearch:
     base: Graph
     non_edges: tuple[Edge, ...]
     satisfying: tuple[frozenset[Edge], ...]
-    minima: tuple[frozenset[Edge], ...]
     nodes: int
 
     @property
+    def minima(self) -> tuple[frozenset[Edge], ...]:
+        """The satisfying sets of least size."""
+        size = len(self.satisfying[0])
+        return tuple(takewhile(lambda s: len(s) == size, self.satisfying))
+
+    @property
     def unique_minimum(self) -> bool:
-        if len(self.minima) != 1:
-            return False
-        least = self.minima[0]
-        return all(least <= other for other in self.satisfying)
+        minima = self.minima
+        return len(minima) == 1 and all(minima[0] <= other for other in self.satisfying)
 
     def graph_for(self, added: frozenset[Edge]) -> Graph:
         g, _ = self.base.add_edges(sorted(added))
@@ -489,9 +490,7 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
         raise AssertionError("unreachable: the complete graph always satisfies the target")
     found.sort(key=lambda idx: (len(idx), idx))
     satisfying = tuple(frozenset(non_edges[i] for i in idx) for idx in found)
-    least_size = len(found[0])
-    minima = tuple(s for s in satisfying if len(s) == least_size)
-    return SupergraphSearch(g, non_edges, satisfying, minima, nodes)
+    return SupergraphSearch(g, non_edges, satisfying, nodes)
 
 
 def minimum_supergraph_oracle(g: Graph, budget: int = 16) -> Graph:

@@ -866,8 +866,11 @@ def _recognize_composed(
 
 @dataclass(frozen=True)
 class FamilyWitness:
-    families: frozenset[FamilyKind]
     certificates: dict
+
+    @property
+    def families(self) -> frozenset[FamilyKind]:
+        return frozenset(self.certificates)
 
 
 def recognize(g: Graph) -> FamilyWitness:
@@ -896,7 +899,7 @@ def recognize(g: Graph) -> FamilyWitness:
             )
         if cert is not None:
             certs[kind] = cert
-    return FamilyWitness(frozenset(certs), certs)
+    return FamilyWitness(certs)
 
 
 # -- generators ----------------------------------------------------------------

@@ -38,18 +38,30 @@ def _edge(n: int, edge) -> Edge:
     return u, v
 
 
+def _vertex(n: int, v) -> int:
+    """``v`` as a vertex of a graph on n vertices, or InputError: not an
+    int, or out of range."""
+    if not isinstance(v, int):
+        raise InputError(f"vertex {v!r} is not an int")
+    if not 0 <= v < n:
+        raise InputError(f"vertex {v} out of range")
+    return v
+
+
 class Graph:
     """Simple undirected graph; values are immutable and hashable."""
 
     __slots__ = ("n", "_rows", "_hash")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
-        if n < 0:
-            raise InputError("vertex count must be nonnegative")
-        if len(rows) != n:
-            raise InputError("adjacency rows must match vertex count")
+        if not isinstance(n, int) or n < 0:
+            raise InputError(f"vertex count {n!r} is not a nonnegative int")
+        if not isinstance(rows, tuple) or len(rows) != n:
+            raise InputError(f"adjacency rows must be a tuple of {n} int masks")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
+            if not isinstance(row, int):
+                raise InputError(f"row {v} is not an int mask")
             if row & ~full:
                 raise InputError(f"row {v} references vertices outside 0..{n - 1}")
             if row >> v & 1:
@@ -75,6 +87,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Edge]) -> "Graph":
+        if not isinstance(n, int):
+            raise InputError(f"vertex count {n!r} is not a nonnegative int")
         rows = [0] * n
         for edge in edges:
             u, v = _edge(n, edge)
@@ -151,9 +165,7 @@ class Graph:
 
     def induced(self, vertices: Iterable[int]) -> "Graph":
         """Induced subgraph, relabeled 0..k-1 in increasing vertex order."""
-        order = sorted(set(vertices))
-        if order and not (0 <= order[0] and order[-1] < self.n):
-            raise InputError("induced subgraph vertices out of range")
+        order = sorted({_vertex(self.n, v) for v in vertices})
         index = {v: i for i, v in enumerate(order)}
         rows = [0] * len(order)
         for v in order:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InputError
-from .graphs import Graph, _bits
+from .graphs import Graph, _bits, _vertex
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,9 +28,7 @@ class HeavyPair:
 
 
 def is_heavy(g: Graph, v: int) -> bool:
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex {v} out of range")
-    return 2 * g.degree(v) >= g.n
+    return 2 * g.degree(_vertex(g.n, v)) >= g.n
 
 
 def heavy_vertices(g: Graph) -> list[int]:

@@ -5,6 +5,10 @@ completion closure. Every vertex of a valid decomposition lies in one
 region (interior) or exactly two (frontier); a third region would
 contradict claw-freeness of the closure, so decompose fails loudly
 rather than proceed.
+
+The law checks and the finder read vertex sets as integer masks, like
+the rest of the package: a region, its interior, the vertices sharing a
+region with u, and the breadth-first balls of a shortest-path search.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 from .closures import c_closure
 from .errors import InputError, PreconditionError
-from .graphs import Graph, _bits, flood, is_connected, is_nonseparable, maximal_cliques
+from .graphs import Graph, _bits, _vertex, flood, is_connected, is_nonseparable, maximal_cliques
 
 
 @dataclass(frozen=True)
@@ -24,10 +28,10 @@ class RegionDecomposition:
     membership: tuple[tuple[int, ...], ...]  # vertex -> region indices
 
     def is_interior(self, v: int) -> bool:
-        return len(self.membership[v]) == 1
+        return len(self.membership[_vertex(self.graph.n, v)]) == 1
 
     def is_frontier(self, v: int) -> bool:
-        return len(self.membership[v]) == 2
+        return len(self.membership[_vertex(self.graph.n, v)]) == 2
 
     def interior_vertices(self, region_index: int) -> frozenset[int]:
         return frozenset(
@@ -35,7 +39,7 @@ class RegionDecomposition:
         )
 
     def associated(self, u: int, v: int) -> bool:
-        if u == v:
+        if _vertex(self.graph.n, u) == _vertex(self.graph.n, v):
             raise InputError("associated is defined for distinct vertices")
         return bool(set(self.membership[u]) & set(self.membership[v]))
 
@@ -76,34 +80,29 @@ def region_law_violations(decomp: RegionDecomposition) -> list[str]:
     the vertices a reaches through interior vertices of the region.
     """
     g = decomp.graph
+    rows, member = g.rows, decomp.membership
+    masks = [sum(1 << v for v in region) for region in decomp.regions]
+    linked = [0] * g.n  # linked[u]: the vertices that share a region with u
+    for u, idxs in enumerate(member):
+        for j in idxs:
+            linked[u] |= masks[j]
     problems = []
-    for i, region in enumerate(decomp.regions):
-        sub = g.induced(region)
-        if not is_nonseparable(sub):
+    for i, region in enumerate(masks):
+        if not is_nonseparable(g.induced(decomp.regions[i])):
             problems.append(f"region {i} induces a separable subgraph")
-        interior = decomp.interior_vertices(i)
-        ordered = sorted(region)
-        complete = g.is_clique_mask(sum(1 << v for v in region))
-        for v in ordered:
-            if not decomp.is_frontier(v) or v not in region:
-                continue
-            has_interior_neighbor = any(
-                g.has_edge(v, u) for u in region if u != v and u in interior
-            )
-            if not has_interior_neighbor and not (complete and not interior):
+        interior = sum(1 << v for v in _bits(region) if len(member[v]) == 1)
+        complete = g.is_clique_mask(region)
+        for v in _bits(region):
+            if len(member[v]) == 2 and not rows[v] & interior and not (complete and not interior):
                 problems.append(f"region {i}: frontier vertex {v} lacks an interior neighbor")
-        for u in range(g.n):
-            if u in region:
-                continue
-            linked = sum(1 for w in region if decomp.associated(u, w))
-            if linked >= 2:
+        for u in _bits(g.full_mask & ~region):
+            if (linked[u] & region).bit_count() >= 2:
                 problems.append(f"vertex {u} associated with two vertices of region {i} but outside it")
-        interior_mask = sum(1 << v for v in interior)
-        for k, a in enumerate(ordered):
+        for a in _bits(region):
             # a shortest a..b path with interior inner vertices has no chord
-            reach = flood(g.rows, 1 << a, interior_mask)
-            for b in ordered[k + 1:]:
-                if not g.row(b) & reach:
+            reach = flood(rows, 1 << a, interior)
+            for b in _bits(region & (-2 << a)):
+                if not rows[b] & reach:
                     problems.append(
                         f"region {i}: no induced path {a}..{b} through interior vertices"
                     )
@@ -178,29 +177,23 @@ def validate_generalized(g: Graph, gcn: GeneralizedClawNet) -> list[str]:
     return problems
 
 
-def _lex_shortest_path(g: Graph, src: int, targets: set[int]) -> list[int]:
-    """Lexicographically least among the shortest src->targets paths."""
-    dist = [-1] * g.n
-    frontier = [t for t in targets]
-    for t in targets:
-        dist[t] = 0
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for u in _bits(g.row(v)):
-                if dist[u] == -1:
-                    dist[u] = depth
-                    nxt.append(u)
-        frontier = nxt
-    if dist[src] == -1:
-        raise InputError("targets unreachable from source")
+def _lex_shortest_path(g: Graph, src: int, targets: int) -> list[int]:
+    """Lexicographically least among the shortest src->``targets`` paths:
+    balls of radius 0, 1, ... grow around the targets mask until one holds
+    src, and the path steps to its lowest neighbor in each smaller ball."""
+    rows = g.rows
+    balls = [targets]  # balls[k]: the vertices at distance at most k
+    while not balls[-1] >> src & 1:
+        ball = balls[-1]
+        for v in _bits(balls[-1]):
+            ball |= rows[v]
+        if ball == balls[-1]:
+            raise InputError("targets unreachable from source")
+        balls.append(ball)
     path = [src]
-    cur = src
-    while dist[cur] != 0:
-        cur = min(u for u in _bits(g.row(cur)) if dist[u] == dist[cur] - 1)
-        path.append(cur)
+    for ball in balls[-2::-1]:
+        step = rows[path[-1]] & ball
+        path.append((step & -step).bit_length() - 1)
     return path
 
 
@@ -208,23 +201,21 @@ def generalized_claw_or_net(g: Graph, z1: int, z2: int, z3: int) -> GeneralizedC
     """Induced generalized claw or net connecting three distinct vertices,
     built the constructive way: a shortest z1-z2 path, a shortest feeder
     from z3, then a case split on how the feeder meets the path."""
+    for z in (z1, z2, z3):
+        _vertex(g.n, z)
     if len({z1, z2, z3}) != 3:
         raise InputError("targets must be three distinct vertices")
-    for z in (z1, z2, z3):
-        if not 0 <= z < g.n:
-            raise InputError(f"vertex {z} out of range")
     if not is_connected(g):
         raise InputError("host graph must be connected")
 
-    p = _lex_shortest_path(g, z1, {z2})
+    p = _lex_shortest_path(g, z1, 1 << z2)
     if z3 in p:
         i = p.index(z3)
         q1 = tuple(reversed(p[: i + 1]))
         q2 = tuple(p[i:])
         return GeneralizedClawNet("claw", z3, (q1, q2, (z3,)))
 
-    p_set = set(p)
-    feeder = _lex_shortest_path(g, z3, p_set)  # z3 ... x with only x on p
+    feeder = _lex_shortest_path(g, z3, sum(1 << v for v in p))  # z3 ... x with only x on p
     x = feeder[-1]
     x3 = feeder[-2]
     q3 = tuple(reversed(feeder[:-1]))  # x3 ... z3

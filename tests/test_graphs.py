@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamclosure.closures import bc_local, c_eligible, r_eligible
 from hamclosure.errors import ExhaustionError, FormatError, InputError
 from hamclosure.graphs import (
     Graph,
@@ -24,6 +25,8 @@ from hamclosure.graphs import (
     path_graph,
     sample_graphs,
 )
+from hamclosure.heaviness import is_heavy
+from hamclosure.regions import decompose, generalized_claw_or_net
 
 
 def graphs_strategy(max_n=10):
@@ -76,6 +79,16 @@ class TestConstruction:
     def test_asymmetric_rows_rejected(self):
         with pytest.raises(InputError):
             Graph(2, (0b10, 0b00))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Graph(2, [0, 0]),
+        lambda: Graph(2, (0, "x")),
+        lambda: Graph(2.0, (0, 0)),
+        lambda: Graph.from_edges("3", []),
+    ], ids=["rows-list", "row-str", "n-float", "from_edges-n-str"])
+    def test_malformed_arguments_rejected(self, build):
+        with pytest.raises(InputError):
+            build()
 
     @given(graphs_strategy())
     def test_symmetry_and_irreflexivity(self, g):
@@ -305,3 +318,26 @@ def test_bipartite_constructor():
     g = complete_bipartite(2, 3)
     assert g.n == 5 and g.edge_count == 6
     assert not g.has_edge(0, 1) and g.has_edge(0, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: c_eligible(cycle_graph(5), 1.0), "is not an int"),
+    (lambda: bc_local(cycle_graph(5), 1.0), "is not an int"),
+    (lambda: r_eligible(cycle_graph(5), "a"), "is not an int"),
+    (lambda: is_heavy(cycle_graph(5), "a"), "is not an int"),
+    (lambda: cycle_graph(5).induced(["a"]), "is not an int"),
+    (lambda: cycle_graph(5).induced([0.5, 1]), "is not an int"),
+    (lambda: generalized_claw_or_net(path_graph(5), 0, 2.0, 4), "is not an int"),
+    (lambda: generalized_claw_or_net(path_graph(5), 0, [1], 4), "is not an int"),
+    (lambda: decompose(cycle_graph(5)).is_interior(9), "vertex 9 out of range"),
+    (lambda: decompose(cycle_graph(5)).is_interior(-1), "vertex -1 out of range"),
+    (lambda: decompose(cycle_graph(5)).is_frontier(-3), "vertex -3 out of range"),
+    (lambda: decompose(cycle_graph(5)).associated(0, 5), "vertex 5 out of range"),
+    (lambda: c_eligible(cycle_graph(5), 5), "vertex 5 out of range"),
+], ids=["c_eligible", "bc_local", "r_eligible", "is_heavy", "induced-str", "induced-float",
+        "finder-float", "finder-list", "is_interior-9", "is_interior-neg", "is_frontier-neg",
+        "associated", "c_eligible-range"])
+def test_vertex_arguments_are_checked(call, message):
+    # every single-vertex entry point reads its vertex through one check
+    with pytest.raises(InputError, match=message):
+        call()

@@ -5,9 +5,12 @@ import pytest
 from hamclosure.errors import InputError, PreconditionError
 from hamclosure.graphs import (
     Graph,
+    _bits,
     complete_graph,
     cycle_graph,
+    flood,
     is_connected,
+    is_nonseparable,
     path_graph,
     sample_graphs,
 )
@@ -15,6 +18,7 @@ from hamclosure.heaviness import is_pattern_o_heavy
 from hamclosure.patterns import REFERENCE, PatternKind
 from hamclosure.regions import (
     RegionDecomposition,
+    _lex_shortest_path,
     decompose,
     generalized_claw_or_net,
     region_law_violations,
@@ -140,9 +144,6 @@ class TestGeneralizedClawNet:
     def test_input_errors(self, net):
         with pytest.raises(InputError):
             generalized_claw_or_net(net, 1, 1, 2)
-        disconnected = path_graph(3).add_edges([])[0]
-        from hamclosure.graphs import Graph
-
         g = Graph.from_edges(4, [(0, 1)])
         with pytest.raises(InputError):
             generalized_claw_or_net(g, 0, 1, 2)
@@ -194,3 +195,140 @@ class TestGeneralizedClawNet:
             assert has_induced(sub, kind)
             seen[out.shape] += 1
         assert seen["claw"] >= 20 and seen["net"] >= 1
+
+
+# -- set-based oracle ----------------------------------------------------------
+#
+# The region laws and the finder's shortest path as they were written on
+# Python sets and a distance list, before the masks; the mask versions must
+# agree with them on every input below.
+
+
+def set_region_law_violations(decomp):
+    g = decomp.graph
+    problems = []
+    for i, region in enumerate(decomp.regions):
+        sub = g.induced(region)
+        if not is_nonseparable(sub):
+            problems.append(f"region {i} induces a separable subgraph")
+        interior = decomp.interior_vertices(i)
+        ordered = sorted(region)
+        complete = g.is_clique_mask(sum(1 << v for v in region))
+        for v in ordered:
+            if not decomp.is_frontier(v) or v not in region:
+                continue
+            has_interior_neighbor = any(
+                g.has_edge(v, u) for u in region if u != v and u in interior
+            )
+            if not has_interior_neighbor and not (complete and not interior):
+                problems.append(f"region {i}: frontier vertex {v} lacks an interior neighbor")
+        for u in range(g.n):
+            if u in region:
+                continue
+            linked = sum(1 for w in region if decomp.associated(u, w))
+            if linked >= 2:
+                problems.append(f"vertex {u} associated with two vertices of region {i} but outside it")
+        interior_mask = sum(1 << v for v in interior)
+        for k, a in enumerate(ordered):
+            reach = flood(g.rows, 1 << a, interior_mask)
+            for b in ordered[k + 1:]:
+                if not g.row(b) & reach:
+                    problems.append(
+                        f"region {i}: no induced path {a}..{b} through interior vertices"
+                    )
+    return problems
+
+
+def set_lex_shortest_path(g, src, targets):
+    dist = [-1] * g.n
+    frontier = [t for t in targets]
+    for t in targets:
+        dist[t] = 0
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt = []
+        for v in frontier:
+            for u in _bits(g.row(v)):
+                if dist[u] == -1:
+                    dist[u] = depth
+                    nxt.append(u)
+        frontier = nxt
+    if dist[src] == -1:
+        raise InputError("targets unreachable from source")
+    path = [src]
+    cur = src
+    while dist[cur] != 0:
+        cur = min(u for u in _bits(g.row(cur)) if dist[u] == dist[cur] - 1)
+        path.append(cur)
+    return path
+
+
+LAW_WORDS = {1: "separable", 2: "lacks an interior", 3: "associated", 4: "no induced path"}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InputError as exc:
+        return str(exc)
+
+
+class TestSetOracle:
+    def test_laws_agree_on_the_corpus(self, corpus):
+        # under the closure reading and the self reading, where the graph
+        # is its own closure and its regions are its own maximal cliques
+        compared = reported = 0
+        for g in corpus:
+            if not is_pattern_o_heavy(g, PatternKind.CLAW):
+                continue
+            for closure in (None, g):
+                try:
+                    d = decompose(g, closure=closure)
+                except PreconditionError:
+                    continue
+                expected = set_region_law_violations(d)
+                assert region_law_violations(d) == expected
+                compared += 1
+                reported += bool(expected)
+        assert compared > 350 and reported > 20
+
+    def test_laws_agree_on_hand_decompositions(self):
+        # random vertex subsets as regions, not cliques: law 3 must read
+        # membership, not closure adjacency
+        rng = random.Random(20)
+        seen = set()
+        for attempt in range(600):
+            n = rng.randrange(2, 11)
+            g = next(iter(sample_graphs(n, rng.choice((0.3, 0.5, 0.7)), seed=attempt, limit=1)))
+            k = rng.randrange(1, 5)
+            regions = [set() for _ in range(k)]
+            for v in range(n):
+                for i in rng.sample(range(k), min(k, rng.choice((0, 1, 1, 2, 2)))):
+                    regions[i].add(v)
+            regions = [r for r in regions if r]
+            d = _hand_decomposition(n, g.edges(), regions)
+            expected = set_region_law_violations(d)
+            assert region_law_violations(d) == expected
+            seen.update(law for law, word in LAW_WORDS.items() if any(word in m for m in expected))
+        # every law is broken somewhere, so each is compared on a failure
+        assert seen == set(LAW_WORDS)
+
+    def test_shortest_paths_agree_on_finder_draws(self):
+        # the two paths the finder asks for, and a random target set
+        rng = random.Random(21)
+        asked = 0
+        for attempt in range(2000):
+            n = rng.randrange(3, 13)
+            g = next(iter(sample_graphs(n, rng.choice((0.15, 0.3, 0.5)), seed=attempt, limit=1)))
+            z1, z2, z3 = rng.sample(range(n), 3)
+            p = _outcome(set_lex_shortest_path, g, z1, {z2})
+            assert _outcome(_lex_shortest_path, g, z1, 1 << z2) == p
+            if isinstance(p, list) and z3 not in p:
+                assert _outcome(_lex_shortest_path, g, z3, sum(1 << v for v in p)) == \
+                    _outcome(set_lex_shortest_path, g, z3, set(p))
+                asked += 1
+            targets = set(rng.sample(range(n), rng.randrange(1, n)))
+            assert _outcome(_lex_shortest_path, g, z3, sum(1 << v for v in targets)) == \
+                _outcome(set_lex_shortest_path, g, z3, targets)
+        assert asked > 500
