@@ -7,11 +7,14 @@ graph; ``closures_of`` returns exactly those, without re-checking.
 neighborhood-completion closure is tested against: exhaustive enumeration
 of spanning supergraphs for the minimum one that is claw-free,
 diamond-free, and has no o-heavy pair. ``supergraph_search`` walks one
-include/exclude tree over the non-edges and drops a subtree as soon as a
-left-out pair has degree sum at least n. That is sound because degrees
-only grow as edges are added below the node, so the pair stays an
-o-heavy non-edge in every supergraph of the subtree. Every leaf the walk
-reaches still runs the full target test, and the record reports how many
+include/exclude tree over the non-edges and drops a branch as soon as it
+breaks the target for good. A left-out pair with degree sum at least n
+stays an o-heavy non-edge below, since degrees only grow as edges are
+added. A 4-vertex set whose last undecided pair was just decided keeps
+its induced subgraph below, so the walk tests it once there for a claw or
+a diamond by its internal degrees; the sets are listed per non-edge
+before the walk. It shares no pattern detector with the closures, every
+leaf it reaches satisfies the target, and the record reports how many
 tree nodes were entered.
 
 Every degree-sum question reads one table per graph,
@@ -48,8 +51,9 @@ from .errors import (
     PreconditionError,
 )
 from .graphs import Edge, Graph, _bits, _vertex, component_masks, flood
-from .heaviness import _heavy_pairs_at, _o_heavy_within, degree_thresholds, o_heavy_pairs
-from .patterns import PatternKind, embeddings, has_induced
+from .heaviness import _heavy_pairs_at, _o_heavy_within, degree_thresholds
+# has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
+from .patterns import PatternKind, embeddings, has_induced  # noqa: F401
 
 
 class EligibilityMode(Enum):
@@ -396,14 +400,6 @@ def validate_c_trace(trace: ClosureTrace) -> list[str]:
 # -- exhaustive supergraph oracle --------------------------------------------
 
 
-def _satisfies_target(g: Graph) -> bool:
-    return (
-        not has_induced(g, PatternKind.CLAW)
-        and not has_induced(g, PatternKind.DIAMOND)
-        and not o_heavy_pairs(g)
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class SupergraphSearch:
     """Full enumeration record: all satisfying edge-addition sets, in
@@ -431,15 +427,40 @@ class SupergraphSearch:
         return g
 
 
+def _closing_sets(g: Graph, non_edges) -> list[list[tuple[int, ...]]]:
+    """Per non-edge i = (u, v), the 4-vertex sets {u, v, a, b} whose other
+    five pairs are edges of g or non-edges of smaller index, each as
+    (mask, u, v, a, b): the sets that non-edge i is the last to decide."""
+    full = g.full_mask
+    # undecided[x]: x's partners in the non-edges not yet passed
+    undecided = [full & ~(row | 1 << x) for x, row in enumerate(g.rows)]
+    closing = []
+    for u, v in non_edges:
+        undecided[u] ^= 1 << v
+        undecided[v] ^= 1 << u
+        common = full & ~(undecided[u] | undecided[v] | 1 << u | 1 << v)
+        sets = []
+        for a in _bits(common):
+            for b in _bits(common & ~undecided[a] & (-2 << a)):
+                sets.append((1 << u | 1 << v | 1 << a | 1 << b, u, v, a, b))
+        closing.append(sets)
+    return closing
+
+
 def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
     """Every set of non-edges whose addition to g satisfies the target.
 
     A depth-first include/exclude walk over ``non_edges`` in index order;
-    node i decides non-edge i, and a leaf is one complete choice. A
-    subtree is dropped as soon as an excluded pair has degree sum at
-    least n: degrees only grow below that node, so the pair is an o-heavy
-    non-edge in every leaf of the subtree. Each leaf that is reached
-    still runs the full target test (claw, diamond and o-heavy pairs).
+    node i decides non-edge i, and a leaf is one complete choice. A branch
+    is dropped as soon as it breaks the target for good:
+    - an excluded pair has degree sum at least n. Degrees only grow below
+      that node, so the pair is an o-heavy non-edge in every leaf below.
+    - a 4-vertex set that non-edge i is the last to decide induces a claw
+      (internal degrees sum to 6, one of them 3) or a diamond (they sum to
+      10). Its six pairs are fixed from here on.
+    Every induced claw or diamond holds a non-edge of g, so each is tested
+    once on every root-to-leaf path, and a leaf that is reached satisfies
+    the target without a further test.
     Raises ``BudgetError`` when g has more than ``budget`` non-edges.
     """
     non_edges = tuple(g.non_edges())
@@ -449,36 +470,49 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
         )
     n = g.n
     rows = list(g.rows)
-    degs = g.degrees()
+    degs, at = degree_thresholds(rows)
+    closing = _closing_sets(g, non_edges)
     excluded = [0] * n  # excluded[x]: bitmask of x's excluded partners
     chosen: list[int] = []
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def heavy_excluded(x: int) -> bool:
-        return any(degs[x] + degs[y] >= n for y in _bits(excluded[x]))
+    def claw_or_diamond(sets) -> bool:
+        for mask, a, b, c, d in sets:
+            da = (rows[a] & mask).bit_count()
+            db = (rows[b] & mask).bit_count()
+            dc = (rows[c] & mask).bit_count()
+            dd = (rows[d] & mask).bit_count()
+            total = da + db + dc + dd
+            if total == 10 or total == 6 and 3 in (da, db, dc, dd):
+                return True
+        return False
 
     def walk(i: int) -> None:
         nonlocal nodes
         nodes += 1
         if i == len(non_edges):
-            if _satisfies_target(Graph._unsafe(n, tuple(rows))):
-                found.append(tuple(chosen))
+            found.append(tuple(chosen))
             return
         u, v = non_edges[i]
+        sets = closing[i]
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        degs[u] += 1
-        degs[v] += 1
-        if not (heavy_excluded(u) or heavy_excluded(v)):
+        for x in u, v:
+            degs[x] += 1
+            at[degs[x]] |= 1 << x
+        # an excluded partner of u or v whose degree sum just reached n
+        if not (excluded[u] & at[n - degs[u]] or excluded[v] & at[n - degs[v]]
+                or claw_or_diamond(sets)):
             chosen.append(i)
             walk(i + 1)
             chosen.pop()
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-        degs[u] -= 1
-        degs[v] -= 1
-        if degs[u] + degs[v] < n:
+        for x in u, v:
+            at[degs[x]] ^= 1 << x
+            degs[x] -= 1
+        if degs[u] + degs[v] < n and not claw_or_diamond(sets):
             excluded[u] |= 1 << v
             excluded[v] |= 1 << u
             walk(i + 1)
@@ -486,6 +520,9 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
             excluded[v] ^= 1 << u
 
     walk(0)
+    # walk calls itself through its closure; break that cycle so the
+    # closing lists are freed now, not at the next full collection
+    del walk
     if not found:
         raise AssertionError("unreachable: the complete graph always satisfies the target")
     found.sort(key=lambda idx: (len(idx), idx))

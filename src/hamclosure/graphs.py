@@ -48,14 +48,20 @@ def _vertex(n: int, v) -> int:
     return v
 
 
+def _order(n) -> int:
+    """``n`` as a vertex count, or InputError: not a nonnegative int."""
+    if not isinstance(n, int) or n < 0:
+        raise InputError(f"vertex count {n!r} is not a nonnegative int")
+    return n
+
+
 class Graph:
     """Simple undirected graph; values are immutable and hashable."""
 
     __slots__ = ("n", "_rows", "_hash")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
-        if not isinstance(n, int) or n < 0:
-            raise InputError(f"vertex count {n!r} is not a nonnegative int")
+        _order(n)
         if not isinstance(rows, tuple) or len(rows) != n:
             raise InputError(f"adjacency rows must be a tuple of {n} int masks")
         full = (1 << n) - 1
@@ -87,9 +93,7 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[Edge]) -> "Graph":
-        if not isinstance(n, int):
-            raise InputError(f"vertex count {n!r} is not a nonnegative int")
-        rows = [0] * n
+        rows = [0] * _order(n)
         for edge in edges:
             u, v = _edge(n, edge)
             rows[u] |= 1 << v
@@ -195,11 +199,11 @@ def empty_graph(n: int) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return Graph.from_edges(n, [(u, v) for u in range(_order(n)) for v in range(u + 1, n)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
+    if _order(n) < 3:
         raise InputError("cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
@@ -435,9 +439,9 @@ class GraphSampler:
         limit: int | None = None,
         max_attempts: int = 100_000,
     ):
+        self.n = _order(n)
         if not 0.0 <= p <= 1.0:
             raise InputError("edge probability must lie in [0, 1]")
-        self.n = n
         self.p = p
         self.seed = seed
         self.predicate = predicate

@@ -54,7 +54,7 @@ def _heavy_pairs_at(rows, degs, at, adjacent: bool) -> list[tuple[int, int]]:
     out = []
     for u in range(n):
         partners = (rows[u] if adjacent else ~rows[u]) & at[n - degs[u]] & (-2 << u)
-        while partners:  # _bits inlined: supergraph_search asks this at every leaf
+        while partners:  # _bits inlined: classify lists both kinds of pair per graph
             low = partners & -partners
             out.append((u, low.bit_length() - 1))
             partners ^= low

@@ -6,8 +6,9 @@ pattern's automorphisms. One backtracking matcher reads every pattern
 from its reference graph: it places the roles in order with
 neighbourhood bitmask algebra and keeps one embedding per orbit by
 symmetry breaking on the automorphism group, which leaves that least
-tuple. The claw and the diamond, the hot tests of the supergraph oracle,
-keep hand-written loops that emit it too. ``net_profile`` classifies
+tuple. The claw keeps a hand-written loop that emits it too: the claw
+walk that decides which closures are defined runs on every graph
+``classify`` reads. ``net_profile`` classifies
 nets straight from the matcher's embeddings, with one
 ``degree_thresholds`` table per graph; ``classify_net`` takes one net as a
 role-ordered tuple and first checks that it induces a net in g.
@@ -160,10 +161,10 @@ def _matches(g: Graph, steps) -> Iterator[Embedding]:
         cands[depth] = c
 
 
-# The claw and the diamond keep hand-written loops: supergraph_search runs
-# them on every leaf (15,237 leaves per supergraph-oracle benchmark pass),
-# that is about half of that workload's time, and on those leaves the
-# matcher took 1.2-1.5x as long as either loop (2-vCPU guest, Python 3.11).
+# The claw keeps a hand-written loop: closures._claw_status walks the claws of
+# every graph that classify and the family-grid checks read, and on the 136
+# graphs of the classify-random pool the first claw took 1.3 ms with the loop
+# and 1.9-2.0 ms with the matcher (2-vCPU guest, Python 3.11).
 
 
 def _claws(g: Graph):
@@ -177,22 +178,9 @@ def _claws(g: Graph):
                     yield (x, u, v, w)
 
 
-def _diamonds(g: Graph):
-    for h1, h2 in g.edges():
-        common = g.row(h1) & g.row(h2)
-        for l1 in _bits(common):
-            rest = common & ~g.row(l1) & ~((1 << (l1 + 1)) - 1)
-            for l2 in _bits(rest):
-                yield (h1, h2, l1, l2)
-
-
-_LOOPS = {PatternKind.CLAW: _claws, PatternKind.DIAMOND: _diamonds}
-
-
 def embeddings(g: Graph, pattern: PatternKind) -> Iterator[Embedding]:
     """Induced embeddings in role order, one per orbit, in no set order."""
-    loop = _LOOPS.get(pattern)
-    return loop(g) if loop else _matches(g, _STEPS[pattern])
+    return _claws(g) if pattern is PatternKind.CLAW else _matches(g, _STEPS[pattern])
 
 
 def find_induced(g: Graph, pattern: PatternKind) -> list[Embedding]:

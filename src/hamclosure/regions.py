@@ -14,6 +14,7 @@ region with u, and the breadth-first balls of a shortest-path search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .closures import c_closure
 from .errors import InputError, PreconditionError
@@ -34,6 +35,10 @@ class RegionDecomposition:
         return len(self.membership[_vertex(self.graph.n, v)]) == 2
 
     def interior_vertices(self, region_index: int) -> frozenset[int]:
+        if not isinstance(region_index, int):
+            raise InputError(f"region index {region_index!r} is not an int")
+        if not 0 <= region_index < len(self.regions):
+            raise InputError(f"region index {region_index} out of range")
         return frozenset(
             v for v in self.regions[region_index] if self.is_interior(v)
         )
@@ -142,17 +147,26 @@ class GeneralizedClawNet:
 
 def validate_generalized(g: Graph, gcn: GeneralizedClawNet) -> list[str]:
     """Shape and inducedness violations; empty list means valid."""
-    problems = []
     expected_edges: set[tuple[int, int]] = set()
     if gcn.shape == "claw":
         origins = (gcn.core, gcn.core, gcn.core)
     elif gcn.shape == "net":
-        x1, x2, x3 = gcn.core  # type: ignore[misc]
-        origins = (x1, x2, x3)
+        if not (isinstance(gcn.core, tuple) and len(gcn.core) == 3):
+            return [f"net core {gcn.core!r} is not a vertex triple"]
+        origins = x1, x2, x3 = gcn.core
         for u, v in ((x1, x2), (x1, x3), (x2, x3)):
             expected_edges.add((min(u, v), max(u, v)))
     else:
         return [f"unknown shape {gcn.shape!r}"]
+    if len(gcn.paths) != 3 or not all(gcn.paths):
+        return ["paths are not three nonempty vertex sequences"]
+    outside: list = []
+    for v in (*origins, *chain(*gcn.paths)):
+        if not (isinstance(v, int) and 0 <= v < g.n) and v not in outside:
+            outside.append(v)
+    if outside:
+        return [f"vertex {v!r} out of range" for v in outside]
+    problems = []
     seen: dict[int, int] = {}
     for i, path in enumerate(gcn.paths):
         if path[0] != origins[i]:

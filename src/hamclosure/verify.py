@@ -318,12 +318,13 @@ def suite_closure_preservation(result: SuiteResult, seed: int, node_budget) -> N
 
 @_suite("minimality-oracle")
 def suite_minimality_oracle(result: SuiteResult, seed: int, node_budget) -> None:
-    small = [g for g in full_corpus(seed) if len(g.non_edges()) <= 14]
+    budget = 18
+    small = [g for g in full_corpus(seed) if len(g.non_edges()) <= budget]
     c_closures = [ladder["c"] for ladder in map(closures_of, small) if "c" in ladder]
-    result.notes.append(f"{len(c_closures)} claw-o-heavy samples with <= 14 non-edges")
+    result.notes.append(f"{len(c_closures)} claw-o-heavy samples with <= {budget} non-edges")
     for i, (closed, trace) in enumerate(c_closures):
         g = trace.initial
-        search = supergraph_search(g, budget=14)
+        search = supergraph_search(g, budget=budget)
         result.checked += 1
         if not search.unique_minimum:
             result.failures.append(f"sample {i}: minimum supergraph not unique")

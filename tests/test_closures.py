@@ -6,7 +6,6 @@ import pytest
 from hamclosure.closures import (
     ClosureTrace,
     EligibilityMode,
-    _satisfies_target,
     bc_local,
     c_closure,
     c_eligible,
@@ -243,6 +242,22 @@ class TestSupergraphOracle:
         search = supergraph_search(cycle_graph(6))
         assert search.nodes < 2 ** len(search.non_edges)
 
+    def test_node_total_on_the_oracle_corpus(self, corpus):
+        # the graphs of the supergraph-oracle benchmark, before relabelling
+        small = [g for g in claw_o_heavy_samples(corpus) if len(g.non_edges()) <= 14]
+        assert len(small) == 227
+        assert sum(supergraph_search(g, budget=14).nodes for g in small) == 24393
+
+
+def target_holds(g: Graph) -> bool:
+    """Claw-free, diamond-free and without an o-heavy pair, read from the
+    pattern detectors and the heavy-pair list."""
+    return (
+        not has_induced(g, PatternKind.CLAW)
+        and not has_induced(g, PatternKind.DIAMOND)
+        and not o_heavy_pairs(g)
+    )
+
 
 def plain_supergraph_enumeration(g: Graph):
     """Every subset of non-edges, one rebuilt graph each, in combinations
@@ -252,7 +267,7 @@ def plain_supergraph_enumeration(g: Graph):
     for size in range(len(non_edges) + 1):
         for subset in combinations(non_edges, size):
             cand, _ = g.add_edges(subset)
-            if _satisfies_target(cand):
+            if target_holds(cand):
                 satisfying.append(frozenset(subset))
     least_size = min(len(s) for s in satisfying)
     minima = tuple(s for s in satisfying if len(s) == least_size)
@@ -283,6 +298,19 @@ class TestPrunedSearchMatchesPlainEnumeration:
                 plain_supergraph_enumeration(g), g.rows
             checked += 1
         assert checked > 20
+
+    def test_every_reported_set_satisfies_the_target(self, corpus):
+        # past 8 non-edges the plain enumeration is too slow to compare;
+        # soundness is still checked set by set up to 18
+        checked = 0
+        for g in claw_o_heavy_samples(corpus):
+            if len(g.non_edges()) > 18:
+                continue
+            search = supergraph_search(g, budget=18)
+            for added in search.satisfying:
+                assert target_holds(search.graph_for(added)), (g.rows, sorted(added))
+                checked += 1
+        assert checked == 19391
 
 
 class TestTraceFormat:

@@ -90,6 +90,17 @@ class TestConstruction:
         with pytest.raises(InputError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: complete_graph("a"),
+        lambda: complete_graph(2.5),
+        lambda: cycle_graph("a"),
+        lambda: sample_graphs("a", 0.5, 0),
+    ], ids=["complete-str", "complete-float", "cycle-str", "sampler-str"])
+    def test_vertex_count_checked_before_use(self, build):
+        # the sampler refuses at construction, not at its first draw
+        with pytest.raises(InputError, match="vertex count .* is not a nonnegative int"):
+            build()
+
     @given(graphs_strategy())
     def test_symmetry_and_irreflexivity(self, g):
         for v in range(g.n):
@@ -334,9 +345,13 @@ def test_bipartite_constructor():
     (lambda: decompose(cycle_graph(5)).is_frontier(-3), "vertex -3 out of range"),
     (lambda: decompose(cycle_graph(5)).associated(0, 5), "vertex 5 out of range"),
     (lambda: c_eligible(cycle_graph(5), 5), "vertex 5 out of range"),
+    (lambda: decompose(cycle_graph(5)).interior_vertices(99), "region index 99 out of range"),
+    (lambda: decompose(cycle_graph(5)).interior_vertices(-1), "region index -1 out of range"),
+    (lambda: decompose(cycle_graph(5)).interior_vertices(0.0), "region index 0.0 is not an int"),
 ], ids=["c_eligible", "bc_local", "r_eligible", "is_heavy", "induced-str", "induced-float",
         "finder-float", "finder-list", "is_interior-9", "is_interior-neg", "is_frontier-neg",
-        "associated", "c_eligible-range"])
+        "associated", "c_eligible-range", "interior_vertices-99", "interior_vertices-neg",
+        "interior_vertices-float"])
 def test_vertex_arguments_are_checked(call, message):
     # every single-vertex entry point reads its vertex through one check
     with pytest.raises(InputError, match=message):

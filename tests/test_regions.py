@@ -17,6 +17,7 @@ from hamclosure.graphs import (
 from hamclosure.heaviness import is_pattern_o_heavy
 from hamclosure.patterns import REFERENCE, PatternKind
 from hamclosure.regions import (
+    GeneralizedClawNet,
     RegionDecomposition,
     _lex_shortest_path,
     decompose,
@@ -147,6 +148,18 @@ class TestGeneralizedClawNet:
         g = Graph.from_edges(4, [(0, 1)])
         with pytest.raises(InputError):
             generalized_claw_or_net(g, 0, 1, 2)
+
+    @pytest.mark.parametrize("gcn, problems", [
+        (GeneralizedClawNet("net", (0, 1), ((0,), (1,), (2,))),
+         ["net core (0, 1) is not a vertex triple"]),
+        (GeneralizedClawNet("claw", 0, ((0, 9), (0,), (0,))), ["vertex 9 out of range"]),
+        (GeneralizedClawNet("claw", 7, ((7,), (7,), (7,))), ["vertex 7 out of range"]),
+        (GeneralizedClawNet("claw", 0, ((0, 1), (0,))),
+         ["paths are not three nonempty vertex sequences"]),
+    ], ids=["net-core-pair", "path-vertex-9", "claw-core-7", "two-paths"])
+    def test_malformed_witness_is_reported(self, gcn, problems):
+        # reported as problems on C5, not raised and not read as missing edges
+        assert validate_generalized(cycle_graph(5), gcn) == problems
 
     def test_random_draws_validate(self):
         rng = random.Random(99)
