@@ -23,8 +23,15 @@ the checker's reading of those clauses (``_count_problems``) accepts.
 The composed clauses read vertex sets as integer masks. The checker and the
 recognizer share one attachment test (``_attaches``) and one core-clique
 rule (``_core_faults``); the recognizer proposes K and K' from the masks of
-g's maximal cliques, so only the checker, which decides every candidate,
-runs the one maximality test (``_is_maximal``) on both.
+g's maximal cliques, and the checker's clauses (``_composed_problems``),
+with the one maximality test (``_is_maximal``), decide every candidate.
+Two facts the recognizer already holds are not decided again: the mask of
+g's heavy vertices, and each sub-certificate. A glue search keeps a
+sub-certificate only after the base family's checker passed it on the
+subgraph induced by its span, which is the check the public checker
+repeats; a checker reads only the subgraph and the certificate, and mapping
+back by an increasing table is undone exactly, so skipping the repeat is
+exact.
 
 The C1N, C2N and C3NQ recognizers read their candidates from their own
 clauses. Chains and cycles share one cell reader: the cells are the maximal
@@ -680,10 +687,14 @@ def _renamed(x, table):
     return table[x] if isinstance(x, int) else x
 
 
-def _glue_search(g: Graph, vertices, base: FamilyKind):
-    """Run a base-family search on an induced subgraph, mapped back."""
-    ordered = sorted(vertices)
-    cert = _base_search(base, g.induced(ordered))
+def _glue_search(g: Graph, span: int, base: FamilyKind, searched: dict):
+    """Run a base-family search on the subgraph induced by ``span``, mapped
+    back. ``searched[span, None]`` keeps that subgraph for the other bases."""
+    ordered = list(_bits(span))
+    sub = searched.get((span, None))
+    if sub is None:
+        sub = searched[span, None] = g.induced(ordered)
+    cert = _base_search(base, sub)
     if cert is None:
         return None
     return _relabel(cert, ordered)
@@ -762,10 +773,20 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
         problems.append("shared vertex outside the graph")
     if problems:
         return problems
+    heavy = _cell_mask(heavy_vertices(g)) if spec.k_holds_heavy else 0
+    return _composed_problems(g, spec, cert, heavy, check_subs=True)
+
+
+def _composed_problems(g: Graph, spec: FamilySpec, cert: ComposedCert, heavy: int,
+                       check_subs: bool) -> list[str]:
+    """The clauses of ``spec`` on a certificate whose cells name vertices of
+    g; ``heavy`` is the mask of g's heavy vertices. Without ``check_subs``
+    the sub-certificates are taken as checked, which the recognizer may do:
+    each came from a base search that its checker passed on the same span."""
+    problems = []
     kmask, kpmask = _cell_mask(cert.k_clique), _cell_mask(cert.k_prime or ())
     if not g.is_clique_mask(kmask):
         problems.append("K is not a clique")
-    heavy = _cell_mask(heavy_vertices(g)) if spec.k_holds_heavy else 0
     problems += _core_faults(spec, g.n, kmask, heavy)
     if spec.k_holds_heavy and not _is_maximal(g, kmask):
         problems.append("K must be a maximal clique")
@@ -786,13 +807,14 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
     hosts = {"K": kmask, "K'": kpmask}
     for comp, cmask in zip(cert.components, comp_masks):
         if comp.glue not in spec.glues:
-            problems.append(f"component glue {comp.glue!r} not allowed in {family.value}")
+            problems.append(f"component glue {comp.glue!r} not allowed in {spec.kind.value}")
             continue
         glue = GLUES[comp.glue]
         host_masks = [hosts[h] for h in glue.hosts]
         if not _attaches(_neighbor_mask(g, cmask), host_masks):
             problems.append(glue.misplaced)
-        problems += _check_sub_cert(g, reduce(or_, host_masks, cmask), comp.sub)
+        if check_subs:
+            problems += _check_sub_cert(g, reduce(or_, host_masks, cmask), comp.sub)
     problems += _count_problems(spec, [c.glue for c in cert.components])
     for clique, message in spec.heavy_pairs:
         if not _heavy_pairs_hold(g, hosts[clique], cert.u0):
@@ -806,7 +828,8 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
 def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
     """(tag, sub-cert) options per component mask, in option order; None as
     soon as one component has no option. ``searched`` holds the answer of
-    every glue search already run on g, keyed by vertex mask and base."""
+    every glue search already run on g, keyed by vertex mask and base, and
+    the subgraph induced by each searched mask, keyed by mask and None."""
     out = []
     for comp in comps:
         outside = _neighbor_mask(g, comp)
@@ -818,7 +841,7 @@ def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
                 span = reduce(or_, host_masks, comp)
                 key = (span, glue.base)
                 if key not in searched:
-                    searched[key] = _glue_search(g, list(_bits(span)), glue.base)
+                    searched[key] = _glue_search(g, span, glue.base, searched)
                 cert = searched[key]
                 if cert:
                     options.append((tag, cert))
@@ -859,7 +882,7 @@ def _recognize_composed(
             cert = ComposedCert(g.n, tuple(_bits(kmask)), tuple(_bits(kpmask)) or None, u0, tuple(
                 ComponentCert(tuple(_bits(c)), tag, sub) for c, (tag, sub) in zip(comps, picked)
             ))
-            if not check_composed_cert(g, spec.kind, cert):
+            if not _composed_problems(g, spec, cert, heavy, check_subs=False):
                 return cert
     return None
 

@@ -219,8 +219,10 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # -- connectivity -----------------------------------------------------------
 #
 # One bitmask flood answers every connectivity question: connectivity floods
-# the whole vertex set, a vertex is a cut vertex when the flood of the rest
-# misses part of it, and 2-connectivity asks that of every vertex.
+# the whole vertex set, and a vertex is a cut vertex when the flood of the
+# rest misses part of it. 2-connectivity asks that only of the inner vertices
+# of one breadth-first tree, since a vertex of tree degree 1 is never a cut
+# vertex.
 
 
 def flood(rows, seed: int, allowed: int) -> int:
@@ -257,10 +259,29 @@ def is_connected(g: Graph) -> bool:
 def is_nonseparable(g: Graph) -> bool:
     """Connected, and still connected after deleting any one vertex; single
     vertices and edges count."""
-    if not is_connected(g):
+    if g.n == 0:
         return False
     rows, full = g.rows, g.full_mask
-    for v in range(g.n):
+    # one breadth-first pass from vertex 0: each vertex is the parent of the
+    # unclaimed neighbours it reaches first, and ``inner`` keeps the parents
+    seen = frontier = 1
+    inner = 0
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            children = rows[low.bit_length() - 1] & ~(seen | reach)
+            if children:
+                inner |= low
+                reach |= children
+            frontier ^= low
+        frontier = reach
+        seen |= reach
+    if seen != full:
+        return False
+    if rows[0].bit_count() < 2:
+        inner &= ~1  # the root with one child has tree degree 1
+    for v in _bits(inner):
         rest = full & ~(1 << v)
         if flood(rows, rest & -rest, rest) != rest:
             return False
@@ -286,8 +307,15 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
         if p == 0 and x == 0:
             found.append(r)
             return
-        pivot_pool = p | x
-        pivot = max(_bits(pivot_pool), key=lambda v: (rows[v] & p).bit_count())
+        # the vertex of p | x with the most neighbours in p, lowest first
+        pool, most = p | x, -1
+        while pool:
+            low = pool & -pool
+            v = low.bit_length() - 1
+            count = (rows[v] & p).bit_count()
+            if count > most:
+                pivot, most = v, count
+            pool ^= low
         for v in _bits(p & ~rows[pivot]):
             bit = 1 << v
             expand(r | bit, p & rows[v], x & rows[v])

@@ -544,46 +544,42 @@ class TestRecognize:
                 assert skeleton(found) == skeleton(cert), params.family
 
     def test_one_recognize_asks_each_question_of_g_once(self, monkeypatch):
-        clique_calls, searches, heavy_calls = Counter(), Counter(), Counter()
-        glue_search, checker = families._glue_search, families.check_composed_cert
-        checking = []
+        clique_calls, searches, heavy_calls, spans = Counter(), Counter(), Counter(), Counter()
+        glue_search, induced = families._glue_search, Graph.induced
 
         def counting_cliques(graph):
             clique_calls[graph] += 1
             return maximal_cliques(graph)
 
-        def counting_search(graph, vertices, base):
-            searches[frozenset(vertices), base] += 1
-            return glue_search(graph, vertices, base)
+        def counting_search(graph, span, base, searched):
+            searches[span, base] += 1
+            return glue_search(graph, span, base, searched)
 
         def counting_heavy(graph):
-            if not checking:
-                heavy_calls[graph] += 1
+            heavy_calls[graph] += 1
             return heavy_vertices(graph)
 
-        def flagged_checker(graph, kind, cert):
-            checking.append(kind)
-            try:
-                return checker(graph, kind, cert)
-            finally:
-                checking.pop()
+        def counting_induced(graph, vertices):
+            vertices = list(vertices)
+            spans[graph, frozenset(vertices)] += 1
+            return induced(graph, vertices)
 
         monkeypatch.setattr(families, "maximal_cliques", counting_cliques)
         monkeypatch.setattr(families, "_glue_search", counting_search)
         monkeypatch.setattr(families, "heavy_vertices", counting_heavy)
-        monkeypatch.setattr(families, "check_composed_cert", flagged_checker)
+        monkeypatch.setattr(Graph, "induced", counting_induced)
         for kind in FAMILY_SPECS:
             g = min((generate(params, seed) for params, seed in acceptance_grids()[kind]),
                     key=lambda member: member.n)
-            clique_calls.clear()
-            searches.clear()
-            heavy_calls.clear()
+            for counts in (clique_calls, searches, heavy_calls, spans):
+                counts.clear()
             assert kind in recognize(g).families
             # once, shared by the composed families and the C1N and C2N searches
             assert clique_calls[g] == 1, kind
             assert searches and max(searches.values()) == 1, kind
-            # once beside the clique masks; the checker asks on its own
             assert heavy_calls == {g: 1}, kind
+            # one subgraph per span, shared by the bases searched on it
+            assert spans and max(spans.values()) == 1, kind
 
     def test_shared_cliques_and_searches_change_no_answer(self):
         def unshared(g):
@@ -606,6 +602,29 @@ class TestRecognize:
             witness = recognize(g)
             assert witness.certificates == unshared(g), emit_graph6(g)
             assert witness.families == frozenset(witness.certificates)
+
+
+def test_recognized_certificates_pass_their_public_checkers():
+    """The recognizer takes the sub-certificates of its glue searches as
+    checked; the public checkers, which check each one again, accept every
+    certificate it returns."""
+    checkers = {FamilyKind.C1N: check_chain_cert, FamilyKind.C2N: check_cycle_cert,
+                FamilyKind.C3NQ: check_c3nq_cert}
+    members = [g for g in _small_grid_members() if g.n <= 13]
+    edits = [e for g in members for e in _single_edge_edits(g)]
+    # no grid member of order 13 or less is C2NPQ: its smallest members join
+    larger = [generate(params, seed) for params, seed in acceptance_grids()[FamilyKind.C2NPQ]]
+    larger = [g for g in larger if g.n <= 16]
+    found = Counter()
+    for g in list(dict.fromkeys(members + edits + larger)) + full_corpus(0):
+        for kind, cert in recognize(g).certificates.items():
+            if kind in FAMILY_SPECS:
+                problems = check_composed_cert(g, kind, cert)
+            else:
+                problems = checkers[kind](g, cert)
+            assert problems == [], (kind, emit_graph6(g), problems)
+            found[kind] += 1
+    assert set(found) == set(FamilyKind), found
 
 
 class TestKnownEdgeCases:

@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -164,36 +166,65 @@ class TestConnectivity:
         assert is_2_connected(complete_graph(3))
 
     def test_flood_agrees_with_set_dfs_on_all_small_graphs(self):
-        def connected(adj, vertices):
-            if not vertices:
-                return True
-            start = next(iter(vertices))
-            seen, stack = {start}, [start]
-            while stack:
-                for u in adj[stack.pop()] & vertices - seen:
-                    seen.add(u)
-                    stack.append(u)
-            return seen == vertices
-
         for n in range(7):
             pairs = list(itertools.combinations(range(n), 2))
             for bits in range(1 << len(pairs)):
                 edges = [e for k, e in enumerate(pairs) if bits >> k & 1]
-                adj = {v: set() for v in range(n)}
-                for u, v in edges:
-                    adj[u].add(v)
-                    adj[v].add(u)
-                vertices = set(range(n))
-                nonseparable = n > 0 and connected(adj, vertices) and all(
-                    connected(adj, vertices - {v}) for v in vertices
-                )
+                nonseparable = plain_nonseparable(n, edges)
                 g = Graph.from_edges(n, edges)
                 assert is_nonseparable(g) == nonseparable, edges
                 assert is_2_connected(g) == (n >= 3 and nonseparable), edges
 
+    def test_agrees_with_set_dfs_on_the_atlas_and_random_graphs(self):
+        graphs = [(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()]
+        graphs += [(g.n, g.edges()) for g in seeded_graphs()]
+        answers = Counter()
+        for n, edges in graphs:
+            nonseparable = plain_nonseparable(n, edges)
+            g = Graph.from_edges(n, edges)
+            assert is_nonseparable(g) == nonseparable, (n, edges)
+            assert is_2_connected(g) == (n >= 3 and nonseparable), (n, edges)
+            answers[n >= 8, nonseparable] += 1
+        # both answers occur among the atlas graphs and among the random ones
+        assert min(answers.values()) >= 20 and len(answers) == 4, answers
+
     def test_disconnected(self):
         assert not is_connected(empty_graph(2))
         assert is_connected(empty_graph(1))
+
+
+def plain_nonseparable(n, edges) -> bool:
+    """Connected, and connected after deleting each vertex, by a depth-first
+    search over Python sets."""
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+
+    def connected(vertices):
+        if not vertices:
+            return True
+        start = next(iter(vertices))
+        seen, stack = {start}, [start]
+        while stack:
+            for u in adj[stack.pop()] & vertices - seen:
+                seen.add(u)
+                stack.append(u)
+        return seen == vertices
+
+    vertices = set(range(n))
+    return n > 0 and connected(vertices) and all(connected(vertices - {v}) for v in vertices)
+
+
+def seeded_graphs():
+    """200 seeded G(n, p) draws with n in 8..20 and p in 0.1..0.6."""
+    rng = random.Random(2024)
+    graphs = []
+    for _ in range(200):
+        n, p = rng.randint(8, 20), rng.uniform(0.1, 0.6)
+        graphs.append(Graph.from_edges(
+            n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < p]))
+    return graphs
 
 
 def naive_maximal_cliques(g):
@@ -224,9 +255,18 @@ class TestMaximalCliques:
 
     def test_against_subset_enumeration(self, corpus):
         small = [g for g in corpus if g.n <= 7][:120]
-        assert small
-        for g in small:
-            assert maximal_cliques(g) == naive_maximal_cliques(g)
+        seeded = [g for g in seeded_graphs() if g.n <= 13]
+        assert small and len(seeded) >= 80
+        for g in small + seeded:
+            assert maximal_cliques(g) == naive_maximal_cliques(g), emit_graph6(g)
+
+    def test_against_networkx_on_random_graphs(self):
+        for g in seeded_graphs():
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            expected = sorted(sorted(c) for c in nx.find_cliques(h))
+            assert [sorted(c) for c in maximal_cliques(g)] == expected, emit_graph6(g)
 
 
 class TestGraph6:
