@@ -1,7 +1,8 @@
 """The three closure operators as deterministic fixpoint procedures.
 
 Each closure returns the closed graph together with a replayable trace.
-One walk over the induced claws decides which closures are defined on a
+One mask search for the first claw and the first light claw (one whose
+leaves hold no o-heavy pair) decides which closures are defined on a
 graph; ``closures_of`` returns exactly those, without re-checking.
 ``minimum_supergraph_oracle`` is the independent ground truth the
 neighborhood-completion closure is tested against: exhaustive enumeration
@@ -20,12 +21,13 @@ tree nodes were entered.
 Every degree-sum question reads one table per graph,
 ``heaviness.degree_thresholds``: ``at[d]`` is the mask of the vertices of
 degree at least d, so the o-heavy partners of u are ``~rows[u] & at[n -
-d(u)]`` without u. The claw walk, each c-eligibility scan and the
-augmented neighborhoods it floods are built from that table. The
+d(u)]`` without u. The light-claw search, each c-eligibility scan and
+the augmented neighborhoods it floods are built from that table. The
 o-closure steps on a row list and keeps its sorted list of o-heavy pairs
 across steps: joining uv removes uv, and since degrees only grow, the
 only new pairs sit at u or v. It builds one graph at the end. The r- and
-c-closures rescan the current graph at every step.
+c-closures rescan the current graph at every step; under the "min"
+policy the scan stops at the first eligible vertex, which is the pick.
 
 Two readings of completion eligibility are implemented. The AMENDED mode
 (default) asks whether the neighborhood is a clique in the input graph;
@@ -41,7 +43,7 @@ import random
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from itertools import takewhile
+from itertools import islice, takewhile
 
 from .errors import (
     BudgetError,
@@ -50,10 +52,10 @@ from .errors import (
     NonUniqueMinimumError,
     PreconditionError,
 )
-from .graphs import Edge, Graph, _bits, _vertex, component_masks, flood
-from .heaviness import _heavy_pairs_at, _o_heavy_within, degree_thresholds
+from .graphs import Edge, Graph, _bits, _budget, _vertex, component_masks, flood
+from .heaviness import _heavy_pairs_at, degree_thresholds
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
-from .patterns import PatternKind, embeddings, has_induced  # noqa: F401
+from .patterns import has_induced  # noqa: F401
 
 
 class EligibilityMode(Enum):
@@ -155,12 +157,14 @@ def _pick(items: list, policy: str, rng: random.Random):
 
 
 def _fixpoint(g: Graph, kind: str, candidates, policy: str, seed: int):
-    """Complete one picked candidate's neighborhood at a time, to a fixpoint."""
+    """Complete one picked candidate's neighborhood at a time, to a fixpoint.
+    ``candidates(cur)`` yields the eligible vertices of cur in increasing
+    order; the "min" policy reads only the first, the others list them all."""
     rng = random.Random(seed)
     cur = g
     steps = []
     while True:
-        options = candidates(cur)
+        options = list(islice(candidates(cur), 1 if policy == "min" else None))
         if not options:
             break
         subject = _pick(options, policy, rng)
@@ -170,15 +174,27 @@ def _fixpoint(g: Graph, kind: str, candidates, policy: str, seed: int):
 
 
 def _claw_status(g: Graph) -> tuple[bool, bool]:
-    """(claw-free, claw-o-heavy) from one walk over the induced claws,
-    stopping at the first claw with no o-heavy pair. The r-closure is
-    defined on claw-free graphs, the c-closure on claw-o-heavy ones."""
-    degs, at = degree_thresholds(g.rows)
+    """(claw-free, claw-o-heavy), stopping at the first light claw: one
+    whose leaves hold no o-heavy pair. The r-closure is defined on
+    claw-free graphs, the c-closure on claw-o-heavy ones.
+
+    A claw x; u < v < w has pairwise nonadjacent leaves, so it is light when
+    v and w avoid u's heavy partners ``at[n - d(u)]`` and w avoids v's.
+    Once a claw is found, only v outside u's heavy partners is tried."""
+    n, rows = g.n, g.rows
+    degs, at = degree_thresholds(rows)
     claw_free = True
-    for claw in embeddings(g, PatternKind.CLAW):
-        if not _o_heavy_within(g, degs, at, claw):
-            return False, False
-        claw_free = False
+    for x in range(n):
+        nbrs = rows[x]
+        for u in _bits(nbrs):
+            rest_u = nbrs & ~rows[u] & (-2 << u)
+            light_u = rest_u & ~at[n - degs[u]]
+            for v in _bits(rest_u if claw_free else light_u):
+                rest_v = rest_u & ~rows[v] & (-2 << v)
+                if rest_v:
+                    claw_free = False
+                    if light_u >> v & 1 and rest_v & light_u & ~at[n - degs[v]]:
+                        return False, False
     return claw_free, True
 
 
@@ -255,7 +271,7 @@ def r_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, Clos
 
 def _r_fixpoint(g: Graph, policy: str, seed: int):
     return _fixpoint(g, "r-completion",
-                     lambda cur: [x for x in range(cur.n) if _r_eligible_inner(cur, x)],
+                     lambda cur: (x for x in range(cur.n) if _r_eligible_inner(cur, x)),
                      policy, seed)
 
 
@@ -332,7 +348,7 @@ def c_closure(
 
 
 def _c_fixpoint(g: Graph, mode: EligibilityMode, policy: str, seed: int):
-    return _fixpoint(g, "c-completion", lambda cur: list(_c_eligible_vertices(cur, mode)),
+    return _fixpoint(g, "c-completion", lambda cur: _c_eligible_vertices(cur, mode),
                      policy, seed)
 
 
@@ -461,10 +477,11 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
     Every induced claw or diamond holds a non-edge of g, so each is tested
     once on every root-to-leaf path, and a leaf that is reached satisfies
     the target without a further test.
-    Raises ``BudgetError`` when g has more than ``budget`` non-edges.
+    Raises ``BudgetError`` when g has more than ``budget`` non-edges, and
+    ``InputError`` when ``budget`` is not an int.
     """
     non_edges = tuple(g.non_edges())
-    if len(non_edges) > budget:
+    if len(non_edges) > _budget(budget, "supergraph search budget"):
         raise BudgetError(
             f"{len(non_edges)} missing edges exceed the supergraph search budget {budget}"
         )

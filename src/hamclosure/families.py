@@ -33,6 +33,19 @@ repeats; a checker reads only the subgraph and the certificate, and mapping
 back by an increasing table is undone exactly, so skipping the repeat is
 exact.
 
+Two-clique lemma. Every vertex of a C1N, C2N or C3NQ member lies in at most
+two maximal cliques: in a chain or cycle a vertex has its own cell or
+cells and at most one junction, and the C3NQ edge list gives each path and
+attachment vertex one edge-clique besides its own (the same bound Krausz's
+theorem gives line graphs). Call a vertex of g crowded when it lies in
+three or more maximal cliques of g. A component vertex v that attaches has
+N[v] inside its glue span, so each maximal clique of g through v is a
+maximal clique of the subgraph the span induces, which is a base member.
+So a composed certificate leaves no crowded vertex outside K and K', and
+the recognizer skips a candidate that does before it finds components or
+runs a glue search; the candidate order, and so the first certificate
+accepted, is unchanged.
+
 The C1N, C2N and C3NQ recognizers read their candidates from their own
 clauses. Chains and cycles share one cell reader: the cells are the maximal
 cliques of g that are not matching edges, and one walk along their links
@@ -46,7 +59,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import cache, reduce
 from operator import or_
 
 from .closures import _c_closed, _claw_status
@@ -359,18 +372,17 @@ def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
 
 def is_c1n(g: Graph) -> ChainCert | None:
     """Chain-of-cliques decomposition, or None."""
-    return _c1n_of(g)
+    return _c1n_of(g, lambda: maximal_cliques(g))
 
 
-def _c1n_of(g: Graph, cliques=None) -> ChainCert | None:
-    """``is_c1n`` of g; g's maximal cliques are built only once g is
-    connected and not complete, unless the caller hands them in."""
+def _c1n_of(g: Graph, cliques_of) -> ChainCert | None:
+    """``is_c1n`` of g; ``cliques_of()`` gives g's maximal cliques and is
+    asked only once g is connected and not complete."""
     if g.n < 2 or not is_connected(g):
         return None
     if g.is_clique_mask(g.full_mask):
         return ChainCert(g.n, (tuple(range(g.n)),), ())
-    if cliques is None:
-        cliques = maximal_cliques(g)
+    cliques = cliques_of()
     links = _cell_links(g, cliques, cyclic=False)
     ends = [i for i in links or () if len(links[i]) == 1]
     if not ends or any(len(joined) > 2 for joined in links.values()):
@@ -387,17 +399,16 @@ def _c1n_of(g: Graph, cliques=None) -> ChainCert | None:
 
 def is_c2n(g: Graph) -> CycleCert | None:
     """Cyclic chain-of-cliques decomposition, or None."""
-    return _c2n_of(g)
+    return _c2n_of(g, lambda: maximal_cliques(g))
 
 
-def _c2n_of(g: Graph, cliques=None) -> CycleCert | None:
-    """``is_c2n`` of g; g's maximal cliques are built only once g is
-    2-connected, unless the caller hands them in."""
+def _c2n_of(g: Graph, cliques_of) -> CycleCert | None:
+    """``is_c2n`` of g; ``cliques_of()`` gives g's maximal cliques and is
+    asked only once g is 2-connected."""
     # A member is 2-connected: deleting a vertex breaks at most one junction.
     if not is_2_connected(g):
         return None
-    if cliques is None:
-        cliques = maximal_cliques(g)
+    cliques = cliques_of()
     links = _cell_links(g, cliques, cyclic=True)
     if links is None or any(len(joined) != 2 for joined in links.values()):
         return None
@@ -667,10 +678,14 @@ def _core_faults(spec: FamilySpec, n: int, kmask: int, heavy: int) -> list[str]:
     return ["K must span at least half the graph"] if 2 * kmask.bit_count() < n else []
 
 
-def _base_search(kind: FamilyKind, g: Graph):
-    # resolved through the module attributes on every call, so a wrapper
-    # installed on is_c1n, is_c2n or is_c3nq also sees the glue searches
-    return {FamilyKind.C1N: is_c1n, FamilyKind.C2N: is_c2n, FamilyKind.C3NQ: is_c3nq}[kind](g)
+def _base_search(kind: FamilyKind, g: Graph, cliques_of):
+    """The search of base family ``kind`` on g; ``cliques_of()`` gives g's
+    maximal cliques, asked only past the chain and cycle gates."""
+    if kind is FamilyKind.C1N:
+        return _c1n_of(g, cliques_of)
+    if kind is FamilyKind.C2N:
+        return _c2n_of(g, cliques_of)
+    return is_c3nq(g)
 
 
 def _relabel(cert, table):
@@ -689,12 +704,14 @@ def _renamed(x, table):
 
 def _glue_search(g: Graph, span: int, base: FamilyKind, searched: dict):
     """Run a base-family search on the subgraph induced by ``span``, mapped
-    back. ``searched[span, None]`` keeps that subgraph for the other bases."""
+    back. ``searched[span, None]`` keeps that subgraph, and its maximal
+    cliques once a search has built them, for the other bases."""
     ordered = list(_bits(span))
-    sub = searched.get((span, None))
-    if sub is None:
-        sub = searched[span, None] = g.induced(ordered)
-    cert = _base_search(base, sub)
+    held = searched.get((span, None))
+    if held is None:
+        sub = g.induced(ordered)
+        held = searched[span, None] = (sub, cache(lambda: maximal_cliques(sub)))
+    cert = _base_search(base, *held)
     if cert is None:
         return None
     return _relabel(cert, ordered)
@@ -851,15 +868,29 @@ def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
     return out
 
 
+def _crowded(cliques) -> int:
+    """The mask of the vertices that lie in three or more of ``cliques``
+    (vertex masks)."""
+    once = twice = crowded = 0
+    for mask in cliques:
+        crowded |= twice & mask
+        twice |= once & mask
+        once |= mask
+    return crowded
+
+
 def _recognize_composed(
-    g: Graph, spec: FamilySpec, cliques, heavy: int, searched: dict
+    g: Graph, spec: FamilySpec, cliques, heavy: int, crowded: int, searched: dict
 ) -> ComposedCert | None:
     """The first certificate of ``spec`` in candidate order, or None.
-    ``cliques`` are the vertex masks of g's maximal cliques and ``heavy``
-    the mask of its heavy vertices; ``searched`` is the glue search memo of
-    ``_glue_options``, shared by the specs of one call. K is a maximal
-    clique that passes the core-clique rule, and K' any other maximal
-    clique meeting K in exactly one vertex u0."""
+    ``cliques`` are the vertex masks of g's maximal cliques, ``heavy`` the
+    mask of its heavy vertices and ``crowded`` of its crowded ones;
+    ``searched`` is the glue search memo of ``_glue_options``, shared by
+    the specs of one call. K is a maximal clique that passes the
+    core-clique rule, and K' any other maximal clique meeting K in exactly
+    one vertex u0. A candidate that leaves a crowded vertex outside K and
+    K' has no certificate (see the module docstring) and is skipped before
+    its components are found."""
     for kmask in cliques:
         if _core_faults(spec, g.n, kmask, heavy):
             continue
@@ -868,6 +899,8 @@ def _recognize_composed(
             primes = [(m, (m & kmask).bit_length() - 1) for m in cliques
                       if m != kmask and (m & kmask).bit_count() == 1]
         for kpmask, u0 in primes:
+            if crowded & ~(kmask | kpmask):
+                continue
             comps = component_masks(g.rows, g.full_mask & ~(kmask | kpmask))
             if len(comps) < spec.min_components:
                 continue
@@ -899,27 +932,24 @@ class FamilyWitness:
 def recognize(g: Graph) -> FamilyWitness:
     """Match g against every family; empty match set is a valid answer.
 
-    The composed families share the masks of g's maximal cliques and of its
-    heavy vertices, and one memo of glue searches: a search's answer
-    depends only on its vertex set and base family, and the certificates
-    are frozen. The base families come first, C1N and C2N read from the
-    same clique list, and their searches on g answer the glue searches
-    that span all of g.
+    The composed families share the masks of g's maximal cliques, of its
+    heavy vertices and of its crowded vertices, and one memo of glue
+    searches: a search's answer depends only on its vertex set and base
+    family, and the certificates are frozen. The base families come first,
+    C1N and C2N read from the same clique list, and their searches on g
+    answer the glue searches that span all of g.
     """
     certs: dict[FamilyKind, Certificate] = {}
     cliques = maximal_cliques(g)
     masks, heavy = [_cell_mask(c) for c in cliques], _cell_mask(heavy_vertices(g))
+    crowded = _crowded(masks)
     searched: dict = {}
     for kind in FamilyKind:
         spec = FAMILY_SPECS.get(kind)
         if spec is not None:
-            cert = _recognize_composed(g, spec, masks, heavy, searched)
+            cert = _recognize_composed(g, spec, masks, heavy, crowded, searched)
         else:
-            cert = searched[g.full_mask, kind] = (
-                _c1n_of(g, cliques) if kind is FamilyKind.C1N
-                else _c2n_of(g, cliques) if kind is FamilyKind.C2N
-                else is_c3nq(g)
-            )
+            cert = searched[g.full_mask, kind] = _base_search(kind, g, lambda: cliques)
         if cert is not None:
             certs[kind] = cert
     return FamilyWitness(certs)
@@ -1208,6 +1238,25 @@ _GENERATORS = {
 }
 
 
+def _check_field_types(params: FamilyParams) -> None:
+    """Refuse params the generators cannot read: a family that is not a
+    FamilyKind, a component that is not a ComponentSpec, or sizes that are
+    not a sequence of ints."""
+    if not isinstance(params, FamilyParams) or not isinstance(params.family, FamilyKind):
+        raise ParameterError(f"{params!r} does not name a FamilyKind")
+    fields = [("k_sizes", params.clique_sizes), ("u_sizes", params.junction_sizes)]
+    if not isinstance(params.components, (tuple, list)):
+        raise ParameterError(f"{params.family.value}: components are not a sequence")
+    for comp in params.components:
+        if not isinstance(comp, ComponentSpec):
+            raise ParameterError(f"{params.family.value}: {comp!r} is not a ComponentSpec")
+        fields += [(f"{comp.kind} component k_sizes", comp.clique_sizes),
+                   (f"{comp.kind} component u_sizes", comp.junction_sizes)]
+    for name, value in fields:
+        if not (isinstance(value, (tuple, list)) and all(isinstance(x, int) for x in value)):
+            raise ParameterError(f"{params.family.value}: {name} {value!r} are not ints")
+
+
 def _check_fields_read(params: FamilyParams) -> None:
     """Refuse a params field the family would drop: only C1N and C2N read
     junction sizes, only composed families read components, and a c3nq
@@ -1232,6 +1281,7 @@ def generate_with_certificate(params: FamilyParams, seed: int = 0) -> tuple[Grap
     The family's clause checker must accept the pair, so a returned member
     is proved by the checks the recognizer applies.
     """
+    _check_field_types(params)
     _check_fields_read(params)
     cert = _GENERATORS.get(params.family, _generate_composed)(params, random.Random(seed))
     g = replay_certificate(cert)

@@ -55,6 +55,13 @@ def _order(n) -> int:
     return n
 
 
+def _budget(budget, what: str) -> int:
+    """``budget`` as a search budget named ``what``, or InputError: not an int."""
+    if not isinstance(budget, int):
+        raise InputError(f"{what} {budget!r} is not an int")
+    return budget
+
+
 class Graph:
     """Simple undirected graph; values are immutable and hashable."""
 
@@ -468,13 +475,15 @@ class GraphSampler:
         max_attempts: int = 100_000,
     ):
         self.n = _order(n)
+        if not isinstance(p, (int, float)):
+            raise InputError(f"edge probability {p!r} is not a number")
         if not 0.0 <= p <= 1.0:
             raise InputError("edge probability must lie in [0, 1]")
         self.p = p
         self.seed = seed
         self.predicate = predicate
-        self.limit = limit
-        self.max_attempts = max_attempts
+        self.limit = None if limit is None else _budget(limit, "sample limit")
+        self.max_attempts = _budget(max_attempts, "attempt budget")
         self.attempts = 0
         self.yielded = 0
         self._rng = random.Random(seed)

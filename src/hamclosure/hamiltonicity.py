@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _bits, flood, is_2_connected
+from .graphs import Graph, _bits, _budget, flood, is_2_connected
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -46,8 +46,8 @@ def validate_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
 
 def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCertificate:
     """Exact search; cycles are validated before they are returned. A None
-    budget means ``DEFAULT_NODE_BUDGET``."""
-    budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
+    budget means ``DEFAULT_NODE_BUDGET``; any other budget must be an int."""
+    budget = DEFAULT_NODE_BUDGET if node_budget is None else _budget(node_budget, "node budget")
     if g.n < 3:
         return HamiltonicityCertificate(False, None, 0, note="fewer than 3 vertices")
     if min(g.degrees()) < 2 or not is_2_connected(g):

@@ -6,10 +6,10 @@ pattern's automorphisms. One backtracking matcher reads every pattern
 from its reference graph: it places the roles in order with
 neighbourhood bitmask algebra and keeps one embedding per orbit by
 symmetry breaking on the automorphism group, which leaves that least
-tuple. The claw keeps a hand-written loop that emits it too: the claw
-walk that decides which closures are defined runs on every graph
-``classify`` reads. ``net_profile`` classifies
-nets straight from the matcher's embeddings, with one
+tuple. The claw keeps a hand-written loop that emits it too, for the
+claw questions of the acceptance suites and the family-grid checks.
+``net_profile`` classifies nets straight from the matcher's embeddings,
+with one
 ``degree_thresholds`` table per graph; ``classify_net`` takes one net as a
 role-ordered tuple and first checks that it induces a net in g.
 ``find_induced_naive`` is the independent subset-enumeration oracle the
@@ -161,10 +161,12 @@ def _matches(g: Graph, steps) -> Iterator[Embedding]:
         cands[depth] = c
 
 
-# The claw keeps a hand-written loop: closures._claw_status walks the claws of
-# every graph that classify and the family-grid checks read, and on the 136
-# graphs of the classify-random pool the first claw took 1.3 ms with the loop
-# and 1.9-2.0 ms with the matcher (2-vCPU guest, Python 3.11).
+# The claw keeps a hand-written loop. closures._claw_status no longer walks
+# it (it finds the first claw and the first light claw by mask algebra); its
+# remaining readers are has_induced(g, CLAW), which the acceptance suites
+# and the family-grid checks call, and heaviness.is_pattern_o_heavy. On the
+# 136 graphs of the classify-random pool the first claw took 1.3 ms with the
+# loop and 1.9-2.0 ms with the matcher (2-vCPU guest, Python 3.11).
 
 
 def _claws(g: Graph):
@@ -178,9 +180,18 @@ def _claws(g: Graph):
                     yield (x, u, v, w)
 
 
+def _pattern(pattern) -> PatternKind:
+    """``pattern`` as a catalog pattern, or InputError."""
+    if not isinstance(pattern, PatternKind):
+        raise InputError(f"pattern {pattern!r} is not a PatternKind")
+    return pattern
+
+
 def embeddings(g: Graph, pattern: PatternKind) -> Iterator[Embedding]:
     """Induced embeddings in role order, one per orbit, in no set order."""
-    return _claws(g) if pattern is PatternKind.CLAW else _matches(g, _STEPS[pattern])
+    if _pattern(pattern) is PatternKind.CLAW:
+        return _claws(g)
+    return _matches(g, _STEPS[pattern])
 
 
 def find_induced(g: Graph, pattern: PatternKind) -> list[Embedding]:
@@ -198,7 +209,7 @@ def is_free(g: Graph, patterns) -> bool:
 
 def find_induced_naive(g: Graph, pattern: PatternKind) -> list[Embedding]:
     """Subset-plus-bijection enumeration; the oracle the detectors answer to."""
-    ref = REFERENCE[pattern]
+    ref = REFERENCE[_pattern(pattern)]
     k = ref.n
     ref_degseq = sorted(ref.degrees())
     ref_twice_edges = 2 * ref.edge_count

@@ -230,6 +230,13 @@ class TestSupergraphOracle:
         with pytest.raises(BudgetError):
             minimum_supergraph_oracle(empty_graph(8), budget=16)
 
+    @pytest.mark.parametrize("budget", ["a", 2.5, None], ids=["str", "float", "none"])
+    def test_budget_must_be_an_int(self, budget):
+        with pytest.raises(InputError, match="supergraph search budget .* is not an int"):
+            supergraph_search(cycle_graph(4), budget=budget)
+        with pytest.raises(InputError, match="supergraph search budget .* is not an int"):
+            minimum_supergraph_oracle(cycle_graph(4), budget=budget)
+
     def test_nodes_within_the_full_tree(self, corpus):
         for g in [cycle_graph(4), complete_graph(5), *claw_o_heavy_samples(corpus)[:40]]:
             if len(g.non_edges()) > 12:

@@ -47,6 +47,7 @@ from hamclosure.graphs import (
     is_connected,
     maximal_cliques,
     parse_graph6,
+    sample_graphs,
 )
 from hamclosure.hamiltonicity import is_hamiltonian
 from hamclosure.heaviness import heavy_vertices
@@ -181,6 +182,25 @@ class TestGenerate:
         ],
     )
     def test_parameter_errors_name_the_clause(self, params, needle):
+        with pytest.raises(ParameterError, match=needle):
+            generate(params, seed=0)
+
+    @pytest.mark.parametrize(
+        "params,needle",
+        [
+            (FamilyParams(FamilyKind.C1N, ("a", 3), (2,)), "k_sizes .* are not ints"),
+            (FamilyParams(FamilyKind.C1N, (3, 3), (2.0,)), "u_sizes .* are not ints"),
+            (FamilyParams(FamilyKind.C1N, 3, (2,)), "k_sizes 3 are not ints"),
+            (FamilyParams("C1N", (3, 3), (2,)), "does not name a FamilyKind"),
+            (FamilyParams(FamilyKind.C1NP, (9,), (), ("c1n",)), "is not a ComponentSpec"),
+            (FamilyParams(FamilyKind.C1NP, (9,), (),
+                          (ComponentSpec("c1n", (2,), ("2",)), ComponentSpec("c2n"))),
+             "c1n component u_sizes .* are not ints"),
+        ],
+        ids=["k_sizes-str", "u_sizes-float", "k_sizes-int", "family-str", "component-str",
+             "component-u_sizes-str"],
+    )
+    def test_params_of_the_wrong_type_are_refused(self, params, needle):
         with pytest.raises(ParameterError, match=needle):
             generate(params, seed=0)
 
@@ -548,7 +568,9 @@ class TestRecognize:
         glue_search, induced = families._glue_search, Graph.induced
 
         def counting_cliques(graph):
-            clique_calls[graph] += 1
+            # keyed by object: two spans may induce equal subgraphs, each
+            # with its own clique list; the memo keeps every one alive
+            clique_calls[id(graph)] += 1
             return maximal_cliques(graph)
 
         def counting_search(graph, span, base, searched):
@@ -574,8 +596,11 @@ class TestRecognize:
             for counts in (clique_calls, searches, heavy_calls, spans):
                 counts.clear()
             assert kind in recognize(g).families
-            # once, shared by the composed families and the C1N and C2N searches
-            assert clique_calls[g] == 1, kind
+            # once, shared by the composed families and the C1N and C2N searches;
+            # each searched span's subgraph also builds its cliques at most once
+            assert clique_calls[id(g)] == 1, kind
+            assert max(clique_calls.values()) == 1, kind
+            assert len(clique_calls) > 1, kind
             assert searches and max(searches.values()) == 1, kind
             assert heavy_calls == {g: 1}, kind
             # one subgraph per span, shared by the bases searched on it
@@ -587,11 +612,12 @@ class TestRecognize:
             for kind in FamilyKind:
                 spec = FAMILY_SPECS.get(kind)
                 if spec is None:
-                    cert = families._base_search(kind, g)
+                    cert = _ORACLES[kind][0](g)
                 else:
                     masks = [sum(1 << v for v in c) for c in maximal_cliques(g)]
                     heavy = sum(1 << v for v in heavy_vertices(g))
-                    cert = families._recognize_composed(g, spec, masks, heavy, {})
+                    crowded = families._crowded(masks)
+                    cert = families._recognize_composed(g, spec, masks, heavy, crowded, {})
                 if cert is not None:
                     certs[kind] = cert
             return certs
@@ -602,6 +628,59 @@ class TestRecognize:
             witness = recognize(g)
             assert witness.certificates == unshared(g), emit_graph6(g)
             assert witness.families == frozenset(witness.certificates)
+
+
+def _seeded_gnp(sizes=range(8, 17), ps=(0.3, 0.5, 0.7, 0.9), per_cell=6):
+    """Seeded G(n, p) graphs: per_cell of each order in sizes and p in ps."""
+    return [g for n in sizes for p in ps
+            for g in sample_graphs(n, p, 1000 * n + int(100 * p), limit=per_cell)]
+
+
+def _clique_counts(g: Graph) -> list[int]:
+    """How many maximal cliques of g each vertex lies in, counted from
+    vertex sets."""
+    cliques = maximal_cliques(g)
+    return [sum(v in clique for clique in cliques) for v in range(g.n)]
+
+
+def test_two_clique_lemma_holds_on_members_and_recognized_certificates():
+    """No vertex of a C1N, C2N or C3NQ member lies in three maximal cliques,
+    and no vertex outside K and K' of a recognized composed certificate
+    does: the lemma the recognizer's crowded-vertex prune reads."""
+    bases = (FamilyKind.C1N, FamilyKind.C2N, FamilyKind.C3NQ)
+    grids = acceptance_grids()
+    members = [generate(params, seed) for kind in bases for params, seed in grids[kind]]
+    members += _small_shapes(FamilyKind.C2N, (3, 4), (2, 3, 4), (1, 2))
+    members += _small_shapes(FamilyKind.C1N, (2, 3, 4), (2, 3, 4, 5), (2, 3))
+    for g in members:
+        assert max(_clique_counts(g)) <= 2, emit_graph6(g)
+    grid = [g for g in _small_grid_members() if g.n <= 13]
+    edits = [e for g in grid for e in _single_edge_edits(g)]
+    outside = 0
+    for g in list(dict.fromkeys(grid + edits)) + full_corpus(0):
+        counts = _clique_counts(g)
+        masks = [sum(1 << v for v in c) for c in maximal_cliques(g)]
+        assert families._crowded(masks) == sum(1 << v for v, c in enumerate(counts) if c >= 3)
+        for kind, cert in recognize(g).certificates.items():
+            if kind in FAMILY_SPECS:
+                hosts = set(cert.k_clique) | set(cert.k_prime or ())
+                rest = [counts[v] for v in range(g.n) if v not in hosts]
+                assert max(rest, default=0) <= 2, (kind, emit_graph6(g))
+                outside += len(rest)
+    assert outside > 1000
+
+
+def test_crowded_prune_changes_no_answer(monkeypatch):
+    """recognize with the crowded-vertex prune returns what it returns with
+    an empty crowded mask, which tries every candidate."""
+    grid = [g for g in _small_grid_members() if g.n <= 13]
+    edits = [e for g in grid for e in _single_edge_edits(g)]
+    graphs = list(dict.fromkeys(grid + edits)) + full_corpus(0) + full_corpus(1) + _seeded_gnp()
+    pruned = [recognize(g).certificates for g in graphs]
+    monkeypatch.setattr(families, "_crowded", lambda masks: 0)
+    for g, certs in zip(graphs, pruned):
+        assert recognize(g).certificates == certs, emit_graph6(g)
+    assert sum(kind in FAMILY_SPECS for certs in pruned for kind in certs) > 100
 
 
 def test_recognized_certificates_pass_their_public_checkers():

@@ -364,6 +364,17 @@ class TestSampler:
         with pytest.raises(InputError):
             sample_graphs(4, 1.5, seed=0)
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: sample_graphs(5, "a", 0), "edge probability 'a' is not a number"),
+        (lambda: sample_graphs(5, None, 0), "edge probability None is not a number"),
+        (lambda: sample_graphs(5, 0.5, 0, limit=2.5), "sample limit 2.5 is not an int"),
+        (lambda: sample_graphs(5, 0.5, 0, max_attempts="9"), "attempt budget '9' is not an int"),
+    ], ids=["p-str", "p-none", "limit-float", "max_attempts-str"])
+    def test_sampler_arguments_are_typed(self, build, message):
+        # refused at construction, not at the first draw
+        with pytest.raises(InputError, match=message):
+            build()
+
 
 def test_bipartite_constructor():
     g = complete_bipartite(2, 3)

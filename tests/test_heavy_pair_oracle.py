@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from hamclosure import closures
 from hamclosure.closures import (
     EligibilityMode,
     _c_eligible_vertices,
@@ -21,10 +22,12 @@ from hamclosure.closures import (
     c_closure,
     c_eligible,
     o_closure,
+    r_closure,
 )
 from hamclosure.graphs import Graph, emit_graph6
 from hamclosure.heaviness import a_heavy_pairs, o_heavy_pairs, satisfies_ore
 from hamclosure.verify import full_corpus
+from test_families import _seeded_gnp
 
 RANDOM_SEED = 7
 
@@ -123,6 +126,14 @@ def plain_c_eligible_vertices(g: Graph, mode: EligibilityMode) -> list[int]:
     return [x for x in range(g.n) if plain_c_eligible(g, x, mode)]
 
 
+def plain_r_eligible(g: Graph, x: int) -> bool:
+    """N(x) is nonempty, not a clique, and induces a connected subgraph."""
+    nbrs = g.neighbors(x)
+    if all(g.has_edge(u, v) for u, v in itertools.combinations(nbrs, 2)):
+        return False
+    return len(_plain_components({v: {u for u in nbrs if g.has_edge(u, v)} for v in nbrs})) == 1
+
+
 def plain_missing(g: Graph, x: int) -> list[tuple[int, int]]:
     nbrs = g.neighbors(x)
     return [(u, v) for i, u in enumerate(nbrs) for v in nbrs[i + 1:] if not g.has_edge(u, v)]
@@ -152,6 +163,14 @@ def plain_o_closure(g: Graph, policy: str, seed: int):
     )
 
 
+def plain_r_closure(g: Graph, policy: str, seed: int):
+    return plain_fixpoint(
+        g, "r-completion",
+        lambda cur: [x for x in range(cur.n) if plain_r_eligible(cur, x)],
+        plain_missing, policy, seed,
+    )
+
+
 def plain_c_closure(g: Graph, mode: EligibilityMode, policy: str, seed: int):
     return plain_fixpoint(
         g, "c-completion",
@@ -175,10 +194,14 @@ def _labelled_graphs(max_n: int):
 def _inputs(name: str):
     if name == "corpus":
         return full_corpus(0)
+    if name == "gnp":
+        return _seeded_gnp(ps=(0.3, 0.5, 0.7, 0.8, 0.9), per_cell=8)
     return list(_labelled_graphs(int(name.removeprefix("labelled-order-"))))
 
 
-@pytest.mark.parametrize("inputs", ["labelled-order-6", "corpus"])
+# the seeded G(n, p) graphs, up to p = 0.9, hold many claws whose only
+# o-heavy pair is one of the three leaf pairs
+@pytest.mark.parametrize("inputs", ["labelled-order-6", "corpus", "gnp"])
 def test_heavy_pair_questions_match_the_pairwise_oracle(inputs):
     for g in _inputs(inputs):
         label = emit_graph6(g)
@@ -215,9 +238,45 @@ def test_closures_match_the_rescanning_oracle(inputs):
         for policy, seed in seeds.items():
             assert _as_plain(o_closure(g, policy, seed)) == \
                 plain_o_closure(g, policy, seed), (label, policy)
-        if not plain_claw_status(g)[1]:
+        claw_free, claw_o_heavy = plain_claw_status(g)
+        if claw_free:
+            for policy, seed in seeds.items():
+                assert _as_plain(r_closure(g, policy, seed)) == \
+                    plain_r_closure(g, policy, seed), (label, policy)
+        if not claw_o_heavy:
             continue
         for mode in EligibilityMode:
             for policy, seed in seeds.items():
                 assert _as_plain(c_closure(g, mode, policy, seed)) == \
                     plain_c_closure(g, mode, policy, seed), (label, mode, policy)
+
+
+@pytest.mark.parametrize("kind", ["r", "c"])
+def test_a_min_policy_step_scans_up_to_its_pick(monkeypatch, kind):
+    """Under "min" each step tests the vertices up to its pick and the last
+    scan tests them all; "max" and "random" test every vertex at every
+    step."""
+    name = "_r_eligible_inner" if kind == "r" else "_c_eligible_inner"
+    inner, tested = getattr(closures, name), []
+
+    def counting(cur, x, *rest):
+        tested.append(x)
+        return inner(cur, x, *rest)
+
+    monkeypatch.setattr(closures, name, counting)
+    closure = r_closure if kind == "r" else c_closure
+    steps = 0
+    for g in full_corpus(0):
+        if not plain_claw_status(g)[kind == "c"]:
+            continue
+        for policy in ("min", "max", "random"):
+            tested.clear()
+            _, trace = closure(g, policy=policy)
+            picks = [step.subject for step in trace.steps]
+            if policy == "min":
+                expected = [x for pick in picks for x in range(pick + 1)] + list(range(g.n))
+            else:
+                expected = list(range(g.n)) * (len(picks) + 1)
+            assert tested == expected, (emit_graph6(g), policy)
+            steps += len(picks)
+    assert steps > 100

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from hamclosure.errors import BudgetError
+from hamclosure.errors import BudgetError, InputError
 from hamclosure.families import generate
 from hamclosure.graphs import (
     Graph,
@@ -85,6 +85,15 @@ class TestClosurePreservation:
     def test_budget_surfaces(self):
         with pytest.raises(BudgetError):
             verify_closure_preservation(cycle_graph(12), "o", node_budget=2)
+
+
+@pytest.mark.parametrize("budget", ["a", 2.5, [3]], ids=["str", "float", "list"])
+def test_node_budget_must_be_an_int(budget):
+    with pytest.raises(InputError, match="node budget .* is not an int"):
+        is_hamiltonian(cycle_graph(5), budget)
+    # None means the default budget; an int is taken as given
+    assert is_hamiltonian(cycle_graph(5), None).result is True
+    assert is_hamiltonian(cycle_graph(5), 2).undecided
 
 
 # budgets at which each suite's oracle runs out on some graph but not all:

@@ -40,6 +40,18 @@ class TestCatalog:
         with pytest.raises(InputError):
             PatternKind.from_name("house")
 
+    @pytest.mark.parametrize("call", [
+        lambda g: list(embeddings(g, "claw")),
+        lambda g: has_induced(g, "claw"),
+        lambda g: find_induced(g, "claw"),
+        lambda g: is_free(g, ["claw"]),
+        lambda g: is_free(g, [PatternKind.NET, None]),
+        lambda g: find_induced_naive(g, "claw"),
+    ], ids=["embeddings", "has_induced", "find_induced", "is_free", "is_free-none", "naive"])
+    def test_a_pattern_must_be_a_pattern_kind(self, call):
+        with pytest.raises(InputError, match="is not a PatternKind"):
+            call(cycle_graph(5))
+
 
 class TestFindInduced:
     def test_k4_has_no_claw(self):
