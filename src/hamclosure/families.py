@@ -25,13 +25,19 @@ recognizer share one attachment test (``_attaches``) and one core-clique
 rule (``_core_faults``); the recognizer proposes K and K' from the masks of
 g's maximal cliques, and the checker's clauses (``_composed_problems``),
 with the one maximality test (``_is_maximal``), decide every candidate.
-Two facts the recognizer already holds are not decided again: the mask of
-g's heavy vertices, and each sub-certificate. A glue search keeps a
-sub-certificate only after the base family's checker passed it on the
-subgraph induced by its span, which is the check the public checker
-repeats; a checker reads only the subgraph and the certificate, and mapping
-back by an increasing table is undone exactly, so skipping the repeat is
-exact.
+
+Glue searches read their span inside g. A glue search is a base-family
+search on a component plus its host cliques, and that vertex set is a mask
+``span`` of g. The base searches and clause checkers take g and a span and
+read the subgraph it induces in place, in g's vertex names: its rows are
+``g.rows[v] & span``, its 2-connectivity is ``nonseparable(g.rows, span)``,
+and its maximal cliques are the inclusion-maximal sets among g's maximal
+cliques cut down to the span, in ``maximal_cliques`` order. The public
+recognizers and checkers are the full-mask case. Two facts the recognizer
+already holds are not decided again: the mask of g's heavy vertices, and
+each sub-certificate. A glue search keeps a sub-certificate only after the
+base family's checker passed it on its span, which is the check the public
+composed checker repeats on the same span, so skipping the repeat is exact.
 
 Two-clique lemma. Every vertex of a C1N, C2N or C3NQ member lies in at most
 two maximal cliques: in a chain or cycle a vertex has its own cell or
@@ -64,7 +70,9 @@ from operator import or_
 
 from .closures import _c_closed, _claw_status
 from .errors import InputError, ParameterError
-from .graphs import Graph, _bits, component_masks, is_2_connected, is_connected, maximal_cliques
+from .graphs import (
+    Graph, _bits, component_masks, flood, is_2_connected, maximal_cliques, nonseparable,
+)
 from .heaviness import degree_thresholds, heavy_vertices
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
 from .patterns import has_induced, net_profile  # noqa: F401
@@ -250,8 +258,30 @@ def _junction_faults(junction) -> list[str]:
     ]
 
 
-def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]:
-    """Clauses shared by chains and cycles of cliques.
+def _in_span(span: int, v: int) -> bool:
+    return v >= 0 and bool(span >> v & 1)
+
+
+def _edges_exact(g: Graph, span: int, cells, pairs) -> bool:
+    """Are the edges of g inside ``span`` exactly those of the cliques
+    ``cells`` (vertex masks inside ``span``) and the vertex ``pairs``? A
+    pair that is a loop or leaves ``span`` is no edge of g."""
+    expected = [0] * g.n
+    for mask in cells:
+        for v in _bits(mask):
+            expected[v] |= mask
+    for u, v in pairs:
+        if u == v or not (_in_span(span, u) and _in_span(span, v)):
+            return False
+        expected[u] |= 1 << v
+        expected[v] |= 1 << u
+    rows = g.rows
+    return all(expected[v] & ~(1 << v) == rows[v] & span for v in _bits(span))
+
+
+def _check_clique_sequence(g: Graph, span: int, cert, junctions, cyclic: bool) -> list[str]:
+    """Clauses shared by chains and cycles of cliques, on the subgraph
+    induced by ``span``.
 
     Junction i joins cell i and cell (i + 1) % t: a chain passes its t - 1
     matchings, a cycle its t junctions.
@@ -275,7 +305,7 @@ def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]
             problems.append(f"interior clique {i} smaller than 4")
         if not g.is_clique_mask(mask):
             problems.append(f"cell {i} is not a clique")
-    if _cell_mask(set().union(*cells)) != g.full_mask:
+    if reduce(or_, masks) != span:
         problems.append("cells do not cover every vertex")
     joined = {frozenset((i, (i + 1) % t)) for i in range(len(junctions))}
     for i, j in itertools.combinations(range(t), 2):
@@ -313,9 +343,11 @@ def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]
             problems.append(f"cell {i} missing a junction attachment")
     if cyclic and t == 3 and all(j[0] == "identify" for j in junctions):
         problems.append("3-cycles need at least one matching junction of size 2")
-    expected = {(min(u, v), max(u, v)) for u, v in cert.edges()}
-    actual = set(g.edges())
-    if actual != expected:
+    pairs = [pair for kind, data in junctions if kind == "matching" for pair in data]
+    if not _edges_exact(g, span, masks, pairs):
+        # the lists are built only here, from the edge sets
+        expected = {(min(u, v), max(u, v)) for u, v in cert.edges()}
+        actual = {(u, v) for u in _bits(span) for v in _bits(g.rows[u] & span & (-2 << u))}
         extra = sorted(actual - expected)
         missing = sorted(expected - actual)
         shape = "cycle" if cyclic else "chain"
@@ -324,26 +356,38 @@ def _check_clique_sequence(g: Graph, cert, junctions, cyclic: bool) -> list[str]
 
 
 def check_chain_cert(g: Graph, cert: ChainCert) -> list[str]:
+    return _chain_problems(g, g.full_mask, cert)
+
+
+def _chain_problems(g: Graph, span: int, cert: ChainCert) -> list[str]:
     if faults := _untupled(cert, "cells", "matchings"):
         return faults
     if len(cert.cells) < 1:
         return ["chain needs at least one clique"]
     if len(cert.matchings) != len(cert.cells) - 1:
         return ["chain needs one matching per consecutive clique pair"]
-    return _check_clique_sequence(g, cert, [("matching", m) for m in cert.matchings], False)
+    return _check_clique_sequence(g, span, cert, [("matching", m) for m in cert.matchings], False)
 
 
 def check_cycle_cert(g: Graph, cert: CycleCert) -> list[str]:
+    return _cycle_problems(g, g.full_mask, cert)
+
+
+def _cycle_problems(g: Graph, span: int, cert: CycleCert) -> list[str]:
     if faults := _untupled(cert, "cells", "junctions"):
         return faults
     if len(cert.cells) < 3:
         return ["cycle needs at least 3 cliques"]
     if len(cert.junctions) != len(cert.cells):
         return ["cycle needs one junction per consecutive clique pair"]
-    return _check_clique_sequence(g, cert, cert.junctions, True)
+    return _check_clique_sequence(g, span, cert, cert.junctions, True)
 
 
 def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
+    return _c3nq_problems(g, g.full_mask, cert)
+
+
+def _c3nq_problems(g: Graph, span: int, cert: C3NQCert) -> list[str]:
     path = (cert.b2, cert.a2, cert.a3, cert.b3)
     attachments = (cert.a1, cert.c2, cert.c3)
     problems = [f"core clique {fault}" for fault in _cell_faults(g, cert.clique)]
@@ -359,29 +403,36 @@ def check_c3nq_cert(g: Graph, cert: C3NQCert) -> list[str]:
         problems.append("path vertices must lie outside the clique")
     if not all(kmask >> v & 1 for v in attachments):
         problems.append("attachment vertices must be clique vertices")
-    if kmask | _cell_mask(path) != g.full_mask:
+    if kmask | _cell_mask(path) != span:
         problems.append("clique plus path must cover every vertex")
-    expected = {(min(u, v), max(u, v)) for u, v in cert.edges()}
-    if set(g.edges()) != expected:
+    if not _edges_exact(g, span, [], cert.edges()):
         problems.append("edges not exactly the clique-plus-path attachment")
     return problems
 
 
-# -- whole-graph recognizers for the three base families ----------------------
+# -- base-family searches on a span of g --------------------------------------
+#
+# ``cliques_of()`` gives the span's maximal cliques as masks, in
+# ``maximal_cliques`` order.
+
+
+def _clique_masks(g: Graph) -> list[int]:
+    return [_cell_mask(c) for c in maximal_cliques(g)]
 
 
 def is_c1n(g: Graph) -> ChainCert | None:
     """Chain-of-cliques decomposition, or None."""
-    return _c1n_of(g, lambda: maximal_cliques(g))
+    return _c1n_of(g, g.full_mask, lambda: _clique_masks(g))
 
 
-def _c1n_of(g: Graph, cliques_of) -> ChainCert | None:
-    """``is_c1n`` of g; ``cliques_of()`` gives g's maximal cliques and is
-    asked only once g is connected and not complete."""
-    if g.n < 2 or not is_connected(g):
+def _c1n_of(g: Graph, span: int, cliques_of) -> ChainCert | None:
+    """``is_c1n`` of the span; ``cliques_of()`` is asked only once the span
+    is connected and not complete."""
+    size = span.bit_count()
+    if size < 2 or flood(g.rows, span & -span, span) != span:
         return None
-    if g.is_clique_mask(g.full_mask):
-        return ChainCert(g.n, (tuple(range(g.n)),), ())
+    if g.is_clique_mask(span):
+        return ChainCert(size, (tuple(_bits(span)),), ())
     cliques = cliques_of()
     links = _cell_links(g, cliques, cyclic=False)
     ends = [i for i in links or () if len(links[i]) == 1]
@@ -392,27 +443,29 @@ def _c1n_of(g: Graph, cliques_of) -> ChainCert | None:
     if any(kind != "matching" for kind, _ in junctions):
         return None
     cert = ChainCert(
-        g.n, tuple(tuple(sorted(cliques[i])) for i in order), tuple(m for _, m in junctions)
+        size, tuple(tuple(_bits(cliques[i])) for i in order), tuple(m for _, m in junctions)
     )
-    return None if check_chain_cert(g, cert) else cert
+    return None if _chain_problems(g, span, cert) else cert
 
 
 def is_c2n(g: Graph) -> CycleCert | None:
     """Cyclic chain-of-cliques decomposition, or None."""
-    return _c2n_of(g, lambda: maximal_cliques(g))
+    return _c2n_of(g, g.full_mask, lambda: _clique_masks(g))
 
 
-def _c2n_of(g: Graph, cliques_of) -> CycleCert | None:
-    """``is_c2n`` of g; ``cliques_of()`` gives g's maximal cliques and is
-    asked only once g is 2-connected."""
+def _c2n_of(g: Graph, span: int, cliques_of) -> CycleCert | None:
+    """``is_c2n`` of the span; ``cliques_of()`` is asked only once the span
+    is 2-connected."""
     # A member is 2-connected: deleting a vertex breaks at most one junction.
-    if not is_2_connected(g):
+    size = span.bit_count()
+    if size < 3 or not nonseparable(g.rows, span):
         return None
     cliques = cliques_of()
     links = _cell_links(g, cliques, cyclic=True)
     if links is None or any(len(joined) != 2 for joined in links.values()):
         return None
-    start = min(i for i in links if 0 in cliques[i])
+    low = span & -span
+    start = min(i for i in links if cliques[i] & low)
     near, far = sorted(links[start])
     order, junctions = _walk(links, start, near)
     if [j[0] for j in junctions] == ["matching", "identify", "identify"]:
@@ -420,14 +473,15 @@ def _c2n_of(g: Graph, cliques_of) -> CycleCert | None:
         # the third cell's edge between the identified vertices also joins
         # the two matched cells.
         order, junctions = _walk(links, start, far)
-    cert = CycleCert(g.n, tuple(tuple(sorted(cliques[i])) for i in order), tuple(junctions))
-    return None if check_cycle_cert(g, cert) else cert
+    cert = CycleCert(size, tuple(tuple(_bits(cliques[i])) for i in order), tuple(junctions))
+    return None if _cycle_problems(g, span, cert) else cert
 
 
 def _cell_links(g: Graph, cliques, cyclic: bool):
     """The cells of a chain (or, with ``cyclic``, a cycle) of cliques, read
-    from g's maximal cliques: each cell's clique index maps to its links
-    ``(cell, junction)``. None when a vertex lies in three maximal cliques.
+    from the maximal cliques (vertex masks) of the span: each cell's clique
+    index maps to its links ``(cell, junction)``. None when a vertex lies in
+    three maximal cliques.
 
     The clauses fix the cells. A vertex outside a cell has at most one
     neighbour in it, so the cells are maximal cliques, the other maximal
@@ -437,22 +491,26 @@ def _cell_links(g: Graph, cliques, cyclic: bool):
     clique is a cell. The checker decides whether the cells read this way
     form a member.
     """
-    owners: list[list[int]] = [[] for _ in range(g.n)]
-    for i, clique in enumerate(cliques):
-        for v in clique:
-            owners[v].append(i)
-    if any(len(own) > 2 for own in owners):
+    shared, crowded = _overlaps(cliques)
+    if crowded:
         return None
+    owners: dict[int, list[int]] = {}  # the two cliques of each shared vertex
+    for i, clique in enumerate(cliques):
+        for v in _bits(clique & shared):
+            owners.setdefault(v, []).append(i)
     bundles: dict[tuple[int, int], list[tuple[int, tuple[int, int]]]] = {}
     for i, clique in enumerate(cliques):
-        if len(clique) != 2:
+        if clique.bit_count() != 2 or clique & ~shared:
             continue
-        sides = sorted((o, v) for v in clique for o in owners[v] if o != i)
+        sides = []
+        for v in _bits(clique):
+            a, b = owners[v]
+            sides.append((b if a == i else a, v))
+        (p, x), (q, y) = sorted(sides)
         # A cycle's cell hosting a matching keeps a vertex for its other
         # junction, so it has at least 3 vertices; a chain's end cell may
         # have 2.
-        if len(sides) == 2 and (not cyclic or min(len(cliques[o]) for o, _ in sides) >= 3):
-            (p, x), (q, y) = sides
+        if not cyclic or min(cliques[p].bit_count(), cliques[q].bit_count()) >= 3:
             bundles.setdefault((p, q), []).append((i, (x, y)))
     bundles = {pq: edges for pq, edges in bundles.items() if len(edges) >= 2}
     bundled = {i for edges in bundles.values() for i, _ in edges}
@@ -471,9 +529,9 @@ def _cell_links(g: Graph, cliques, cyclic: bool):
         pq = next(pq for pq, edges in bundles.items() if edges[0][0] == 0)
         cells = [i for i, _ in bundles.pop(pq)]
     links: dict[int, list[tuple[int, Junction]]] = {i: [] for i in cells}
-    for v, own in enumerate(owners):
-        if len(own) == 2 and all(o in links for o in own):
-            p, q = own
+    for v in _bits(shared):
+        p, q = owners[v]
+        if p in links and q in links:
             links[p].append((q, ("identify", v)))
             links[q].append((p, ("identify", v)))
     for (p, q), edges in bundles.items():
@@ -501,26 +559,34 @@ def _walk(links, start: int, link):
 
 def is_c3nq(g: Graph) -> C3NQCert | None:
     """Clique plus attached four-vertex path, or None."""
-    if g.n < 8:
+    return _c3nq_of(g, g.full_mask)
+
+
+def _c3nq_of(g: Graph, span: int) -> C3NQCert | None:
+    """``is_c3nq`` of the span."""
+    if span.bit_count() < 8:
         return None
     # Every clique vertex has degree at least |K| - 1 >= 3, and c2 and c3
     # gain a path neighbour, so b2 and b3 are the only vertices of degree 2
     # and a2 and a3 their only neighbours of degree 3. That fixes the
     # certificate up to reading the path backwards; read it with a2 < a3.
-    degrees = g.degrees()
-    ends = [v for v in range(g.n) if degrees[v] == 2]
-    inner = [[v for v in g.neighbors(b) if degrees[v] == 3] for b in ends]
+    rows = g.rows
+    degrees = [(row & span).bit_count() for row in rows]
+    ends = [v for v in _bits(span) if degrees[v] == 2]
+    inner = [[v for v in _bits(rows[b] & span) if degrees[v] == 3] for b in ends]
     if len(ends) != 2 or any(len(a) != 1 for a in inner):
         return None
     (a2, b2), (a3, b3) = sorted((a, b) for (a,), b in zip(inner, ends))
     if a2 == a3:
         return None
-    (c2,) = set(g.neighbors(b2)) - {a2}
-    (c3,) = set(g.neighbors(b3)) - {a3}
-    a1 = min(set(g.neighbors(a2)) - {b2, a3})
-    kset = tuple(v for v in range(g.n) if v not in (b2, a2, a3, b3))
-    cert = C3NQCert(g.n, kset, a1, c2, c3, b2, a2, a3, b3)
-    return None if check_c3nq_cert(g, cert) else cert
+    # b2 and b3 have one neighbour besides a2 and a3; a2 has one or two
+    # besides b2 and a3, and a1 is the lower
+    c2 = (rows[b2] & span & ~(1 << a2)).bit_length() - 1
+    c3 = (rows[b3] & span & ~(1 << a3)).bit_length() - 1
+    a1 = next(_bits(rows[a2] & span & ~(1 << b2 | 1 << a3)))
+    kset = tuple(_bits(span & ~(1 << b2 | 1 << a2 | 1 << a3 | 1 << b3)))
+    cert = C3NQCert(span.bit_count(), kset, a1, c2, c3, b2, a2, a3, b3)
+    return None if _c3nq_problems(g, span, cert) else cert
 
 
 # -- composed families: clause tables -----------------------------------------
@@ -678,61 +744,64 @@ def _core_faults(spec: FamilySpec, n: int, kmask: int, heavy: int) -> list[str]:
     return ["K must span at least half the graph"] if 2 * kmask.bit_count() < n else []
 
 
-def _base_search(kind: FamilyKind, g: Graph, cliques_of):
-    """The search of base family ``kind`` on g; ``cliques_of()`` gives g's
-    maximal cliques, asked only past the chain and cycle gates."""
+def _base_search(kind: FamilyKind, g: Graph, span: int, cliques_of):
+    """The search of base family ``kind`` on the span; ``cliques_of()``
+    gives its maximal cliques, asked only past the chain and cycle gates."""
     if kind is FamilyKind.C1N:
-        return _c1n_of(g, cliques_of)
+        return _c1n_of(g, span, cliques_of)
     if kind is FamilyKind.C2N:
-        return _c2n_of(g, cliques_of)
-    return is_c3nq(g)
+        return _c2n_of(g, span, cliques_of)
+    return _c3nq_of(g, span)
 
 
-def _relabel(cert, table):
-    """A base certificate with every vertex v renamed ``table[v]``. ``n``,
-    the junction tags and any other non-integer stay for the checker to
-    report. An increasing table keeps sorted cells and matchings sorted."""
-    n, *rest = vars(cert).values()  # the fields in order, n first
-    return type(cert)(n, *[_renamed(x, table) for x in rest])
+def _span_cliques(cliques, span: int) -> list[int]:
+    """The maximal cliques of the subgraph induced by ``span``, as masks in
+    ``maximal_cliques`` order, read from the masks ``cliques`` of g's
+    maximal cliques. Each clique of the subgraph lies in one of g's, so they
+    are the inclusion-maximal sets among g's cliques cut down to ``span``.
+    An increasing renaming keeps the order, so the cells, the walk start and
+    the junctions a search reads are those of the renamed subgraph."""
+    cut = sorted({c & span for c in cliques} - {0}, key=int.bit_count, reverse=True)
+    kept: list[int] = []
+    for mask in cut:
+        if all(mask & k != mask for k in kept):
+            kept.append(mask)
+    return sorted(kept, key=lambda mask: tuple(_bits(mask)))
 
 
-def _renamed(x, table):
-    if isinstance(x, tuple):
-        return tuple([_renamed(y, table) for y in x])
-    return table[x] if isinstance(x, int) else x
-
-
-def _glue_search(g: Graph, span: int, base: FamilyKind, searched: dict):
-    """Run a base-family search on the subgraph induced by ``span``, mapped
-    back. ``searched[span, None]`` keeps that subgraph, and its maximal
-    cliques once a search has built them, for the other bases."""
-    ordered = list(_bits(span))
-    held = searched.get((span, None))
-    if held is None:
-        sub = g.induced(ordered)
-        held = searched[span, None] = (sub, cache(lambda: maximal_cliques(sub)))
-    cert = _base_search(base, *held)
-    if cert is None:
-        return None
-    return _relabel(cert, ordered)
+def _glue_search(g: Graph, cliques, span: int, base: FamilyKind, searched: dict):
+    """Run a base-family search on the span. ``searched[span, None]`` keeps
+    the span's cliques, read from the masks ``cliques`` of g's maximal
+    cliques once a search asks, for the other bases."""
+    cliques_of = searched.get((span, None))
+    if cliques_of is None:
+        cliques_of = searched[span, None] = cache(lambda: _span_cliques(cliques, span))
+    return _base_search(base, g, span, cliques_of)
 
 
 _CERT_CHECKERS = {
-    ChainCert: check_chain_cert, CycleCert: check_cycle_cert, C3NQCert: check_c3nq_cert,
+    ChainCert: _chain_problems, CycleCert: _cycle_problems, C3NQCert: _c3nq_problems,
 }
 
 
+def _named_ints(x):
+    """The ints in ``x``, through nested tuples, in order."""
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _named_ints(y)
+    elif isinstance(x, int):
+        yield x
+
+
 def _check_sub_cert(g: Graph, span: int, cert) -> list[str]:
-    """Check a component certificate on the subgraph induced by ``span``."""
-    ordered = list(_bits(span))
-    try:
-        local = _relabel(cert, {v: i for i, v in enumerate(ordered)})
-    except KeyError as exc:
-        return [
-            f"component certificate names vertex {exc.args[0]} "
-            "outside its component and host cliques"
-        ]
-    return _CERT_CHECKERS[type(cert)](g.induced(ordered), local)
+    """Check a component certificate on the subgraph induced by ``span``,
+    in place, once it names no vertex outside the span."""
+    _, *named = vars(cert).values()  # the fields in order, n first
+    for v in _named_ints(tuple(named)):
+        if not _in_span(span, v):
+            return [f"component certificate names vertex {v} "
+                    "outside its component and host cliques"]
+    return _CERT_CHECKERS[type(cert)](g, span, cert)
 
 
 def _heavy_pairs_hold(g: Graph, clique: int, u0: int | None) -> bool:
@@ -842,11 +911,12 @@ def _composed_problems(g: Graph, spec: FamilySpec, cert: ComposedCert, heavy: in
 # -- composed-family recognizer -----------------------------------------------
 
 
-def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
+def _glue_options(g: Graph, comps, hosts, glues, cliques, searched: dict):
     """(tag, sub-cert) options per component mask, in option order; None as
-    soon as one component has no option. ``searched`` holds the answer of
-    every glue search already run on g, keyed by vertex mask and base, and
-    the subgraph induced by each searched mask, keyed by mask and None."""
+    soon as one component has no option. ``cliques`` are the masks of g's
+    maximal cliques. ``searched`` holds the answer of every glue search
+    already run on g, keyed by vertex mask and base, and the clique thunk of
+    each searched mask, keyed by mask and None."""
     out = []
     for comp in comps:
         outside = _neighbor_mask(g, comp)
@@ -858,7 +928,7 @@ def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
                 span = reduce(or_, host_masks, comp)
                 key = (span, glue.base)
                 if key not in searched:
-                    searched[key] = _glue_search(g, span, glue.base, searched)
+                    searched[key] = _glue_search(g, cliques, span, glue.base, searched)
                 cert = searched[key]
                 if cert:
                     options.append((tag, cert))
@@ -868,15 +938,20 @@ def _glue_options(g: Graph, comps, hosts, glues, searched: dict):
     return out
 
 
-def _crowded(cliques) -> int:
-    """The mask of the vertices that lie in three or more of ``cliques``
-    (vertex masks)."""
+def _overlaps(cliques) -> tuple[int, int]:
+    """The masks of the vertices that lie in two or more, and in three or
+    more, of ``cliques`` (vertex masks)."""
     once = twice = crowded = 0
     for mask in cliques:
         crowded |= twice & mask
         twice |= once & mask
         once |= mask
-    return crowded
+    return twice, crowded
+
+
+def _crowded(cliques) -> int:
+    """The mask of the vertices that lie in three or more of ``cliques``."""
+    return _overlaps(cliques)[1]
 
 
 def _recognize_composed(
@@ -904,7 +979,8 @@ def _recognize_composed(
             comps = component_masks(g.rows, g.full_mask & ~(kmask | kpmask))
             if len(comps) < spec.min_components:
                 continue
-            options = _glue_options(g, comps, {"K": kmask, "K'": kpmask}, spec.glues, searched)
+            hosts = {"K": kmask, "K'": kpmask}
+            options = _glue_options(g, comps, hosts, spec.glues, cliques, searched)
             if options is None:
                 continue
             # the first assignment in option order that meets the counting clauses
@@ -940,16 +1016,16 @@ def recognize(g: Graph) -> FamilyWitness:
     answer the glue searches that span all of g.
     """
     certs: dict[FamilyKind, Certificate] = {}
-    cliques = maximal_cliques(g)
-    masks, heavy = [_cell_mask(c) for c in cliques], _cell_mask(heavy_vertices(g))
-    crowded = _crowded(masks)
+    cliques, heavy = _clique_masks(g), _cell_mask(heavy_vertices(g))
+    crowded = _crowded(cliques)
     searched: dict = {}
     for kind in FamilyKind:
         spec = FAMILY_SPECS.get(kind)
         if spec is not None:
-            cert = _recognize_composed(g, spec, masks, heavy, crowded, searched)
+            cert = _recognize_composed(g, spec, cliques, heavy, crowded, searched)
         else:
-            cert = searched[g.full_mask, kind] = _base_search(kind, g, lambda: cliques)
+            full = g.full_mask
+            cert = searched[full, kind] = _base_search(kind, g, full, lambda: cliques)
         if cert is not None:
             certs[kind] = cert
     return FamilyWitness(certs)
@@ -1288,7 +1364,7 @@ def generate_with_certificate(params: FamilyParams, seed: int = 0) -> tuple[Grap
     if isinstance(cert, ComposedCert):
         problems = check_composed_cert(g, params.family, cert)
     else:
-        problems = _CERT_CHECKERS[type(cert)](g, cert)
+        problems = _CERT_CHECKERS[type(cert)](g, g.full_mask, cert)
     if problems:
         raise ParameterError(f"{params.family.value}: generated graph violates: {problems[0]}")
     return g, cert

@@ -263,36 +263,43 @@ def is_connected(g: Graph) -> bool:
     return flood(g.rows, 1, g.full_mask) == g.full_mask
 
 
-def is_nonseparable(g: Graph) -> bool:
-    """Connected, and still connected after deleting any one vertex; single
-    vertices and edges count."""
-    if g.n == 0:
+def nonseparable(rows, span: int) -> bool:
+    """Is the subgraph induced by the vertex mask ``span`` connected, and
+    still connected after deleting any one vertex? Single vertices and
+    edges count; ``rows[v]`` is v's neighbor mask."""
+    if not span:
         return False
-    rows, full = g.rows, g.full_mask
-    # one breadth-first pass from vertex 0: each vertex is the parent of the
-    # unclaimed neighbours it reaches first, and ``inner`` keeps the parents
-    seen = frontier = 1
+    # one breadth-first pass from the lowest vertex: each vertex is the
+    # parent of the unclaimed neighbours it reaches first, and ``inner``
+    # keeps the parents
+    root = seen = frontier = span & -span
     inner = 0
     while frontier:
         reach = 0
         while frontier:
             low = frontier & -frontier
-            children = rows[low.bit_length() - 1] & ~(seen | reach)
+            children = rows[low.bit_length() - 1] & span & ~(seen | reach)
             if children:
                 inner |= low
                 reach |= children
             frontier ^= low
         frontier = reach
         seen |= reach
-    if seen != full:
+    if seen != span:
         return False
-    if rows[0].bit_count() < 2:
-        inner &= ~1  # the root with one child has tree degree 1
+    if (rows[root.bit_length() - 1] & span).bit_count() < 2:
+        inner &= ~root  # the root with one child has tree degree 1
     for v in _bits(inner):
-        rest = full & ~(1 << v)
+        rest = span & ~(1 << v)
         if flood(rows, rest & -rest, rest) != rest:
             return False
     return True
+
+
+def is_nonseparable(g: Graph) -> bool:
+    """Connected, and still connected after deleting any one vertex; single
+    vertices and edges count."""
+    return nonseparable(g.rows, g.full_mask)
 
 
 def is_2_connected(g: Graph) -> bool:

@@ -18,7 +18,7 @@ from itertools import chain
 
 from .closures import c_closure
 from .errors import InputError, PreconditionError
-from .graphs import Graph, _bits, _vertex, flood, is_connected, is_nonseparable, maximal_cliques
+from .graphs import Graph, _bits, _vertex, flood, is_connected, maximal_cliques, nonseparable
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def region_law_violations(decomp: RegionDecomposition) -> list[str]:
             linked[u] |= masks[j]
     problems = []
     for i, region in enumerate(masks):
-        if not is_nonseparable(g.induced(decomp.regions[i])):
+        if not nonseparable(rows, region):
             problems.append(f"region {i} induces a separable subgraph")
         interior = sum(1 << v for v in _bits(region) if len(member[v]) == 1)
         complete = g.is_clique_mask(region)

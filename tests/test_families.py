@@ -119,6 +119,23 @@ def skeleton(cert):
     return cert.k_clique, cert.k_prime, cert.u0, comps
 
 
+def _edited(cert, added, dropped):
+    """The graph a certificate names with edges added and dropped, and the
+    certificate."""
+    rows = list(replay_certificate(cert).add_edges(added)[0].rows)
+    for u, v in dropped:
+        rows[u] &= ~(1 << v)
+        rows[v] &= ~(1 << u)
+    return Graph(cert.n, tuple(rows)), cert
+
+
+_CHAIN = ChainCert(7, ((0, 1, 2), (3, 4, 5, 6)), (((0, 3), (1, 4)),))
+_CYCLE = CycleCert(9, ((0, 1, 2), (2, 3, 4), (5, 6, 7, 8)),
+                   (("identify", 2), ("matching", ((3, 5), (4, 6))),
+                    ("matching", ((7, 0), (8, 1)))))
+_C3NQ = C3NQCert(8, (0, 1, 2, 3), 0, 1, 2, 4, 5, 6, 7)
+
+
 class TestGenerate:
     def test_c2n_collapses_to_c5(self):
         params = FamilyParams(FamilyKind.C2N, (2,) * 5, (1,) * 5)
@@ -367,6 +384,52 @@ class TestBaseRecognizers:
     @pytest.mark.parametrize(
         "check,g,cert,expected",
         [
+            pytest.param(check_chain_cert, *_edited(_CHAIN, [(2, 6)], [(1, 4)]),
+                         ["edges not exactly the chain: extra [(2, 6)], missing [(1, 4)]"],
+                         id="chain-extra-and-missing"),
+            pytest.param(check_cycle_cert, *_edited(_CYCLE, [(0, 4)], [(3, 5)]),
+                         ["edges not exactly the cycle: extra [(0, 4)], missing [(3, 5)]"],
+                         id="cycle-extra-and-missing"),
+            pytest.param(check_c3nq_cert, *_edited(_C3NQ, [(3, 7)], [(4, 5)]),
+                         ["edges not exactly the clique-plus-path attachment"],
+                         id="c3nq-extra-and-missing"),
+            pytest.param(check_chain_cert, replay_certificate(_CHAIN),
+                         replace(_CHAIN, matchings=(((0, 0), (1, 4)),)),
+                         ["junction 0 edge (0, 0) not between its cliques",
+                          "edges not exactly the chain: extra [(0, 3)], missing [(0, 0)]"],
+                         id="chain-loop"),
+            pytest.param(check_chain_cert, replay_certificate(_CHAIN),
+                         replace(_CHAIN, matchings=(((0, 3), (1, 9)),)),
+                         ["junction 0 edge (1, 9) not between its cliques",
+                          "edges not exactly the chain: extra [(1, 4)], missing [(1, 9)]"],
+                         id="chain-vertex-out-of-range"),
+            pytest.param(check_chain_cert, replay_certificate(_CHAIN),
+                         replace(_CHAIN, matchings=(((-1, 3), (1, 4)),)),
+                         ["junction 0 edge (-1, 3) not between its cliques",
+                          "edges not exactly the chain: extra [(0, 3)], missing [(-1, 3)]"],
+                         id="chain-negative-vertex"),
+            pytest.param(check_cycle_cert, replay_certificate(_CYCLE),
+                         replace(_CYCLE, junctions=(("identify", 2), ("matching", ((3, 3), (4, 6))),
+                                                    _CYCLE.junctions[2])),
+                         ["junction 1 edge (3, 3) not between its cliques",
+                          "edges not exactly the cycle: extra [(3, 5)], missing [(3, 3)]"],
+                         id="cycle-loop"),
+            pytest.param(check_cycle_cert, replay_certificate(_CYCLE),
+                         replace(_CYCLE, junctions=(("identify", 2), ("matching", ((3, 5), (4, 9))),
+                                                    _CYCLE.junctions[2])),
+                         ["junction 1 edge (4, 9) not between its cliques",
+                          "edges not exactly the cycle: extra [(4, 6)], missing [(4, 9)]"],
+                         id="cycle-vertex-out-of-range"),
+        ],
+    )
+    def test_edge_clause_messages_are_pinned(self, check, g, cert, expected):
+        # the edge lists are built only on a mismatch; a loop or a stranger
+        # in a matching is one
+        assert check(g, cert) == expected
+
+    @pytest.mark.parametrize(
+        "check,g,cert,expected",
+        [
             pytest.param(check_chain_cert, complete_graph(3), ChainCert(3, (5,), ()),
                          "cell 0 is not a tuple of vertices", id="chain-cell"),
             pytest.param(check_chain_cert, complete_graph(3), ChainCert(3, ((0, 1, 2),), 7),
@@ -564,27 +627,24 @@ class TestRecognize:
                 assert skeleton(found) == skeleton(cert), params.family
 
     def test_one_recognize_asks_each_question_of_g_once(self, monkeypatch):
-        clique_calls, searches, heavy_calls, spans = Counter(), Counter(), Counter(), Counter()
-        glue_search, induced = families._glue_search, Graph.induced
+        built, searches, heavy_calls, induced = [], Counter(), Counter(), []
+        glue_search, induced_subgraph = families._glue_search, Graph.induced
 
         def counting_cliques(graph):
-            # keyed by object: two spans may induce equal subgraphs, each
-            # with its own clique list; the memo keeps every one alive
-            clique_calls[id(graph)] += 1
+            built.append(graph)
             return maximal_cliques(graph)
 
-        def counting_search(graph, span, base, searched):
+        def counting_search(graph, cliques, span, base, searched):
             searches[span, base] += 1
-            return glue_search(graph, span, base, searched)
+            return glue_search(graph, cliques, span, base, searched)
 
         def counting_heavy(graph):
             heavy_calls[graph] += 1
             return heavy_vertices(graph)
 
         def counting_induced(graph, vertices):
-            vertices = list(vertices)
-            spans[graph, frozenset(vertices)] += 1
-            return induced(graph, vertices)
+            induced.append(vertices)
+            return induced_subgraph(graph, vertices)
 
         monkeypatch.setattr(families, "maximal_cliques", counting_cliques)
         monkeypatch.setattr(families, "_glue_search", counting_search)
@@ -593,18 +653,15 @@ class TestRecognize:
         for kind in FAMILY_SPECS:
             g = min((generate(params, seed) for params, seed in acceptance_grids()[kind]),
                     key=lambda member: member.n)
-            for counts in (clique_calls, searches, heavy_calls, spans):
+            for counts in (built, searches, heavy_calls, induced):
                 counts.clear()
             assert kind in recognize(g).families
-            # once, shared by the composed families and the C1N and C2N searches;
-            # each searched span's subgraph also builds its cliques at most once
-            assert clique_calls[id(g)] == 1, kind
-            assert max(clique_calls.values()) == 1, kind
-            assert len(clique_calls) > 1, kind
+            # g's cliques once, shared by every family; a glue search reads
+            # its span's cliques from them, inside g
+            assert built == [g], kind
+            assert induced == [], kind
             assert searches and max(searches.values()) == 1, kind
             assert heavy_calls == {g: 1}, kind
-            # one subgraph per span, shared by the bases searched on it
-            assert spans and max(spans.values()) == 1, kind
 
     def test_shared_cliques_and_searches_change_no_answer(self):
         def unshared(g):
@@ -1202,6 +1259,60 @@ def test_base_recognizers_match_their_oracles(inputs):
         for kind in kinds:
             recognizer, oracle = _ORACLES[kind]
             assert recognizer(g) == oracle(g), (kind, emit_graph6(g))
+
+
+def _renamed(x, table):
+    """A base certificate, or one of its fields, with every vertex v renamed
+    ``table[v]``; ``n`` stays."""
+    if is_dataclass(x):
+        n, *rest = (getattr(x, f.name) for f in fields(x))
+        return type(x)(n, *(_renamed(y, table) for y in rest))
+    if isinstance(x, tuple):
+        return tuple(_renamed(y, table) for y in x)
+    return table[x] if isinstance(x, int) else x
+
+
+def test_glue_searches_on_spans_match_the_oracles_on_induced_subgraphs(monkeypatch):
+    """The glue searches that recognize runs on the grid members of order 13
+    or less, the C1NPQ and C2NPQ members of order 14 to 16 and full_corpus(0)
+    read their span inside g. Against the subgraph the span induces: the
+    span's cliques are the subgraph's maximal cliques, the search finds a
+    certificate exactly when the slow oracle accepts the subgraph, and
+    renamed into the subgraph that certificate is the public recognizer's
+    and the oracle's, and passes the public checker."""
+    visited = []
+    glue_search = families._glue_search
+
+    def recording(g, cliques, span, base, searched):
+        visited.append((g, span, base))
+        return glue_search(g, cliques, span, base, searched)
+
+    monkeypatch.setattr(families, "_glue_search", recording)
+    graphs = [g for g in _small_grid_members() if g.n <= 13] + full_corpus(0)
+    # a path attachment glued beside other components spans less than g
+    grids = acceptance_grids()
+    graphs += [g for kind in (FamilyKind.C1NPQ, FamilyKind.C2NPQ)
+               for g in (generate(params, seed) for params, seed in grids[kind]) if 13 < g.n <= 16]
+    for g in graphs:
+        recognize(g)
+    checkers = {FamilyKind.C1N: check_chain_cert, FamilyKind.C2N: check_cycle_cert,
+                FamilyKind.C3NQ: check_c3nq_cert}
+    found = Counter()
+    for g, span, base in dict.fromkeys(visited):
+        order = [v for v in range(g.n) if span >> v & 1]
+        sub = g.induced(order)
+        cliques = families._span_cliques([sum(1 << v for v in c) for c in maximal_cliques(g)], span)
+        assert cliques == [sum(1 << order[i] for i in c) for c in maximal_cliques(sub)]
+        cert = families._base_search(base, g, span, lambda: cliques)
+        recognizer, oracle = _ORACLES[base]
+        expected = oracle(sub)
+        assert (cert is None) == (expected is None), (base, emit_graph6(g), order)
+        if cert is not None:
+            local = _renamed(cert, {v: i for i, v in enumerate(order)})
+            assert local == expected == recognizer(sub), (base, emit_graph6(g), order)
+            assert checkers[base](sub, local) == []
+        found[base, cert is not None] += 1
+    assert len(found) == 6 and min(found.values()) >= 10, found
 
 
 def plain_independent_triple_exists(g: Graph, choice_lists) -> bool:

@@ -22,6 +22,7 @@ from hamclosure.graphs import (
     is_connected,
     is_nonseparable,
     maximal_cliques,
+    nonseparable,
     parse_edge_list,
     parse_graph6,
     path_graph,
@@ -187,6 +188,21 @@ class TestConnectivity:
             answers[n >= 8, nonseparable] += 1
         # both answers occur among the atlas graphs and among the random ones
         assert min(answers.values()) >= 20 and len(answers) == 4, answers
+
+    def test_a_span_reads_as_the_subgraph_it_induces(self):
+        rng = random.Random(7)
+        answers = Counter()
+        for g in seeded_graphs():
+            for dropped in (1, 2, 3, g.n // 2):
+                span = g.full_mask
+                for v in rng.sample(range(g.n), dropped):
+                    span &= ~(1 << v)
+                sub = g.induced([v for v in range(g.n) if span >> v & 1])
+                expected = plain_nonseparable(sub.n, sub.edges())
+                assert nonseparable(g.rows, span) == expected, (emit_graph6(g), bin(span))
+                answers[expected] += 1
+        assert not nonseparable(complete_graph(3).rows, 0)
+        assert min(answers.values()) >= 100, answers
 
     def test_disconnected(self):
         assert not is_connected(empty_graph(2))
