@@ -37,7 +37,7 @@ from .graphs import (
     parse_graph6,
 )
 from .hamiltonicity import is_hamiltonian
-from .heaviness import a_heavy_pairs, o_heavy_pairs
+from .heaviness import _heavy_pairs_at, degree_thresholds
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
 from .patterns import PatternKind, find_induced, has_induced, net_profile  # noqa: F401
 from .regions import decompose
@@ -160,6 +160,7 @@ def _report(g: Graph, seed: int, budget: int | None) -> dict:
     verdict = TheoremVerdict(g.n, two_connected, claw_free, bool(c_closed),
                              profile.n_p_heavy, profile.n_pq_heavy, recognize(g).families)
     ham = is_hamiltonian(g, budget)
+    degs, at = degree_thresholds(g.rows)
     return {
         "input": emit_graph6(g),
         "n": g.n,
@@ -176,8 +177,8 @@ def _report(g: Graph, seed: int, budget: int | None) -> dict:
             "N-op-heavy": profile.n_op_heavy,
             "N-pq-heavy": profile.n_pq_heavy,
         },
-        "o_heavy_pairs": [[p.u, p.v] for p in o_heavy_pairs(g)],
-        "a_heavy_pairs": [[p.u, p.v] for p in a_heavy_pairs(g)],
+        "o_heavy_pairs": _heavy_pairs_at(g.rows, degs, at, adjacent=False),
+        "a_heavy_pairs": _heavy_pairs_at(g.rows, degs, at, adjacent=True),
         "closures": closures,
         "regions": region_summary,
         "families": sorted(k.value for k in verdict.families),

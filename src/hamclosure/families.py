@@ -23,16 +23,18 @@ the checker's reading of those clauses (``_count_problems``) accepts.
 The composed clauses read vertex sets as integer masks. The checker and the
 recognizer share one attachment test (``_attaches``) and one core-clique
 rule (``_core_faults``); the recognizer proposes K and K' from the masks of
-g's maximal cliques, and the checker's clauses (``_composed_problems``),
-with the one maximality test (``_is_maximal``), decide every candidate.
+g's maximal cliques (``maximal_clique_masks``, one enumeration per call),
+and the checker's clauses (``_composed_problems``), with the one
+maximality test (``_is_maximal``), decide every candidate.
 
 Glue searches read their span inside g. A glue search is a base-family
 search on a component plus its host cliques, and that vertex set is a mask
 ``span`` of g. The base searches and clause checkers take g and a span and
 read the subgraph it induces in place, in g's vertex names: its rows are
 ``g.rows[v] & span``, its 2-connectivity is ``nonseparable(g.rows, span)``,
-and its maximal cliques are the inclusion-maximal sets among g's maximal
-cliques cut down to the span, in ``maximal_cliques`` order. The public
+and its maximal cliques are the inclusion-maximal sets among the masks of
+g's maximal cliques cut down to the span, in ``maximal_clique_masks``
+order (which is ``maximal_cliques`` order). The public
 recognizers and checkers are the full-mask case. Two facts the recognizer
 already holds are not decided again: the mask of g's heavy vertices, and
 each sub-certificate. A glue search keeps a sub-certificate only after the
@@ -65,13 +67,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from operator import or_
 
 from .closures import _c_closed, _claw_status
 from .errors import InputError, ParameterError
 from .graphs import (
-    Graph, _bits, component_masks, flood, is_2_connected, maximal_cliques, nonseparable,
+    Graph, _bits, component_masks, flood, is_2_connected, maximal_clique_masks, nonseparable,
 )
 from .heaviness import degree_thresholds, heavy_vertices
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
@@ -413,16 +415,12 @@ def _c3nq_problems(g: Graph, span: int, cert: C3NQCert) -> list[str]:
 # -- base-family searches on a span of g --------------------------------------
 #
 # ``cliques_of()`` gives the span's maximal cliques as masks, in
-# ``maximal_cliques`` order.
-
-
-def _clique_masks(g: Graph) -> list[int]:
-    return [_cell_mask(c) for c in maximal_cliques(g)]
+# ``maximal_clique_masks`` order.
 
 
 def is_c1n(g: Graph) -> ChainCert | None:
     """Chain-of-cliques decomposition, or None."""
-    return _c1n_of(g, g.full_mask, lambda: _clique_masks(g))
+    return _c1n_of(g, g.full_mask, lambda: maximal_clique_masks(g))
 
 
 def _c1n_of(g: Graph, span: int, cliques_of) -> ChainCert | None:
@@ -450,7 +448,7 @@ def _c1n_of(g: Graph, span: int, cliques_of) -> ChainCert | None:
 
 def is_c2n(g: Graph) -> CycleCert | None:
     """Cyclic chain-of-cliques decomposition, or None."""
-    return _c2n_of(g, g.full_mask, lambda: _clique_masks(g))
+    return _c2n_of(g, g.full_mask, lambda: maximal_clique_masks(g))
 
 
 def _c2n_of(g: Graph, span: int, cliques_of) -> CycleCert | None:
@@ -653,11 +651,12 @@ class FamilySpec:
     counts: tuple[CountClause, ...]
     heavy_pairs: tuple[tuple[str, str], ...]  # (clique, message when it fails)
 
-    @property
+    @cached_property
     def min_components(self) -> int:
         """Fewest components the counting clauses allow: the largest lower
         bound of a clause that binds at every component count. Below it the
-        recognizer drops K (and K') before any glue search."""
+        recognizer drops K (and K') before any glue search. Computed once
+        per spec."""
         return max((c.lo for c in self.counts if c.only_with is None), default=0)
 
 
@@ -756,7 +755,7 @@ def _base_search(kind: FamilyKind, g: Graph, span: int, cliques_of):
 
 def _span_cliques(cliques, span: int) -> list[int]:
     """The maximal cliques of the subgraph induced by ``span``, as masks in
-    ``maximal_cliques`` order, read from the masks ``cliques`` of g's
+    ``maximal_clique_masks`` order, read from the masks ``cliques`` of g's
     maximal cliques. Each clique of the subgraph lies in one of g's, so they
     are the inclusion-maximal sets among g's cliques cut down to ``span``.
     An increasing renaming keeps the order, so the cells, the walk start and
@@ -860,15 +859,18 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
     if problems:
         return problems
     heavy = _cell_mask(heavy_vertices(g)) if spec.k_holds_heavy else 0
-    return _composed_problems(g, spec, cert, heavy, check_subs=True)
+    return _composed_problems(g, spec, cert, heavy)
 
 
 def _composed_problems(g: Graph, spec: FamilySpec, cert: ComposedCert, heavy: int,
-                       check_subs: bool) -> list[str]:
+                       split: list[int] | None = None) -> list[str]:
     """The clauses of ``spec`` on a certificate whose cells name vertices of
-    g; ``heavy`` is the mask of g's heavy vertices. Without ``check_subs``
-    the sub-certificates are taken as checked, which the recognizer may do:
-    each came from a base search that its checker passed on the same span."""
+    g; ``heavy`` is the mask of g's heavy vertices. The recognizer passes
+    as ``split`` the masks of the components of G - K - K' it has just
+    found, and its sub-certificates are taken as checked: each came from a
+    base search that its checker passed on the same span. Without
+    ``split`` the components are found here and every sub-certificate is
+    checked."""
     problems = []
     kmask, kpmask = _cell_mask(cert.k_clique), _cell_mask(cert.k_prime or ())
     if not g.is_clique_mask(kmask):
@@ -888,7 +890,8 @@ def _composed_problems(g: Graph, spec: FamilySpec, cert: ComposedCert, heavy: in
     elif kpmask:
         problems.append("this family takes no secondary clique")
     comp_masks = [_cell_mask(c.vertices) for c in cert.components]
-    if set(component_masks(g.rows, g.full_mask & ~(kmask | kpmask))) != set(comp_masks):
+    comps = component_masks(g.rows, g.full_mask & ~(kmask | kpmask)) if split is None else split
+    if set(comps) != set(comp_masks):
         problems.append("certificate components do not match the graph's components")
     hosts = {"K": kmask, "K'": kpmask}
     for comp, cmask in zip(cert.components, comp_masks):
@@ -899,7 +902,7 @@ def _composed_problems(g: Graph, spec: FamilySpec, cert: ComposedCert, heavy: in
         host_masks = [hosts[h] for h in glue.hosts]
         if not _attaches(_neighbor_mask(g, cmask), host_masks):
             problems.append(glue.misplaced)
-        if check_subs:
+        if split is None:
             problems += _check_sub_cert(g, reduce(or_, host_masks, cmask), comp.sub)
     problems += _count_problems(spec, [c.glue for c in cert.components])
     for clique, message in spec.heavy_pairs:
@@ -991,7 +994,7 @@ def _recognize_composed(
             cert = ComposedCert(g.n, tuple(_bits(kmask)), tuple(_bits(kpmask)) or None, u0, tuple(
                 ComponentCert(tuple(_bits(c)), tag, sub) for c, (tag, sub) in zip(comps, picked)
             ))
-            if not _composed_problems(g, spec, cert, heavy, check_subs=False):
+            if not _composed_problems(g, spec, cert, heavy, split=comps):
                 return cert
     return None
 
@@ -1016,7 +1019,7 @@ def recognize(g: Graph) -> FamilyWitness:
     answer the glue searches that span all of g.
     """
     certs: dict[FamilyKind, Certificate] = {}
-    cliques, heavy = _clique_masks(g), _cell_mask(heavy_vertices(g))
+    cliques, heavy = maximal_clique_masks(g), _cell_mask(heavy_vertices(g))
     crowded = _crowded(cliques)
     searched: dict = {}
     for kind in FamilyKind:

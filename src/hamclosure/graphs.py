@@ -309,17 +309,22 @@ def is_2_connected(g: Graph) -> bool:
 # -- maximal cliques --------------------------------------------------------
 
 
-def maximal_cliques(g: Graph) -> list[frozenset[int]]:
-    """All inclusion-maximal cliques (Bron-Kerbosch with pivoting).
+def maximal_clique_masks(g: Graph) -> list[int]:
+    """The vertex masks of all inclusion-maximal cliques (Bron-Kerbosch
+    with pivoting), in ``maximal_cliques`` order.
 
-    Output order is deterministic: lexicographic by sorted member list.
+    The cliques form an antichain, so ordering them by sorted member list
+    puts A before B exactly when the lowest vertex of ``A ^ B`` lies in A:
+    the order of the bit-reversed masks, largest first. The search builds
+    each clique's reversed mask beside it.
     """
-    rows = [g.row(v) for v in range(g.n)]
-    found: list[int] = []
+    rows = g.rows
+    top = 1 << g.n >> 1  # vertex v's bit in a reversed mask is top >> v
+    found: list[tuple[int, int]] = []
 
-    def expand(r: int, p: int, x: int) -> None:
+    def expand(r: int, reverse: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
-            found.append(r)
+            found.append((reverse, r))
             return
         # the vertex of p | x with the most neighbours in p, lowest first
         pool, most = p | x, -1
@@ -330,17 +335,25 @@ def maximal_cliques(g: Graph) -> list[frozenset[int]]:
             if count > most:
                 pivot, most = v, count
             pool ^= low
-        for v in _bits(p & ~rows[pivot]):
-            bit = 1 << v
-            expand(r | bit, p & rows[v], x & rows[v])
-            p &= ~bit
+        branch = p & ~rows[pivot]
+        while branch:  # _bits inlined: one step per node of the search
+            bit = branch & -branch
+            v = bit.bit_length() - 1
+            expand(r | bit, reverse | top >> v, p & rows[v], x & rows[v])
+            p ^= bit
             x |= bit
+            branch ^= bit
 
     if g.n:
-        expand(0, g.full_mask, 0)
-    cliques = [tuple(_bits(mask)) for mask in found]
-    cliques.sort()
-    return [frozenset(c) for c in cliques]
+        expand(0, 0, g.full_mask, 0)
+    found.sort(reverse=True)
+    return [r for _, r in found]
+
+
+def maximal_cliques(g: Graph) -> list[frozenset[int]]:
+    """All inclusion-maximal cliques, lexicographic by sorted member list:
+    ``maximal_clique_masks`` as vertex sets."""
+    return [frozenset(_bits(mask)) for mask in maximal_clique_masks(g)]
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -360,9 +373,11 @@ def emit_graph6(g: Graph) -> str:
     out = bytearray(_g6_encode_n(g.n))
     bit_acc = 0
     nbits = 0
+    rows = g.rows
     for v in range(1, g.n):
+        row = rows[v]
         for u in range(v):
-            bit_acc = bit_acc << 1 | (1 if g.has_edge(u, v) else 0)
+            bit_acc = bit_acc << 1 | row >> u & 1
             nbits += 1
             if nbits == 6:
                 out.append(bit_acc + 63)
@@ -414,16 +429,24 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(data) - pos > nbytes:
         raise FormatError("trailing bytes after graph6 bit vector", offset=pos + nbytes)
+    # the bit vector as one int: column v holds the pairs (u, v), u < v,
+    # with u = 0 first; padding bits at the end are never read
+    vector = 0
+    for byte in data[pos:]:
+        vector = vector << 6 | byte - 63
+    unread = 6 * nbytes
     rows = [0] * n
-    k = 0
     for v in range(1, n):
-        for u in range(v):
-            byte = data[pos + k // 6] - 63
-            if byte >> (5 - k % 6) & 1:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            k += 1
-    return Graph(n, tuple(rows))
+        unread -= v
+        column = vector >> unread & ((1 << v) - 1)  # u's bit is 1 << (v - 1 - u)
+        while column:
+            low = column & -column
+            u = v - low.bit_length()
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+            column ^= low
+    # each pair sets both rows, and u < v leaves no loop
+    return Graph._unsafe(n, tuple(rows))
 
 
 # -- edge-list text format ---------------------------------------------------

@@ -16,9 +16,12 @@ from hamclosure.graphs import (
     complete_graph,
     cycle_graph,
     emit_graph6,
+    maximal_clique_masks,
     parse_graph6,
 )
+from hamclosure.heaviness import HeavyPair
 from hamclosure.patterns import REFERENCE, PatternKind, embeddings, net_profile
+from hamclosure.regions import decompose
 from hamclosure.verify import acceptance_grids, curated_graphs
 
 CLASSIFY_REFERENCE = (
@@ -250,10 +253,15 @@ class TestClassifyCommand:
         assert not changed, f"{len(changed)} reports differ, first {changed[0]}"
 
     def test_one_classify_computes_each_fact_once(self, capsys, monkeypatch):
-        calls = count_calls(monkeypatch, (net_profile, _c_fixpoint, recognize, _claw_status))
+        calls = count_calls(monkeypatch, (net_profile, _c_fixpoint, recognize, _claw_status,
+                                          decompose, maximal_clique_masks, HeavyPair))
         code, _, _ = run(capsys, "classify", G8)
         assert code == 0
-        assert calls == {"net_profile": 1, "_c_fixpoint": 1, "recognize": 1, "_claw_status": 1}
+        # one clique enumeration for recognize, on g, and one for decompose,
+        # on the c-closure (G8 is c-closed, so its closure is g); the heavy
+        # pairs are listed without building a HeavyPair
+        assert calls == {"net_profile": 1, "_c_fixpoint": 1, "recognize": 1, "_claw_status": 1,
+                         "decompose": 1, "maximal_clique_masks": 2}
 
     @pytest.mark.parametrize("g", [parse_graph6(G8), complete_bipartite(2, 3)],
                              ids=["G8", "K23"])

@@ -45,6 +45,7 @@ from hamclosure.graphs import (
     emit_graph6,
     is_2_connected,
     is_connected,
+    maximal_clique_masks,
     maximal_cliques,
     parse_graph6,
     sample_graphs,
@@ -307,9 +308,9 @@ class TestBaseRecognizers:
 
         def counting_cliques(graph):
             built.append(graph)
-            return maximal_cliques(graph)
+            return maximal_clique_masks(graph)
 
-        monkeypatch.setattr(families, "maximal_cliques", counting_cliques)
+        monkeypatch.setattr(families, "maximal_clique_masks", counting_cliques)
         two_paths = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
         assert is_c1n(two_paths) is None and is_c2n(two_paths) is None
         assert is_c2n(complete_bipartite(1, 3)) is None  # connected, not 2-connected
@@ -632,7 +633,7 @@ class TestRecognize:
 
         def counting_cliques(graph):
             built.append(graph)
-            return maximal_cliques(graph)
+            return maximal_clique_masks(graph)
 
         def counting_search(graph, cliques, span, base, searched):
             searches[span, base] += 1
@@ -646,7 +647,7 @@ class TestRecognize:
             induced.append(vertices)
             return induced_subgraph(graph, vertices)
 
-        monkeypatch.setattr(families, "maximal_cliques", counting_cliques)
+        monkeypatch.setattr(families, "maximal_clique_masks", counting_cliques)
         monkeypatch.setattr(families, "_glue_search", counting_search)
         monkeypatch.setattr(families, "heavy_vertices", counting_heavy)
         monkeypatch.setattr(Graph, "induced", counting_induced)

@@ -21,6 +21,7 @@ from hamclosure.graphs import (
     is_2_connected,
     is_connected,
     is_nonseparable,
+    maximal_clique_masks,
     maximal_cliques,
     nonseparable,
     parse_edge_list,
@@ -284,6 +285,24 @@ class TestMaximalCliques:
             expected = sorted(sorted(c) for c in nx.find_cliques(h))
             assert [sorted(c) for c in maximal_cliques(g)] == expected, emit_graph6(g)
 
+    def test_masks_are_the_cliques_in_order(self):
+        # the masks in member-list order, read against networkx's cliques
+        # as well as against the frozenset view
+        shapes = [empty_graph(0), empty_graph(1), empty_graph(5), complete_graph(6),
+                  Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (3, 4), (5, 6)])]
+        atlas = [Graph.from_edges(h.number_of_nodes(), h.edges()) for h in nx.graph_atlas_g()]
+        seeded = [g for n in range(2, 21) for p in (0.2, 0.5, 0.8)
+                  for g in sample_graphs(n, p, seed=100 * n + int(10 * p), limit=2)]
+        assert len(atlas) == 1253
+        for g in shapes + atlas + seeded:
+            masks = maximal_clique_masks(g)
+            assert masks == [sum(1 << v for v in c) for c in maximal_cliques(g)], emit_graph6(g)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            expected = sorted(sorted(c) for c in nx.find_cliques(h)) if g.n else []
+            assert masks == [sum(1 << v for v in c) for c in expected], emit_graph6(g)
+
 
 class TestGraph6:
     def test_round_trip_curated(self, curated):
@@ -327,6 +346,23 @@ class TestGraph6:
     def test_large_n_header(self):
         g = empty_graph(70)
         assert parse_graph6(emit_graph6(g)) == g
+
+    @pytest.mark.parametrize("n", [*range(21), 63])
+    def test_round_trip_both_ways(self, n):
+        # n = 63 is the first order with the four-byte header
+        graphs = [empty_graph(n), complete_graph(n)]
+        graphs += [g for p in (0.3, 0.7) for g in sample_graphs(n, p, seed=n, limit=3)]
+        for g in graphs:
+            text = emit_graph6(g)
+            assert parse_graph6(text) == g
+            assert parse_graph6(">>graph6<<" + text) == g
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            reference = nx.to_graph6_bytes(h, header=False).decode().strip()
+            assert text == reference
+            assert emit_graph6(parse_graph6(reference)) == reference
+            assert emit_graph6(parse_graph6(">>graph6<<" + reference)) == reference
 
 
 class TestEdgeListAndDot:
