@@ -33,14 +33,5 @@ class BudgetError(HamclosureError):
     """An exact search refused to continue past its configured budget."""
 
 
-class ExhaustionError(BudgetError):
-    """A rejection sampler ran out of attempts before the next accept."""
-
-    def __init__(self, message: str, attempts: int = 0, yielded: int = 0):
-        super().__init__(message)
-        self.attempts = attempts
-        self.yielded = yielded
-
-
 class NonUniqueMinimumError(HamclosureError):
     """The supergraph search found incomparable minima (no least element)."""

@@ -73,7 +73,8 @@ from operator import or_
 from .closures import _c_closed, _claw_status
 from .errors import InputError, ParameterError
 from .graphs import (
-    Graph, _bits, component_masks, flood, is_2_connected, maximal_clique_masks, nonseparable,
+    Graph, _bits, _budget, component_masks, flood, is_2_connected, maximal_clique_masks,
+    nonseparable,
 )
 from .heaviness import degree_thresholds, heavy_vertices
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
@@ -952,11 +953,6 @@ def _overlaps(cliques) -> tuple[int, int]:
     return twice, crowded
 
 
-def _crowded(cliques) -> int:
-    """The mask of the vertices that lie in three or more of ``cliques``."""
-    return _overlaps(cliques)[1]
-
-
 def _recognize_composed(
     g: Graph, spec: FamilySpec, cliques, heavy: int, crowded: int, searched: dict
 ) -> ComposedCert | None:
@@ -1020,7 +1016,7 @@ def recognize(g: Graph) -> FamilyWitness:
     """
     certs: dict[FamilyKind, Certificate] = {}
     cliques, heavy = maximal_clique_masks(g), _cell_mask(heavy_vertices(g))
-    crowded = _crowded(cliques)
+    _, crowded = _overlaps(cliques)
     searched: dict = {}
     for kind in FamilyKind:
         spec = FAMILY_SPECS.get(kind)
@@ -1362,7 +1358,8 @@ def generate_with_certificate(params: FamilyParams, seed: int = 0) -> tuple[Grap
     """
     _check_field_types(params)
     _check_fields_read(params)
-    cert = _GENERATORS.get(params.family, _generate_composed)(params, random.Random(seed))
+    rng = random.Random(_budget(seed, "generator seed"))
+    cert = _GENERATORS.get(params.family, _generate_composed)(params, rng)
     g = replay_certificate(cert)
     if isinstance(cert, ComposedCert):
         problems = check_composed_cert(g, params.family, cert)

@@ -8,9 +8,10 @@ arithmetic regardless of n.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
+from itertools import repeat
 
-from .errors import ExhaustionError, FormatError, InputError
+from .errors import FormatError, InputError
 
 Edge = tuple[int, int]
 
@@ -56,7 +57,8 @@ def _order(n) -> int:
 
 
 def _budget(budget, what: str) -> int:
-    """``budget`` as a search budget named ``what``, or InputError: not an int."""
+    """``budget`` as the int named ``what`` (a budget, limit or seed), or
+    InputError: not an int."""
     if not isinstance(budget, int):
         raise InputError(f"{what} {budget!r} is not an int")
     return budget
@@ -487,71 +489,28 @@ def emit_dot(g: Graph, name: str = "G") -> str:
 # -- seeded sampling ---------------------------------------------------------
 
 
-class GraphSampler:
-    """Deterministic rejection sampler over G(n, p).
+def sample_graphs(n: int, p: float, seed: int, limit: int | None = None) -> Iterator[Graph]:
+    """Seeded G(n, p): ``limit`` graphs, or an endless stream when None.
 
-    Iterating yields graphs satisfying ``predicate``; ``attempts`` and
-    ``yielded`` expose the accept ratio. Raises ExhaustionError when the
-    attempt budget runs out before the next accept.
+    Each draw reads one ``random()`` per vertex pair u < v in order. The
+    arguments are checked here, before the first draw.
     """
+    n = _order(n)
+    if not isinstance(p, (int, float)):
+        raise InputError(f"edge probability {p!r} is not a number")
+    if not 0.0 <= p <= 1.0:
+        raise InputError("edge probability must lie in [0, 1]")
+    if limit is not None:
+        _budget(limit, "sample limit")
+    rnd = random.Random(_budget(seed, "sample seed")).random
 
-    def __init__(
-        self,
-        n: int,
-        p: float,
-        seed: int,
-        predicate: Callable[[Graph], bool] | None = None,
-        limit: int | None = None,
-        max_attempts: int = 100_000,
-    ):
-        self.n = _order(n)
-        if not isinstance(p, (int, float)):
-            raise InputError(f"edge probability {p!r} is not a number")
-        if not 0.0 <= p <= 1.0:
-            raise InputError("edge probability must lie in [0, 1]")
-        self.p = p
-        self.seed = seed
-        self.predicate = predicate
-        self.limit = None if limit is None else _budget(limit, "sample limit")
-        self.max_attempts = _budget(max_attempts, "attempt budget")
-        self.attempts = 0
-        self.yielded = 0
-        self._rng = random.Random(seed)
-
-    def _draw(self) -> Graph:
-        rows = [0] * self.n
-        rnd = self._rng.random
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if rnd() < self.p:
+    def draw() -> Graph:
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rnd() < p:
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._unsafe(n, tuple(rows))
 
-    def __iter__(self) -> Iterator[Graph]:
-        while self.limit is None or self.yielded < self.limit:
-            accepted = None
-            while accepted is None:
-                if self.attempts >= self.max_attempts:
-                    raise ExhaustionError(
-                        f"no graph satisfying the predicate within {self.max_attempts} attempts",
-                        attempts=self.attempts,
-                        yielded=self.yielded,
-                    )
-                self.attempts += 1
-                g = self._draw()
-                if self.predicate is None or self.predicate(g):
-                    accepted = g
-            self.yielded += 1
-            yield accepted
-
-
-def sample_graphs(
-    n: int,
-    p: float,
-    seed: int,
-    predicate: Callable[[Graph], bool] | None = None,
-    limit: int | None = None,
-    max_attempts: int = 100_000,
-) -> GraphSampler:
-    return GraphSampler(n, p, seed, predicate, limit, max_attempts)
+    return (draw() for _ in (repeat(None) if limit is None else range(limit)))

@@ -6,12 +6,11 @@ pattern's automorphisms. One backtracking matcher reads every pattern
 from its reference graph: it places the roles in order with
 neighbourhood bitmask algebra and keeps one embedding per orbit by
 symmetry breaking on the automorphism group, which leaves that least
-tuple. The claw keeps a hand-written loop that emits it too, for the
-claw questions of the acceptance suites and the family-grid checks.
+tuple; every catalog pattern, the claw included, goes through it.
 ``net_profile`` classifies nets straight from the matcher's embeddings,
-with one
-``degree_thresholds`` table per graph; ``classify_net`` takes one net as a
-role-ordered tuple and first checks that it induces a net in g.
+with one ``degree_thresholds`` table per graph; ``classify_net`` takes
+one net as a role-ordered tuple and first checks that it induces a net
+in g.
 ``find_induced_naive`` is the independent subset-enumeration oracle the
 detectors are tested against.
 """
@@ -24,7 +23,7 @@ from enum import Enum
 from itertools import combinations, permutations
 
 from .errors import InputError
-from .graphs import Graph, _bits
+from .graphs import Graph
 from .heaviness import _o_heavy_within, degree_thresholds
 
 
@@ -161,25 +160,6 @@ def _matches(g: Graph, steps) -> Iterator[Embedding]:
         cands[depth] = c
 
 
-# The claw keeps a hand-written loop. closures._claw_status no longer walks
-# it (it finds the first claw and the first light claw by mask algebra); its
-# remaining readers are has_induced(g, CLAW), which the acceptance suites
-# and the family-grid checks call, and heaviness.is_pattern_o_heavy. On the
-# 136 graphs of the classify-random pool the first claw took 1.3 ms with the
-# loop and 1.9-2.0 ms with the matcher (2-vCPU guest, Python 3.11).
-
-
-def _claws(g: Graph):
-    for x in range(g.n):
-        nbrs = g.row(x)
-        for u in _bits(nbrs):
-            rest_u = nbrs & ~g.row(u) & ~((1 << (u + 1)) - 1)
-            for v in _bits(rest_u):
-                rest_v = rest_u & ~g.row(v) & ~((1 << (v + 1)) - 1)
-                for w in _bits(rest_v):
-                    yield (x, u, v, w)
-
-
 def _pattern(pattern) -> PatternKind:
     """``pattern`` as a catalog pattern, or InputError."""
     if not isinstance(pattern, PatternKind):
@@ -188,10 +168,9 @@ def _pattern(pattern) -> PatternKind:
 
 
 def embeddings(g: Graph, pattern: PatternKind) -> Iterator[Embedding]:
-    """Induced embeddings in role order, one per orbit, in no set order."""
-    if _pattern(pattern) is PatternKind.CLAW:
-        return _claws(g)
-    return _matches(g, _STEPS[pattern])
+    """Induced embeddings in role order from the one matcher, one per orbit
+    (its least tuple), in no set order."""
+    return _matches(g, _STEPS[_pattern(pattern)])
 
 
 def find_induced(g: Graph, pattern: PatternKind) -> list[Embedding]:

@@ -11,6 +11,7 @@ import random
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .closures import (
     EligibilityMode,
@@ -25,7 +26,7 @@ from .closures import (
     supergraph_search,
     validate_c_trace,
 )
-from .errors import BudgetError, ExhaustionError, InputError
+from .errors import BudgetError, InputError
 from .families import (
     ComponentSpec,
     FamilyKind,
@@ -394,24 +395,12 @@ def suite_heaviness_propagation(result: SuiteResult, seed: int, node_budget) -> 
         accepted: list[Graph] = []
 
         def predicate(g: Graph) -> bool:
-            return (
-                is_2_connected(g)
-                and is_pattern_o_heavy(g, PatternKind.CLAW)
-                and is_pattern_o_heavy(g, s_kind)
-            )
+            return is_2_connected(g) and _claw_status(g)[1] and is_pattern_o_heavy(g, s_kind)
 
-        cell_round = 0
-        while len(accepted) < target and cell_round < 40:
+        for cell_round in range(40):  # once target is met, islice draws nothing
             n, p = cells[cell_round % len(cells)]
-            sampler = sample_graphs(
-                n, p, seed=seed * 100 + cell_round * 7 + n, predicate=predicate,
-                limit=target - len(accepted), max_attempts=40_000,
-            )
-            try:
-                accepted.extend(sampler)
-            except ExhaustionError:
-                pass
-            cell_round += 1
+            draws = sample_graphs(n, p, seed=seed * 100 + cell_round * 7 + n, limit=40_000)
+            accepted.extend(islice(filter(predicate, draws), target - len(accepted)))
         result.notes.append(f"{s_kind.value}: {len(accepted)} accepted")
         if not accepted:
             continue

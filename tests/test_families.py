@@ -240,6 +240,12 @@ class TestGenerate:
         with pytest.raises(ParameterError, match=f"{field} is not used by this family"):
             generate(parse_params(text), seed=0)
 
+    @pytest.mark.parametrize("seed", [None, [1], 1.0], ids=["none", "list", "float"])
+    def test_seed_must_be_an_int(self, seed):
+        # refused before the first draw: a None seed would draw from the clock
+        with pytest.raises(InputError, match="generator seed .* is not an int"):
+            generate(parse_params("family=C1N\nt=3\nk_sizes=4,5,4\nu_sizes=2,2;2,2\n"), seed)
+
     def test_generator_output_is_pinned(self):
         # graph6 and certificate of every grid member and of the README's
         # two params examples: any change to a generator's rng draw order
@@ -674,7 +680,7 @@ class TestRecognize:
                 else:
                     masks = [sum(1 << v for v in c) for c in maximal_cliques(g)]
                     heavy = sum(1 << v for v in heavy_vertices(g))
-                    crowded = families._crowded(masks)
+                    _, crowded = families._overlaps(masks)
                     cert = families._recognize_composed(g, spec, masks, heavy, crowded, {})
                 if cert is not None:
                     certs[kind] = cert
@@ -718,7 +724,7 @@ def test_two_clique_lemma_holds_on_members_and_recognized_certificates():
     for g in list(dict.fromkeys(grid + edits)) + full_corpus(0):
         counts = _clique_counts(g)
         masks = [sum(1 << v for v in c) for c in maximal_cliques(g)]
-        assert families._crowded(masks) == sum(1 << v for v, c in enumerate(counts) if c >= 3)
+        assert families._overlaps(masks)[1] == sum(1 << v for v, c in enumerate(counts) if c >= 3)
         for kind, cert in recognize(g).certificates.items():
             if kind in FAMILY_SPECS:
                 hosts = set(cert.k_clique) | set(cert.k_prime or ())
@@ -735,7 +741,10 @@ def test_crowded_prune_changes_no_answer(monkeypatch):
     edits = [e for g in grid for e in _single_edge_edits(g)]
     graphs = list(dict.fromkeys(grid + edits)) + full_corpus(0) + full_corpus(1) + _seeded_gnp()
     pruned = [recognize(g).certificates for g in graphs]
-    monkeypatch.setattr(families, "_crowded", lambda masks: 0)
+    composed = families._recognize_composed
+    monkeypatch.setattr(families, "_recognize_composed",
+                        lambda g, spec, cliques, heavy, crowded, searched:
+                        composed(g, spec, cliques, heavy, 0, searched))
     for g, certs in zip(graphs, pruned):
         assert recognize(g).certificates == certs, emit_graph6(g)
     assert sum(kind in FAMILY_SPECS for certs in pruned for kind in certs) > 100

@@ -25,7 +25,8 @@ from hamclosure.closures import (
     r_closure,
 )
 from hamclosure.graphs import Graph, emit_graph6
-from hamclosure.heaviness import a_heavy_pairs, o_heavy_pairs, satisfies_ore
+from hamclosure.heaviness import a_heavy_pairs, is_pattern_o_heavy, o_heavy_pairs, satisfies_ore
+from hamclosure.patterns import PatternKind, has_induced
 from hamclosure.verify import full_corpus
 from test_families import _seeded_gnp
 
@@ -210,8 +211,10 @@ def test_heavy_pair_questions_match_the_pairwise_oracle(inputs):
         assert [(p.u, p.v, p.degree_sum) for p in a_heavy_pairs(g)] == \
             plain_heavy_pairs(g, True), label
         assert satisfies_ore(g) == plain_satisfies_ore(g), label
-        claw_status = _claw_status(g)
-        assert claw_status == plain_claw_status(g), label
+        claw_status, plain_status = _claw_status(g), plain_claw_status(g)
+        assert claw_status == plain_status, label
+        assert has_induced(g, PatternKind.CLAW) == (not plain_status[0]), label
+        assert is_pattern_o_heavy(g, PatternKind.CLAW) == plain_status[1], label
         for x in range(g.n):
             assert bc_local(g, x) == plain_bc_local(g, x), (label, x)
         if claw_status[1]:

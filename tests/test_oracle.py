@@ -152,7 +152,8 @@ def _hamiltonicity_inputs(name):
         return full_corpus(0)
     if name == "sampled":
         return [g for n in range(8, 15)
-                for g in sample_graphs(n, 0.3, seed=n, predicate=is_2_connected, limit=30)]
+                for g in itertools.islice(
+                    filter(is_2_connected, sample_graphs(n, 0.3, seed=n)), 30)]
     max_n = {"grid": 12, "grid-15": 15}[name]
     members = (generate(params, seed) for grid in acceptance_grids().values()
                for params, seed in grid)
