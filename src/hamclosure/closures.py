@@ -14,9 +14,10 @@ stays an o-heavy non-edge below, since degrees only grow as edges are
 added. A 4-vertex set whose last undecided pair was just decided keeps
 its induced subgraph below, so the walk tests it once there for a claw or
 a diamond by its internal degrees; the sets are listed per non-edge
-before the walk. It shares no pattern detector with the closures, every
-leaf it reaches satisfies the target, and the record reports how many
-tree nodes were entered.
+before the walk, and one read of each set, before the pair is joined,
+decides both branches. It shares no pattern detector with the closures,
+every leaf it reaches satisfies the target, and the record reports how
+many tree nodes were entered.
 
 Every degree-sum question reads one table per graph,
 ``heaviness.degree_thresholds``: ``at[d]`` is the mask of the vertices of
@@ -137,9 +138,16 @@ def parse_trace(text: str) -> tuple[TraceStep, ...]:
     return tuple(steps)
 
 
-def _require_policy(policy: str) -> None:
+def _require_policy_and_seed(policy: str, seed: int) -> None:
     if policy not in ("min", "max", "random"):
         raise InputError(f"unknown selection policy {policy!r}")
+    _budget(seed, "closure seed")
+
+
+def _rng(policy: str, seed: int) -> random.Random | None:
+    """The generator a "random" pick draws from; the other policies draw
+    nothing, so they get none."""
+    return random.Random(seed) if policy == "random" else None
 
 
 def _require_mode(mode: EligibilityMode) -> None:
@@ -148,7 +156,7 @@ def _require_mode(mode: EligibilityMode) -> None:
         raise InputError(f"unknown eligibility mode {mode!r}")
 
 
-def _pick(items: list, policy: str, rng: random.Random):
+def _pick(items: list, policy: str, rng: random.Random | None):
     if policy == "min":
         return items[0]
     if policy == "max":
@@ -160,7 +168,7 @@ def _fixpoint(g: Graph, kind: str, candidates, policy: str, seed: int):
     """Complete one picked candidate's neighborhood at a time, to a fixpoint.
     ``candidates(cur)`` yields the eligible vertices of cur in increasing
     order; the "min" policy reads only the first, the others list them all."""
-    rng = random.Random(seed)
+    rng = _rng(policy, seed)
     cur = g
     steps = []
     while True:
@@ -213,8 +221,8 @@ def o_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, Clos
     pair that was o-heavy stays o-heavy, and the new ones are the pairs at
     u or v whose degree sum has just reached n exactly.
     """
-    _require_policy(policy)
-    rng = random.Random(seed)
+    _require_policy_and_seed(policy, seed)
+    rng = _rng(policy, seed)
     n = g.n
     rows = list(g.rows)
     degs, at = degree_thresholds(rows)
@@ -263,7 +271,7 @@ def r_eligible(g: Graph, x: int) -> bool:
 
 
 def r_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
-    _require_policy(policy)
+    _require_policy_and_seed(policy, seed)
     if not _claw_status(g)[0]:
         raise PreconditionError("input not claw-free: r-closure undefined")
     return _r_fixpoint(g, policy, seed)
@@ -341,7 +349,7 @@ def c_closure(
     seed: int = 0,
 ) -> tuple[Graph, ClosureTrace]:
     _require_mode(mode)
-    _require_policy(policy)
+    _require_policy_and_seed(policy, seed)
     if not _claw_status(g)[1]:
         raise PreconditionError(_C_UNDEFINED)
     return _c_fixpoint(g, mode, policy, seed)
@@ -474,9 +482,17 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
     - a 4-vertex set that non-edge i is the last to decide induces a claw
       (internal degrees sum to 6, one of them 3) or a diamond (they sum to
       10). Its six pairs are fixed from here on.
+    Each such set is read once, before uv is joined: with internal degrees
+    da, db (of u and v), dc, dd summing to t, leaving uv out breaks the
+    target when t == 10, or t == 6 with dc or dd 3 (u and v are not
+    adjacent, so neither can centre the claw); joining uv adds one to da
+    and db, so it breaks the target when t == 8, or t == 4 with da or db 2.
+    No set breaks both branches, and the reading stops once both are known
+    to break.
     Every induced claw or diamond holds a non-edge of g, so each is tested
     once on every root-to-leaf path, and a leaf that is reached satisfies
-    the target without a further test.
+    the target without a further test; the last non-edge's branches are
+    counted and recorded as leaves without a call of their own.
     Raises ``BudgetError`` when g has more than ``budget`` non-edges, and
     ``InputError`` when ``budget`` is not an int.
     """
@@ -485,56 +501,78 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
         raise BudgetError(
             f"{len(non_edges)} missing edges exceed the supergraph search budget {budget}"
         )
+    if not non_edges:
+        return SupergraphSearch(g, (), (frozenset(),), 1)
     n = g.n
     rows = list(g.rows)
     degs, at = degree_thresholds(rows)
     closing = _closing_sets(g, non_edges)
+    last = len(non_edges) - 1
     excluded = [0] * n  # excluded[x]: bitmask of x's excluded partners
     chosen: list[int] = []
     found: list[tuple[int, ...]] = []
     nodes = 0
 
-    def claw_or_diamond(sets) -> bool:
-        for mask, a, b, c, d in sets:
-            da = (rows[a] & mask).bit_count()
-            db = (rows[b] & mask).bit_count()
-            dc = (rows[c] & mask).bit_count()
-            dd = (rows[d] & mask).bit_count()
-            total = da + db + dc + dd
-            if total == 10 or total == 6 and 3 in (da, db, dc, dd):
-                return True
-        return False
-
     def walk(i: int) -> None:
         nonlocal nodes
         nodes += 1
-        if i == len(non_edges):
-            found.append(tuple(chosen))
-            return
         u, v = non_edges[i]
-        sets = closing[i]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        for x in u, v:
-            degs[x] += 1
-            at[degs[x]] |= 1 << x
-        # an excluded partner of u or v whose degree sum just reached n
-        if not (excluded[u] & at[n - degs[u]] or excluded[v] & at[n - degs[v]]
-                or claw_or_diamond(sets)):
+        du, dv = degs[u], degs[v]
+        # leaving uv out keeps an o-heavy non-edge; joining it lifts an
+        # excluded partner of u or v to degree sum n (excluded[x] never
+        # holds u or v, so at[] may be read before it is updated)
+        exclude_dies = du + dv >= n
+        include_dies = bool(excluded[u] & at[n - du - 1] or excluded[v] & at[n - dv - 1])
+        if not (exclude_dies and include_dies):
+            ru, rv = rows[u], rows[v]
+            for mask, _, _, a, b in closing[i]:
+                da = (ru & mask).bit_count()
+                db = (rv & mask).bit_count()
+                dc = (rows[a] & mask).bit_count()
+                dd = (rows[b] & mask).bit_count()
+                t = da + db + dc + dd
+                # a claw has degrees 3, 1, 1, 1 and a diamond sums to 10.
+                # Without uv, a claw's centre is a or b (da, db <= 2); joining
+                # uv adds one to da and db and two to t, and a claw it makes
+                # is centred at u or v
+                if t == 10 or t == 6 and (dc == 3 or dd == 3):
+                    exclude_dies = True
+                elif t == 8 or t == 4 and (da == 2 or db == 2):
+                    include_dies = True
+                else:
+                    continue
+                if exclude_dies and include_dies:
+                    break
+        if not include_dies:
             chosen.append(i)
-            walk(i + 1)
+            if i == last:
+                nodes += 1
+                found.append(tuple(chosen))
+            else:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+                degs[u] = du + 1
+                degs[v] = dv + 1
+                at[du + 1] |= 1 << u
+                at[dv + 1] |= 1 << v
+                walk(i + 1)
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+                at[du + 1] ^= 1 << u
+                at[dv + 1] ^= 1 << v
+                degs[u] = du
+                degs[v] = dv
             chosen.pop()
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        for x in u, v:
-            at[degs[x]] ^= 1 << x
-            degs[x] -= 1
-        if degs[u] + degs[v] < n and not claw_or_diamond(sets):
-            excluded[u] |= 1 << v
-            excluded[v] |= 1 << u
-            walk(i + 1)
-            excluded[u] ^= 1 << v
-            excluded[v] ^= 1 << u
+        if not exclude_dies:
+            if i == last:
+                nodes += 1
+                found.append(tuple(chosen))
+            else:
+                excluded[u] |= 1 << v
+                excluded[v] |= 1 << u
+                walk(i + 1)
+                excluded[u] ^= 1 << v
+                excluded[v] ^= 1 << u
 
     walk(0)
     # walk calls itself through its closure; break that cycle so the

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from itertools import combinations
 
@@ -40,6 +41,16 @@ def test_unknown_policy_rejected_on_a_closed_graph(closure):
     # K4 is already closed, so no pick ever happens: the policy is checked at entry
     with pytest.raises(InputError, match="selection policy"):
         closure(complete_graph(4), policy="bogus")
+
+
+@pytest.mark.parametrize("closure", [o_closure, r_closure, c_closure, closures_of],
+                         ids=["o", "r", "c", "closures_of"])
+@pytest.mark.parametrize("seed", [[1], None, 1.5, "x"], ids=["list", "none", "float", "str"])
+@pytest.mark.parametrize("policy", ["min", "random"])
+def test_seed_that_is_not_an_int_rejected(closure, seed, policy):
+    # K4 is already closed, so no pick ever happens: the seed is checked at entry
+    with pytest.raises(InputError, match="closure seed .* is not an int"):
+        closure(complete_graph(4), policy=policy, seed=seed)
 
 
 def test_unknown_eligibility_mode_rejected():
@@ -245,6 +256,29 @@ class TestSupergraphOracle:
             assert 1 <= search.nodes <= 2 ** (len(search.non_edges) + 1) - 1
             assert supergraph_search(g).nodes == search.nodes
 
+    @pytest.mark.parametrize("g", [empty_graph(0), complete_graph(1), complete_graph(5)],
+                             ids=["n0", "K1", "K5"])
+    def test_graph_without_non_edges_is_one_leaf(self, g):
+        search = supergraph_search(g)
+        assert search.non_edges == ()
+        assert search.nodes == 1
+        assert search.satisfying == (frozenset(),)
+        assert search.unique_minimum
+        assert minimum_supergraph_oracle(g) == g
+
+    def test_include_branch_dies_on_the_o_heavy_check(self):
+        # the path 2-1-0-3 with non-edges 02, 13, 23 in that order. With both
+        # diagonals left out, joining 23 closes the 4-cycle 0-1-2-3: its one
+        # closing set reads no claw or diamond, but each diagonal now has
+        # degree sum 4 = n, so only the o-heavy check drops {23}
+        g = Graph.from_edges(4, [(0, 1), (0, 3), (1, 2)])
+        search = supergraph_search(g)
+        assert search.non_edges == ((0, 2), (1, 3), (2, 3))
+        assert g.add_edges([(2, 3)])[0] == cycle_graph(4)
+        assert frozenset({(2, 3)}) not in search.satisfying
+        assert search.satisfying == plain_supergraph_enumeration(g)[1]
+        assert search.nodes == 11
+
     def test_prune_cuts_the_tree_on_c6(self):
         search = supergraph_search(cycle_graph(6))
         assert search.nodes < 2 ** len(search.non_edges)
@@ -254,6 +288,22 @@ class TestSupergraphOracle:
         small = [g for g in claw_o_heavy_samples(corpus) if len(g.non_edges()) <= 14]
         assert len(small) == 227
         assert sum(supergraph_search(g, budget=14).nodes for g in small) == 24393
+
+    def test_records_on_the_oracle_corpus(self, corpus):
+        # every record field, pinned over the claw-o-heavy corpus graphs up
+        # to the 18-non-edge cap: a faster walk must return the same records
+        digest = hashlib.sha256()
+        checked = 0
+        for g in claw_o_heavy_samples(corpus):
+            if len(g.non_edges()) > 18:
+                continue
+            search = supergraph_search(g, budget=18)
+            record = (search.non_edges, [sorted(s) for s in search.satisfying], search.nodes)
+            digest.update(repr(record).encode())
+            checked += 1
+        assert checked == 249
+        assert digest.hexdigest() == \
+            "5f519cdbbc5aa2949552dc3e7b41a96a6cc19f686869af33b672714ab42159f8"
 
 
 def target_holds(g: Graph) -> bool:
