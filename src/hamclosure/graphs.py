@@ -23,6 +23,12 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _is_int(x) -> bool:
+    """Is x an int and not a bool? ``isinstance(True, int)`` holds, so every
+    typed argument (vertex, order, budget, limit, seed) is tested here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _edge(n: int, edge) -> Edge:
     """``edge`` as a vertex pair of a graph on n vertices, or InputError:
     not a pair of vertices, out of range, or a loop."""
@@ -30,7 +36,8 @@ def _edge(n: int, edge) -> Edge:
         u, v = edge
     except (TypeError, ValueError):
         raise InputError(f"edge {edge!r} is not a pair of vertices") from None
-    if not (isinstance(u, int) and isinstance(v, int)):
+    # plain ints pass without a call: every edge of every built graph comes here
+    if not (type(u) is int and type(v) is int or _is_int(u) and _is_int(v)):
         raise InputError(f"edge {edge!r} is not a pair of vertices")
     if not (0 <= u < n and 0 <= v < n):
         raise InputError(f"edge ({u}, {v}) out of range for n={n}")
@@ -42,7 +49,7 @@ def _edge(n: int, edge) -> Edge:
 def _vertex(n: int, v) -> int:
     """``v`` as a vertex of a graph on n vertices, or InputError: not an
     int, or out of range."""
-    if not isinstance(v, int):
+    if not _is_int(v):
         raise InputError(f"vertex {v!r} is not an int")
     if not 0 <= v < n:
         raise InputError(f"vertex {v} out of range")
@@ -51,7 +58,7 @@ def _vertex(n: int, v) -> int:
 
 def _order(n) -> int:
     """``n`` as a vertex count, or InputError: not a nonnegative int."""
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise InputError(f"vertex count {n!r} is not a nonnegative int")
     return n
 
@@ -59,7 +66,7 @@ def _order(n) -> int:
 def _budget(budget, what: str) -> int:
     """``budget`` as the int named ``what`` (a budget, limit or seed), or
     InputError: not an int."""
-    if not isinstance(budget, int):
+    if not _is_int(budget):
         raise InputError(f"{what} {budget!r} is not an int")
     return budget
 
@@ -75,7 +82,7 @@ class Graph:
             raise InputError(f"adjacency rows must be a tuple of {n} int masks")
         full = (1 << n) - 1
         for v, row in enumerate(rows):
-            if not isinstance(row, int):
+            if not _is_int(row):
                 raise InputError(f"row {v} is not an int mask")
             if row & ~full:
                 raise InputError(f"row {v} references vertices outside 0..{n - 1}")
@@ -496,7 +503,7 @@ def sample_graphs(n: int, p: float, seed: int, limit: int | None = None) -> Iter
     arguments are checked here, before the first draw.
     """
     n = _order(n)
-    if not isinstance(p, (int, float)):
+    if not (isinstance(p, float) or _is_int(p)):
         raise InputError(f"edge probability {p!r} is not a number")
     if not 0.0 <= p <= 1.0:
         raise InputError("edge probability must lie in [0, 1]")

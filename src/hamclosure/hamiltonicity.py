@@ -1,13 +1,20 @@
 """Exact Hamiltonicity decisions with verified cycle certificates.
 
-Depth-first search from vertex 0 over bitmask neighborhoods, trying
-neighbors in ascending order. Each node prunes children by usable degrees
-(computed once per node), by the edges that degree-2 vertices force, and by
-connectivity of the unvisited region; a per-call memo skips path states
-whose subtree already failed. Pruning only removes subtrees that hold no
-hamiltonian cycle, so the first cycle found is the one the unpruned search
-finds. A node budget turns runaway searches into an explicit UNDECIDED
-answer instead of a wrong one.
+Two gates answer NO before any search: a vertex of degree below 2 or a cut
+vertex, and an unbalanced bipartite graph. A bipartite g with sides of
+unequal size is not hamiltonian, since removing the smaller side S leaves
+the larger side as more than |S| isolated vertices (Chvátal 1973); that
+side is returned as the certificate's ``cut``. The colouring is skipped
+when g has more than floor(n^2/4) edges, more than any bipartite graph has.
+
+Past the gates: depth-first search from vertex 0 over bitmask
+neighborhoods, trying neighbors in ascending order. Each node prunes
+children by usable degrees (computed once per node), by the edges that
+degree-2 vertices force, and by connectivity of the unvisited region; a
+per-call memo skips path states whose subtree already failed. Pruning
+only removes subtrees that hold no hamiltonian cycle, so the first cycle
+found is the one the unpruned search finds. A node budget turns runaway
+searches into an explicit UNDECIDED answer instead of a wrong one.
 """
 
 from __future__ import annotations
@@ -24,7 +31,10 @@ class HamiltonicityCertificate:
     """``result`` is None exactly when the search ran out of budget.
 
     ``nodes_explored`` counts the search nodes entered and ``cache_hits`` the
-    children skipped because their path state had already failed.
+    children skipped because their path state had already failed. ``cut``
+    is set only on a NO without search: the sorted smaller side of an
+    unbalanced bipartite g, whose removal leaves more than ``len(cut)``
+    components.
     """
 
     result: bool | None
@@ -32,6 +42,7 @@ class HamiltonicityCertificate:
     nodes_explored: int
     note: str = ""
     cache_hits: int = 0
+    cut: tuple[int, ...] | None = None
 
     @property
     def undecided(self) -> bool:
@@ -42,6 +53,25 @@ def validate_cycle(g: Graph, cycle: tuple[int, ...]) -> bool:
     if len(cycle) != g.n or len(set(cycle)) != g.n:
         return False
     return all(g.has_edge(cycle[i], cycle[(i + 1) % g.n]) for i in range(g.n))
+
+
+def _sides(rows) -> tuple[int, int] | None:
+    """The two colour classes of a connected graph as masks, vertex 0 in
+    the first, or None when it has an odd cycle."""
+    sides = [1, 0]
+    frontier = seen = 1
+    k = 0
+    while frontier:
+        reach = 0
+        for v in _bits(frontier):
+            reach |= rows[v]
+        if reach & sides[k]:  # an edge inside one breadth-first layer
+            return None
+        frontier = reach & ~seen
+        seen |= frontier
+        k ^= 1
+        sides[k] |= frontier
+    return sides[0], sides[1]
 
 
 def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCertificate:
@@ -56,6 +86,12 @@ def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCer
 
     n = g.n
     rows = [g.row(v) for v in range(n)]
+    if 4 * g.edge_count <= n * n:
+        sides = _sides(rows)
+        if sides and sides[0].bit_count() != sides[1].bit_count():
+            small = min(sides, key=int.bit_count)
+            return HamiltonicityCertificate(False, None, 0, note="unbalanced bipartite",
+                                            cut=tuple(_bits(small)))
     full = g.full_mask
     start_bit = 1
     start_row = rows[0]

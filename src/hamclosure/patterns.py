@@ -7,10 +7,14 @@ from its reference graph: it places the roles in order with
 neighbourhood bitmask algebra and keeps one embedding per orbit by
 symmetry breaking on the automorphism group, which leaves that least
 tuple; every catalog pattern, the claw included, goes through it.
-``net_profile`` classifies nets straight from the matcher's embeddings,
-with one ``degree_thresholds`` table per graph; ``classify_net`` takes
-one net as a role-ordered tuple and first checks that it induces a net
-in g.
+Each net flag has one reader: ``_net_p_heavy`` (a heavy pair in the
+corner triangle), ``heaviness._o_heavy_within`` (an o-heavy pair among the
+six vertices) and ``_net_q_heavy`` (the q-shape, with its index and c
+neighbours). ``classify_net`` takes one net as a role-ordered tuple,
+checks that it induces a net in g and calls all three. ``net_profile``
+walks the matcher's embeddings once with one ``degree_thresholds`` table:
+it counts every net, reads p for each net while an answer is open, and
+reads o and q only while an answer they feed is still open.
 ``find_induced_naive`` is the independent subset-enumeration oracle the
 detectors are tested against.
 """
@@ -23,7 +27,7 @@ from enum import Enum
 from itertools import combinations, permutations
 
 from .errors import InputError
-from .graphs import Graph
+from .graphs import Graph, _is_int
 from .heaviness import _o_heavy_within, degree_thresholds
 
 
@@ -226,34 +230,50 @@ def classify_net(g: Graph, emb: Embedding) -> NetHeaviness:
     names the roles (a1, a2, a3, b1, b2, b3), with pendant bi at ai, as
     ``find_induced(g, PatternKind.NET)`` yields them."""
     if not (isinstance(emb, tuple) and len(emb) == 6
-            and all(isinstance(v, int) and 0 <= v < g.n for v in emb) and len(set(emb)) == 6):
+            and all(_is_int(v) and 0 <= v < g.n for v in emb) and len(set(emb)) == 6):
         raise InputError("net embedding must name six distinct vertices in range")
     net = REFERENCE[PatternKind.NET]
     for (i, u), (j, v) in combinations(enumerate(emb), 2):
         if g.has_edge(u, v) != net.has_edge(i, j):
             raise InputError(f"vertices {emb} do not induce a net (pair ({u}, {v}) wrong)")
-    return _net_flags(g, degree_thresholds(g.rows), emb)
+    degs, at = degree_thresholds(g.rows)
+    q = _net_q_heavy(g, degs, at, emb)
+    q_index, c_neighbors = q or (None, None)
+    return NetHeaviness(_o_heavy_within(g, degs, at, emb), _net_p_heavy(g, degs, at, emb),
+                        q is not None, q_index, c_neighbors)
 
 
-def _net_flags(g: Graph, table, emb: Embedding) -> NetHeaviness:
-    """Flags of the induced net ``emb``; ``table`` is ``degree_thresholds(g.rows)``."""
+# The three flag readers of an induced net ``emb`` (a1, a2, a3, b1, b2, b3).
+# ``degs`` and ``at`` are ``degree_thresholds(g.rows)``; the o reader is
+# ``heaviness._o_heavy_within``.
+
+
+def _net_p_heavy(g: Graph, degs, at, emb: Embedding) -> bool:
+    """Does the corner triangle hold a heavy pair? a1 meets both other
+    corners, so a1's and a2's heavy partners among the corners cover it."""
     n, rows = g.n, g.rows
-    degs, at = table
+    a1, a2, a3 = emb[0], emb[1], emb[2]
+    return bool(rows[a1] & at[n - degs[a1]] & (1 << a2 | 1 << a3)
+                or at[n - degs[a2]] >> a3 & 1)
+
+
+def _net_q_heavy(g: Graph, degs, at, emb: Embedding) -> tuple[int, tuple[int, int]] | None:
+    """(q_index, c_neighbors) at the first i where the net is q-heavy, or None.
+
+    q-heavy at i: a_i and b_i heavy and, for both j != i, a_j of degree 3
+    and b_j of degree 2, whose other neighbour c_j is heavy."""
+    rows, heavy = g.rows, at[(g.n + 1) // 2]
     corners, pendants = emb[:3], emb[3:]
-    corner_mask = sum(1 << a for a in corners)
-    p_heavy = any(rows[a] & at[n - degs[a]] & corner_mask for a in corners)
-    o_heavy, heavy = _o_heavy_within(g, degs, at, emb), at[(n + 1) // 2]
     for i in range(3):
-        # q-heavy at i: a_i and b_i heavy and, for both j != i, a_j of degree
-        # 3 and b_j of degree 2, whose other neighbour c_j is heavy
+        if not heavy >> corners[i] & heavy >> pendants[i] & 1:
+            continue
         others = [j for j in range(3) if j != i]
-        cs = [(rows[pendants[j]] & ~(1 << corners[j])).bit_length() - 1 for j in others]
-        if heavy >> corners[i] & heavy >> pendants[i] & 1 and all(
-            degs[corners[j]] == 3 and degs[pendants[j]] == 2 and heavy >> c & 1
-            for j, c in zip(others, cs)
-        ):
-            return NetHeaviness(o_heavy, p_heavy, True, i + 1, tuple(cs))
-    return NetHeaviness(o_heavy, p_heavy, False)
+        if not all(degs[corners[j]] == 3 and degs[pendants[j]] == 2 for j in others):
+            continue
+        cs = tuple((rows[pendants[j]] & ~(1 << corners[j])).bit_length() - 1 for j in others)
+        if all(heavy >> c & 1 for c in cs):
+            return i + 1, cs
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,14 +289,25 @@ class NetProfile:
 
 
 def net_profile(g: Graph) -> NetProfile:
+    """Count every induced net and decide the four ``all`` answers in the
+    same pass. A net's o- and q-flags are read only while an answer they
+    feed is still open; once all four are false, the rest is only counted."""
     # no flag changes under the net's automorphisms: one embedding per orbit will do
-    table = degree_thresholds(g.rows)
-    flags = [_net_flags(g, table, emb) for emb in embeddings(g, PatternKind.NET)]
-    return NetProfile(
-        net_count=len(flags),
-        net_free=not flags,
-        n_o_heavy=all(f.o_heavy for f in flags),
-        n_p_heavy=all(f.p_heavy for f in flags),
-        n_op_heavy=all(f.o_heavy or f.p_heavy for f in flags),
-        n_pq_heavy=all(f.p_heavy or f.q_heavy for f in flags),
-    )
+    degs, at = degree_thresholds(g.rows)
+    nets = embeddings(g, PatternKind.NET)
+    count = 0
+    o_all = p_all = op_all = pq_all = True
+    for emb in nets:
+        count += 1
+        p = _net_p_heavy(g, degs, at, emb)
+        if not p:
+            p_all = False
+        if (o_all or op_all and not p) and not _o_heavy_within(g, degs, at, emb):
+            o_all = False
+            op_all = op_all and p
+        if pq_all and not p and _net_q_heavy(g, degs, at, emb) is None:
+            pq_all = False
+        if not (o_all or op_all or pq_all):  # p_all fell with op_all
+            count += sum(1 for _ in nets)
+            break
+    return NetProfile(count, not count, o_all, p_all, op_all, pq_all)

@@ -18,7 +18,9 @@ from itertools import chain
 
 from .closures import c_closure
 from .errors import InputError, PreconditionError
-from .graphs import Graph, _bits, _vertex, flood, is_connected, maximal_cliques, nonseparable
+from .graphs import (
+    Graph, _bits, _is_int, _vertex, flood, is_connected, maximal_cliques, nonseparable,
+)
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,7 @@ class RegionDecomposition:
         return len(self.membership[_vertex(self.graph.n, v)]) == 2
 
     def interior_vertices(self, region_index: int) -> frozenset[int]:
-        if not isinstance(region_index, int):
+        if not _is_int(region_index):
             raise InputError(f"region index {region_index!r} is not an int")
         if not 0 <= region_index < len(self.regions):
             raise InputError(f"region index {region_index} out of range")
@@ -162,7 +164,7 @@ def validate_generalized(g: Graph, gcn: GeneralizedClawNet) -> list[str]:
         return ["paths are not three nonempty vertex sequences"]
     outside: list = []
     for v in (*origins, *chain(*gcn.paths)):
-        if not (isinstance(v, int) and 0 <= v < g.n) and v not in outside:
+        if not (_is_int(v) and 0 <= v < g.n) and v not in outside:
             outside.append(v)
     if outside:
         return [f"vertex {v!r} out of range" for v in outside]

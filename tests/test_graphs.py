@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamclosure.closures import bc_local, c_eligible, r_eligible
+from hamclosure.closures import bc_local, c_eligible, o_closure, r_eligible, supergraph_search
 from hamclosure.errors import FormatError, InputError
 from hamclosure.graphs import (
     Graph,
@@ -30,6 +30,7 @@ from hamclosure.graphs import (
     path_graph,
     sample_graphs,
 )
+from hamclosure.hamiltonicity import is_hamiltonian
 from hamclosure.heaviness import is_heavy
 from hamclosure.regions import decompose, generalized_claw_or_net
 
@@ -457,5 +458,32 @@ def test_bipartite_constructor():
         "interior_vertices-float"])
 def test_vertex_arguments_are_checked(call, message):
     # every single-vertex entry point reads its vertex through one check
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(True, (0,)), "vertex count True is not a nonnegative int"),
+    (lambda: Graph(1, (False,)), "row 0 is not an int mask"),
+    (lambda: complete_graph(True), "vertex count True is not a nonnegative int"),
+    (lambda: Graph.from_edges(3, [(True, 2)]), r"edge \(True, 2\) is not a pair of vertices"),
+    (lambda: cycle_graph(4).add_edges([(0, False)]), "is not a pair of vertices"),
+    (lambda: is_heavy(cycle_graph(5), True), "vertex True is not an int"),
+    (lambda: cycle_graph(5).induced([False, 1]), "vertex False is not an int"),
+    (lambda: c_eligible(cycle_graph(5), True), "vertex True is not an int"),
+    (lambda: decompose(cycle_graph(5)).interior_vertices(False),
+     "region index False is not an int"),
+    (lambda: sample_graphs(4, 0.5, seed=False, limit=1), "sample seed False is not an int"),
+    (lambda: sample_graphs(4, 0.5, seed=0, limit=True), "sample limit True is not an int"),
+    (lambda: sample_graphs(4, True, seed=0, limit=1), "edge probability True is not a number"),
+    (lambda: o_closure(cycle_graph(5), seed=True), "closure seed True is not an int"),
+    (lambda: is_hamiltonian(cycle_graph(5), node_budget=True), "node budget True is not an int"),
+    (lambda: supergraph_search(cycle_graph(4), budget=True),
+     "supergraph search budget True is not an int"),
+], ids=["order", "row", "complete-order", "from_edges", "add_edges", "is_heavy", "induced",
+        "c_eligible", "interior_vertices", "sample-seed", "sample-limit", "sample-p",
+        "o_closure-seed", "node-budget", "supergraph-budget"])
+def test_a_bool_is_not_an_int(call, message):
+    # isinstance(True, int) holds, so every typed argument refuses bool by name
     with pytest.raises(InputError, match=message):
         call()

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -154,13 +156,32 @@ def _hamiltonicity_inputs(name):
         return [g for n in range(8, 15)
                 for g in itertools.islice(
                     filter(is_2_connected, sample_graphs(n, 0.3, seed=n)), 30)]
+    if name == "bipartite":
+        return _bipartite_graphs()
     max_n = {"grid": 12, "grid-15": 15}[name]
     members = (generate(params, seed) for grid in acceptance_grids().values()
                for params, seed in grid)
     return list(dict.fromkeys(g for g in members if g.n <= max_n))
 
 
-@pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus", "grid"])
+def _bipartite_graphs() -> list[Graph]:
+    """2-connected random bipartite graphs with sides of 3..6 and 3..8
+    vertices, balanced and not; vertex 0 is not always on the smaller side."""
+    rng = random.Random(13)
+    graphs = []
+    for a in range(3, 7):
+        for b in range(3, min(a + 2, 6) + 1):
+            for _ in range(12):
+                perm = rng.sample(range(a + b), a + b)
+                edges = [(perm[u], perm[a + v]) for u in range(a) for v in range(b)
+                         if rng.random() < 0.7]
+                g = Graph.from_edges(a + b, edges)
+                if is_2_connected(g):
+                    graphs.append(g)
+    return graphs
+
+
+@pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus", "grid", "bipartite"])
 def test_hamiltonicity_matches_the_subset_dp(inputs):
     for g in _hamiltonicity_inputs(inputs):
         assert is_hamiltonian(g).result is held_karp_hamiltonian(g), emit_graph6(g)
@@ -209,7 +230,8 @@ def plain_hamiltonian_search(g: Graph) -> tuple[bool, tuple[int, ...] | None, in
     return False, None, nodes
 
 
-@pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus", "grid-15", "sampled"])
+@pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus", "grid-15", "sampled",
+                                    "bipartite"])
 def test_pruned_search_matches_the_plain_search(inputs):
     for g in _hamiltonicity_inputs(inputs):
         cert = is_hamiltonian(g)
@@ -228,3 +250,45 @@ def test_heavy_grid_member_decides_within_a_small_budget():
     assert cert.result is True
     assert validate_cycle(g, cert.cycle)
     assert cert.cache_hits > 0
+
+
+def plain_component_count(g: Graph, removed) -> int:
+    """Components of g minus ``removed``, by a stack walk over neighbour lists."""
+    left = set(range(g.n)) - set(removed)
+    count = 0
+    while left:
+        count += 1
+        stack = [left.pop()]
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u in left:
+                    left.remove(u)
+                    stack.append(u)
+    return count
+
+
+@pytest.mark.parametrize("a,b", [(8, 10), (8, 12), (9, 11)])
+def test_unbalanced_complete_bipartite_decides_without_search(a, b):
+    # the plain search needs 187,401 nodes on K_{8,10} and 819,028 on K_{9,11}
+    g = complete_bipartite(a, b)
+    start = time.perf_counter()
+    cert = is_hamiltonian(g)
+    assert time.perf_counter() - start < 0.1
+    assert (cert.result, cert.nodes_explored, cert.cut) == (False, 0, tuple(range(a)))
+
+
+@pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus", "bipartite"])
+def test_every_cut_leaves_more_components_than_it_removes(inputs):
+    cuts = 0
+    for g in _hamiltonicity_inputs(inputs):
+        cert = is_hamiltonian(g)
+        if cert.cut is None:
+            continue
+        cuts += 1
+        assert cert.result is False and cert.nodes_explored == 0, emit_graph6(g)
+        assert plain_component_count(g, cert.cut) > len(cert.cut), emit_graph6(g)
+        # the cut is one side of a 2-colouring: no edge inside it, none inside the rest
+        rest = [v for v in range(g.n) if v not in cert.cut]
+        assert not any(g.has_edge(u, v) for side in (cert.cut, rest)
+                       for u, v in itertools.combinations(side, 2)), emit_graph6(g)
+    assert cuts > 0

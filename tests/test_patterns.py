@@ -6,8 +6,11 @@ import pytest
 from hamclosure.closures import c_closure
 from hamclosure.errors import InputError
 from hamclosure.families import ComponentSpec, FamilyKind, FamilyParams, generate
-from hamclosure.graphs import Graph, complete_graph, cycle_graph, emit_graph6
+from hamclosure.graphs import (
+    Graph, complete_graph, cycle_graph, emit_graph6, parse_graph6, sample_graphs,
+)
 from hamclosure.heaviness import is_heavy, is_pattern_o_heavy, subgraph_is_o_heavy
+import hamclosure.patterns as patterns_module
 from hamclosure.patterns import (
     REFERENCE,
     NetProfile,
@@ -226,6 +229,13 @@ def plain_net_flags(g: Graph, emb):
     return o_heavy, p_heavy, False, None, None
 
 
+def plain_net_profile(flags) -> NetProfile:
+    """The profile as aggregates over every net's ``plain_net_flags``."""
+    o, p, q = ([f[k] for f in flags] for k in range(3))
+    return NetProfile(len(flags), not flags, all(o), all(p),
+                      all(x or y for x, y in zip(o, p)), all(x or y for x, y in zip(p, q)))
+
+
 def test_net_flags_match_the_plain_oracle():
     # every graph of order 6 and 7 up to isomorphism, the seed-0 corpus, the
     # acceptance-grid members of order at most 13, and a q-heavy net whose
@@ -249,13 +259,9 @@ def test_net_flags_match_the_plain_oracle():
             flags.append(plain_net_flags(g, emb))
             assert (found.o_heavy, found.p_heavy, found.q_heavy, found.q_index,
                     found.c_neighbors) == flags[-1], (emb, emit_graph6(g))
-        o, p, q = ([f[k] for f in flags] for k in range(3))
-        assert net_profile(g) == NetProfile(
-            len(flags), not flags, all(o), all(p),
-            all(x or y for x, y in zip(o, p)), all(x or y for x, y in zip(p, q)),
-        ), emit_graph6(g)
+        assert net_profile(g) == plain_net_profile(flags), emit_graph6(g)
         nets += len(flags)
-        q_heavy += sum(q)
+        q_heavy += sum(f[2] for f in flags)
     assert nets > 300 and q_heavy > 100
 
 
@@ -287,3 +293,58 @@ class TestNetProfile:
                     for i in range(3) for j in range(i + 1, 3)
                 )
                 assert flags.p_heavy == has_pair
+
+
+def _first_false(flags) -> tuple:
+    """Per answer (o, p, op, pq): the index of the net that makes it false, or None."""
+    tests = (lambda f: f[0], lambda f: f[1], lambda f: f[0] or f[1], lambda f: f[1] or f[2])
+    return tuple(next((i for i, f in enumerate(flags) if not t(f)), None) for t in tests)
+
+
+def test_net_profile_matches_the_plain_aggregates_on_pool_and_dense_graphs():
+    # the benchmark's classify pool (G(n, p), n 8..16, p 0.3/0.5/0.7, 5 a cell,
+    # plus its pinned slow graph) and dense samples, n 12..16 and p 0.5..0.8,
+    # where the four answers fall at different nets of one graph
+    graphs = [g for n in range(8, 17) for j, p in enumerate((0.3, 0.5, 0.7))
+              for g in sample_graphs(n, p, seed=2409 * 100 + n * 10 + j, limit=5)]
+    graphs.append(parse_graph6("MOAEA?IYAoXCHAoE?"))
+    graphs += [g for n in range(12, 17) for j, p in enumerate((0.5, 0.6, 0.7, 0.8))
+               for g in sample_graphs(n, p, seed=n * 10 + j, limit=6)]
+    staggered = 0
+    for g in graphs:
+        flags = [plain_net_flags(g, emb) for emb in find_induced(g, PatternKind.NET)]
+        assert net_profile(g) == plain_net_profile(flags), emit_graph6(g)
+        staggered += len({i for i in _first_false(flags) if i is not None}) > 1
+    assert staggered > 10
+
+
+def _count_reads(monkeypatch) -> dict:
+    reads = {"o": 0, "p": 0, "q": 0}
+    for key, name in (("o", "_o_heavy_within"), ("p", "_net_p_heavy"), ("q", "_net_q_heavy")):
+        def counted(*args, _key=key, _read=getattr(patterns_module, name)):
+            reads[_key] += 1
+            return _read(*args)
+        monkeypatch.setattr(patterns_module, name, counted)
+    return reads
+
+
+def test_net_profile_reads_no_flag_once_every_answer_is_false(monkeypatch):
+    # three disjoint nets on 18 vertices: every pair is light, so the first
+    # net closes all four answers and the other two are only counted, with
+    # not even their p-flag read
+    g = Graph.from_edges(18, [(6 * k + u, 6 * k + v) for k in range(3)
+                              for u, v in REFERENCE[PatternKind.NET].edges()])
+    reads = _count_reads(monkeypatch)
+    assert net_profile(g) == NetProfile(3, False, False, False, False, False)
+    assert reads == {"o": 1, "p": 1, "q": 1}
+
+
+def test_net_profile_reads_o_only_while_an_answer_needs_it(monkeypatch):
+    # three nets, each p-heavy and none o-heavy: the first net's o-flag closes
+    # N-o-heavy, and p-heaviness alone keeps N-op- and N-pq-heavy open
+    g = parse_graph6("GJWNP?")
+    flags = [plain_net_flags(g, emb) for emb in find_induced(g, PatternKind.NET)]
+    assert len(flags) == 3 and all(f[1] and not f[0] for f in flags)
+    reads = _count_reads(monkeypatch)
+    assert net_profile(g) == NetProfile(3, False, False, True, True, True)
+    assert reads == {"o": 1, "p": 3, "q": 0}
