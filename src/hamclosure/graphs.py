@@ -36,8 +36,7 @@ def _edge(n: int, edge) -> Edge:
         u, v = edge
     except (TypeError, ValueError):
         raise InputError(f"edge {edge!r} is not a pair of vertices") from None
-    # plain ints pass without a call: every edge of every built graph comes here
-    if not (type(u) is int and type(v) is int or _is_int(u) and _is_int(v)):
+    if not (_is_int(u) and _is_int(v)):
         raise InputError(f"edge {edge!r} is not a pair of vertices")
     if not (0 <= u < n and 0 <= v < n):
         raise InputError(f"edge ({u}, {v}) out of range for n={n}")

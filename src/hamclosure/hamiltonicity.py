@@ -80,13 +80,14 @@ def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCer
     budget = DEFAULT_NODE_BUDGET if node_budget is None else _budget(node_budget, "node budget")
     if g.n < 3:
         return HamiltonicityCertificate(False, None, 0, note="fewer than 3 vertices")
-    if min(g.degrees()) < 2 or not is_2_connected(g):
+    degs = g.degrees()
+    if min(degs) < 2 or not is_2_connected(g):
         # a hamiltonian cycle tolerates no cut vertex
         return HamiltonicityCertificate(False, None, 0)
 
     n = g.n
     rows = [g.row(v) for v in range(n)]
-    if 4 * g.edge_count <= n * n:
+    if 2 * sum(degs) <= n * n:  # m <= floor(n^2/4)
         sides = _sides(rows)
         if sides and sides[0].bit_count() != sides[1].bit_count():
             small = min(sides, key=int.bit_count)

@@ -1,6 +1,5 @@
 import itertools
 import random
-import time
 
 import pytest
 
@@ -271,9 +270,7 @@ def plain_component_count(g: Graph, removed) -> int:
 def test_unbalanced_complete_bipartite_decides_without_search(a, b):
     # the plain search needs 187,401 nodes on K_{8,10} and 819,028 on K_{9,11}
     g = complete_bipartite(a, b)
-    start = time.perf_counter()
     cert = is_hamiltonian(g)
-    assert time.perf_counter() - start < 0.1
     assert (cert.result, cert.nodes_explored, cert.cut) == (False, 0, tuple(range(a)))
 
 
