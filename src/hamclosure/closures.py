@@ -13,11 +13,12 @@ breaks the target for good. A left-out pair with degree sum at least n
 stays an o-heavy non-edge below, since degrees only grow as edges are
 added. A 4-vertex set whose last undecided pair was just decided keeps
 its induced subgraph below, so the walk tests it once there for a claw or
-a diamond by its internal degrees; the sets are listed per non-edge
-before the walk, and one read of each set, before the pair is joined,
-decides both branches. It shares no pattern detector with the closures,
-every leaf it reaches satisfies the target, and the record reports how
-many tree nodes were entered.
+a diamond. The sets are listed per non-edge before the walk, grouped by
+their lower other vertex a into one partner mask; at the node, before
+the pair is joined, one mask test per anchor against the rows of u, v
+and a decides both branches for every set of that anchor. It shares no
+pattern detector with the closures, every leaf it reaches satisfies the
+target, and the record reports how many tree nodes were entered.
 
 Every degree-sum question reads one table per graph,
 ``heaviness.degree_thresholds``: ``at[d]`` is the mask of the vertices of
@@ -53,7 +54,7 @@ from .errors import (
     NonUniqueMinimumError,
     PreconditionError,
 )
-from .graphs import Edge, Graph, _bits, _budget, _vertex, component_masks, flood
+from .graphs import Edge, Graph, _bits, _budget, _seed, _vertex, component_masks, flood
 from .heaviness import _heavy_pairs_at, degree_thresholds
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
 from .patterns import has_induced  # noqa: F401
@@ -141,7 +142,7 @@ def parse_trace(text: str) -> tuple[TraceStep, ...]:
 def _require_policy_and_seed(policy: str, seed: int) -> None:
     if policy not in ("min", "max", "random"):
         raise InputError(f"unknown selection policy {policy!r}")
-    _budget(seed, "closure seed")
+    _seed(seed, "closure seed")
 
 
 def _rng(policy: str, seed: int) -> random.Random | None:
@@ -451,10 +452,11 @@ class SupergraphSearch:
         return g
 
 
-def _closing_sets(g: Graph, non_edges) -> list[list[tuple[int, ...]]]:
+def _closing_sets(g: Graph, non_edges) -> list[list[tuple[int, int]]]:
     """Per non-edge i = (u, v), the 4-vertex sets {u, v, a, b} whose other
-    five pairs are edges of g or non-edges of smaller index, each as
-    (mask, u, v, a, b): the sets that non-edge i is the last to decide."""
+    five pairs are edges of g or non-edges of smaller index, grouped by
+    their lower vertex a as (a, partners), partners the mask of every such
+    b > a: the sets that non-edge i is the last to decide."""
     full = g.full_mask
     # undecided[x]: x's partners in the non-edges not yet passed
     undecided = [full & ~(row | 1 << x) for x, row in enumerate(g.rows)]
@@ -463,11 +465,12 @@ def _closing_sets(g: Graph, non_edges) -> list[list[tuple[int, ...]]]:
         undecided[u] ^= 1 << v
         undecided[v] ^= 1 << u
         common = full & ~(undecided[u] | undecided[v] | 1 << u | 1 << v)
-        sets = []
+        anchors = []
         for a in _bits(common):
-            for b in _bits(common & ~undecided[a] & (-2 << a)):
-                sets.append((1 << u | 1 << v | 1 << a | 1 << b, u, v, a, b))
-        closing.append(sets)
+            partners = common & ~undecided[a] & (-2 << a)
+            if partners:
+                anchors.append((a, partners))
+        closing.append(anchors)
     return closing
 
 
@@ -479,22 +482,28 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
     is dropped as soon as it breaks the target for good:
     - an excluded pair has degree sum at least n. Degrees only grow below
       that node, so the pair is an o-heavy non-edge in every leaf below.
-    - a 4-vertex set that non-edge i is the last to decide induces a claw
-      (internal degrees sum to 6, one of them 3) or a diamond (they sum to
-      10). Its six pairs are fixed from here on.
-    Each such set is read once, before uv is joined: with internal degrees
-    da, db (of u and v), dc, dd summing to t, leaving uv out breaks the
-    target when t == 10, or t == 6 with dc or dd 3 (u and v are not
-    adjacent, so neither can centre the claw); joining uv adds one to da
-    and db, so it breaks the target when t == 8, or t == 4 with da or db 2.
-    No set breaks both branches, and the reading stops once both are known
-    to break.
+    - a 4-vertex set {u, v, a, b} that non-edge i is the last to decide
+      induces a claw or a diamond. Its six pairs are fixed from here on.
+    The sets are read per anchor a (the lower of a, b), before uv is
+    joined, against U = rows[u], V = rows[v], both = U & V and A = rows[a];
+    one mask test on the partner mask of a decides a branch for every b at
+    once. Without uv a claw is centred at a or b, and a claw the join
+    makes is centred at u or v:
+    - a in both: leaving uv out breaks the target on some b in
+      ``A & (both | ~(U | V))`` (a diamond, or a claw centred at a), and
+      joining it on some b in ``A & (U ^ V) | both & ~A`` (a diamond);
+    - a in U only: joining breaks it on some b in ``both & A | U & ~V & ~A``
+      (a diamond without va, or a claw centred at u), and a in V only is
+      the mirror image;
+    - a in neither: leaving uv out breaks it on some b in ``both & A`` (a
+      claw centred at b).
+    The reading stops once both branches are known to break.
     Every induced claw or diamond holds a non-edge of g, so each is tested
     once on every root-to-leaf path, and a leaf that is reached satisfies
     the target without a further test; the last non-edge's branches are
     counted and recorded as leaves without a call of their own.
     Raises ``BudgetError`` when g has more than ``budget`` non-edges, and
-    ``InputError`` when ``budget`` is not an int.
+    ``InputError`` when ``budget`` is not an int or is negative.
     """
     non_edges = tuple(g.non_edges())
     if len(non_edges) > _budget(budget, "supergraph search budget"):
@@ -525,22 +534,27 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
         include_dies = bool(excluded[u] & at[n - du - 1] or excluded[v] & at[n - dv - 1])
         if not (exclude_dies and include_dies):
             ru, rv = rows[u], rows[v]
-            for mask, _, _, a, b in closing[i]:
-                da = (ru & mask).bit_count()
-                db = (rv & mask).bit_count()
-                dc = (rows[a] & mask).bit_count()
-                dd = (rows[b] & mask).bit_count()
-                t = da + db + dc + dd
-                # a claw has degrees 3, 1, 1, 1 and a diamond sums to 10.
-                # Without uv, a claw's centre is a or b (da, db <= 2); joining
-                # uv adds one to da and db and two to t, and a claw it makes
-                # is centred at u or v
-                if t == 10 or t == 6 and (dc == 3 or dd == 3):
-                    exclude_dies = True
-                elif t == 8 or t == 4 and (da == 2 or db == 2):
-                    include_dies = True
-                else:
-                    continue
+            both = ru & rv
+            for a, partners in closing[i]:
+                ra = rows[a]
+                if both >> a & 1:
+                    # left out: a diamond, or a claw centred at a (ab, b
+                    # adjacent to both u and v or to neither)
+                    if partners & ra & (both | ~(ru | rv)):
+                        exclude_dies = True
+                    # joined: a diamond, four of the five pairs present
+                    if partners & (ra & (ru ^ rv) | both & ~ra):
+                        include_dies = True
+                elif ru >> a & 1:
+                    # joined: a diamond without va, or a claw centred at u
+                    if partners & (both & ra | ru & ~rv & ~ra):
+                        include_dies = True
+                elif rv >> a & 1:
+                    # the mirror image, with u and v swapped
+                    if partners & (both & ra | rv & ~ru & ~ra):
+                        include_dies = True
+                elif partners & both & ra:
+                    exclude_dies = True  # a claw centred at b
                 if exclude_dies and include_dies:
                     break
         if not include_dies:

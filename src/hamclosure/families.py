@@ -73,7 +73,7 @@ from operator import or_
 from .closures import _c_closed, _claw_status
 from .errors import InputError, ParameterError
 from .graphs import (
-    Graph, _bits, _budget, component_masks, flood, is_2_connected, maximal_clique_masks,
+    Graph, _bits, _seed, component_masks, flood, is_2_connected, maximal_clique_masks,
     nonseparable,
 )
 from .heaviness import degree_thresholds, heavy_vertices
@@ -1358,7 +1358,7 @@ def generate_with_certificate(params: FamilyParams, seed: int = 0) -> tuple[Grap
     """
     _check_field_types(params)
     _check_fields_read(params)
-    rng = random.Random(_budget(seed, "generator seed"))
+    rng = random.Random(_seed(seed, "generator seed"))
     cert = _GENERATORS.get(params.family, _generate_composed)(params, rng)
     g = replay_certificate(cert)
     if isinstance(cert, ComposedCert):

@@ -62,11 +62,19 @@ def _order(n) -> int:
     return n
 
 
+def _seed(seed, what: str) -> int:
+    """``seed`` as the int named ``what``, or InputError: not an int. Any
+    int is a seed."""
+    if not _is_int(seed):
+        raise InputError(f"{what} {seed!r} is not an int")
+    return seed
+
+
 def _budget(budget, what: str) -> int:
-    """``budget`` as the int named ``what`` (a budget, limit or seed), or
-    InputError: not an int."""
-    if not _is_int(budget):
-        raise InputError(f"{what} {budget!r} is not an int")
+    """``budget`` as the nonnegative int named ``what`` (a budget or a
+    limit), or InputError: not an int, or negative."""
+    if _seed(budget, what) < 0:
+        raise InputError(f"{what} {budget!r} is negative")
     return budget
 
 
@@ -508,7 +516,7 @@ def sample_graphs(n: int, p: float, seed: int, limit: int | None = None) -> Iter
         raise InputError("edge probability must lie in [0, 1]")
     if limit is not None:
         _budget(limit, "sample limit")
-    rnd = random.Random(_budget(seed, "sample seed")).random
+    rnd = random.Random(_seed(seed, "sample seed")).random
 
     def draw() -> Graph:
         rows = [0] * n

@@ -76,7 +76,8 @@ def _sides(rows) -> tuple[int, int] | None:
 
 def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCertificate:
     """Exact search; cycles are validated before they are returned. A None
-    budget means ``DEFAULT_NODE_BUDGET``; any other budget must be an int."""
+    budget means ``DEFAULT_NODE_BUDGET``; any other budget must be a
+    nonnegative int."""
     budget = DEFAULT_NODE_BUDGET if node_budget is None else _budget(node_budget, "node budget")
     if g.n < 3:
         return HamiltonicityCertificate(False, None, 0, note="fewer than 3 vertices")

@@ -40,6 +40,7 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    _budget,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -285,6 +286,9 @@ def _suite(name):
 
     def wrap(fn):
         def run(seed: int = 0, node_budget: int | None = None) -> SuiteResult:
+            # checked here, since some suites never reach is_hamiltonian
+            if node_budget is not None:
+                _budget(node_budget, "node budget")
             start = time.monotonic()
             result = SuiteResult(name, True, 0)
             fn(result, seed, node_budget)

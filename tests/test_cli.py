@@ -214,6 +214,15 @@ class TestClassifyCommand:
         assert code == 3
         assert json.loads(out.splitlines()[0])["hamiltonian"] is None
 
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--budget", "-1", "DqK"),
+        ("verify", "--suite", "uniqueness", "--budget", "-1"),
+    ], ids=["classify", "verify"])
+    def test_negative_budget_exit_code(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "node budget -1 is negative" in err
+
     def test_edgelist_input(self, capsys, tmp_path):
         from hamclosure.graphs import emit_edge_list
 

@@ -30,6 +30,7 @@ from hamclosure.graphs import (
     cycle_graph,
     empty_graph,
     path_graph,
+    sample_graphs,
 )
 from hamclosure.heaviness import is_pattern_o_heavy, o_heavy_pairs
 from hamclosure.patterns import REFERENCE, PatternKind, has_induced, is_free
@@ -304,6 +305,26 @@ class TestSupergraphOracle:
         assert checked == 249
         assert digest.hexdigest() == \
             "5f519cdbbc5aa2949552dc3e7b41a96a6cc19f686869af33b672714ab42159f8"
+
+    def test_records_on_sampled_graphs(self):
+        # seeded G(n, p) draws beyond the oracle corpus, n 7..12, up to 16
+        # non-edges, recorded before the walk read its sets by anchor masks
+        digest = hashlib.sha256()
+        checked = nodes = 0
+        for n in range(7, 13):
+            for p in (0.5, 0.7, 0.85):
+                for g in sample_graphs(n, p, seed=100 * n + round(100 * p), limit=40):
+                    if len(g.non_edges()) > 16:
+                        continue
+                    search = supergraph_search(g)
+                    record = (search.non_edges, [sorted(s) for s in search.satisfying],
+                              search.nodes)
+                    digest.update(repr(record).encode())
+                    checked += 1
+                    nodes += search.nodes
+        assert (checked, nodes) == (497, 8716)
+        assert digest.hexdigest() == \
+            "8ea2415e42cb0b75e5072a8f3578948d1538f41e6482cf42ef54e570628e0aa6"
 
 
 def target_holds(g: Graph) -> bool:

@@ -33,6 +33,7 @@ from hamclosure.graphs import (
 from hamclosure.hamiltonicity import is_hamiltonian
 from hamclosure.heaviness import is_heavy
 from hamclosure.regions import decompose, generalized_claw_or_net
+from hamclosure.verify import run_suite
 
 
 def graphs_strategy(max_n=10):
@@ -487,3 +488,26 @@ def test_a_bool_is_not_an_int(call, message):
     # isinstance(True, int) holds, so every typed argument refuses bool by name
     with pytest.raises(InputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: supergraph_search(complete_graph(4), budget=-1),
+     "supergraph search budget -1 is negative"),
+    (lambda: is_hamiltonian(cycle_graph(5), node_budget=-1), "node budget -1 is negative"),
+    (lambda: sample_graphs(4, 0.5, seed=1, limit=-1), "sample limit -1 is negative"),
+    (lambda: run_suite("uniqueness", node_budget=-1), "node budget -1 is negative"),
+], ids=["supergraph-budget", "node-budget", "sample-limit", "suite-node-budget"])
+def test_a_negative_budget_or_limit_is_refused(call, message):
+    # a negative budget would refuse every graph or stop at once as UNDECIDED,
+    # and a negative limit would yield nothing; each is refused at the call
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_zero_budgets_and_negative_seeds_are_taken():
+    assert supergraph_search(complete_graph(4), budget=0).nodes == 1
+    assert is_hamiltonian(cycle_graph(5), node_budget=0).undecided
+    assert list(sample_graphs(4, 0.5, seed=1, limit=0)) == []
+    # a seed is any int
+    assert len(list(sample_graphs(4, 0.5, seed=-3, limit=2))) == 2
+    assert o_closure(cycle_graph(4), policy="random", seed=-1)[0] == complete_graph(4)
