@@ -2,7 +2,6 @@
 
 from .closures import (
     ClosureTrace,
-    EligibilityMode,
     TraceStep,
     bc_local,
     c_closure,

@@ -18,7 +18,6 @@ import sys
 
 from . import __version__
 from .closures import (
-    EligibilityMode,
     c_closure,
     closures_of,
     o_closure,
@@ -71,23 +70,9 @@ def _emit(g: Graph, form: str) -> str:
 
 
 def cmd_closure(args) -> int:
-    mode = EligibilityMode.from_name(args.mode)
+    closure = {"o": o_closure, "r": r_closure, "c": c_closure}[args.kind]
     for g in _read_graphs(args):
-        if args.kind == "o":
-            closed, trace = o_closure(g)
-        elif args.kind == "r":
-            closed, trace = r_closure(g)
-        else:
-            closed, trace = c_closure(g, mode)
-            if mode is EligibilityMode.LITERAL:
-                amended, _ = c_closure(g, EligibilityMode.AMENDED)
-                if amended != closed:
-                    print(
-                        "warning: literal and amended eligibility disagree here "
-                        f"(literal adds {closed.edge_count - g.edge_count} edges, "
-                        f"amended adds {amended.edge_count - g.edge_count} edges)",
-                        file=sys.stderr,
-                    )
+        closed, trace = closure(g)
         print(_emit(closed, args.emit))
         if args.trace:
             sys.stdout.write(trace_to_text(trace))
@@ -224,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("closure", help="compute a closure and emit the closed graph")
     add_graph_io(p)
     p.add_argument("--kind", choices=("o", "r", "c"), required=True)
-    p.add_argument("--mode", choices=("literal", "amended"), default="amended")
     p.add_argument("--trace", action="store_true", help="append the step trace")
     p.add_argument("--emit", choices=("graph6", "edgelist", "dot"), default="graph6")
     p.set_defaults(fn=cmd_closure)

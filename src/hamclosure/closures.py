@@ -31,12 +31,12 @@ only new pairs sit at u or v. It builds one graph at the end. The r- and
 c-closures rescan the current graph at every step; under the "min"
 policy the scan stops at the first eligible vertex, which is the pick.
 
-Two readings of completion eligibility are implemented. The AMENDED mode
-(default) asks whether the neighborhood is a clique in the input graph;
-the LITERAL mode asks the same question after the degree-sum edges have
-been added. The two disagree on C4 (literal leaves it closed), and only
-the amended mode agrees with the supergraph oracle, so amended is the
-default and literal stays available behind the mode switch.
+c-eligibility first asks that the neighborhood not be a clique of the
+graph itself. A literal reading of Čada's definition asks this of the
+neighborhood with its degree-sum edges added instead. On C4 that
+completes N(0) = {1, 3} through the o-heavy pair 13, so that reading
+leaves C4 closed with the pair kept, where the supergraph oracle gives
+K4; it is not implemented.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import random
 from bisect import insort
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice, takewhile
 
 from .errors import (
@@ -58,18 +57,6 @@ from .graphs import Edge, Graph, _bits, _budget, _seed, _vertex, component_masks
 from .heaviness import _heavy_pairs_at, degree_thresholds
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
 from .patterns import has_induced  # noqa: F401
-
-
-class EligibilityMode(Enum):
-    LITERAL = "literal"
-    AMENDED = "amended"
-
-    @staticmethod
-    def from_name(name: str) -> "EligibilityMode":
-        try:
-            return EligibilityMode(name.strip().lower())
-        except ValueError:
-            raise InputError(f"unknown eligibility mode {name!r}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,12 +136,6 @@ def _rng(policy: str, seed: int) -> random.Random | None:
     """The generator a "random" pick draws from; the other policies draw
     nothing, so they get none."""
     return random.Random(seed) if policy == "random" else None
-
-
-def _require_mode(mode: EligibilityMode) -> None:
-    # a mode that is neither enum member would fire neither eligibility test
-    if not isinstance(mode, EligibilityMode):
-        raise InputError(f"unknown eligibility mode {mode!r}")
 
 
 def _pick(items: list, policy: str, rng: random.Random | None):
@@ -303,16 +284,12 @@ def _bc_rows(g: Graph, x: int, degs, at) -> dict[int, int]:
     return {v: mask & (rows[v] | at[n - degs[v]]) & ~(1 << v) for v in _bits(mask)}
 
 
-def _c_eligible_inner(g: Graph, x: int, mode: EligibilityMode, degs, at) -> bool:
+def _c_eligible_inner(g: Graph, x: int, degs, at) -> bool:
     """Is x c-eligible? ``degs`` and ``at`` are ``degree_thresholds(g.rows)``."""
     mask = g.row(x)
-    if mask == 0:
-        return False
-    if mode is EligibilityMode.AMENDED and g.is_clique_mask(mask):
+    if mask == 0 or g.is_clique_mask(mask):
         return False
     aug = _bc_rows(g, x, degs, at)
-    if mode is EligibilityMode.LITERAL and all(aug[v] == mask ^ (1 << v) for v in aug):
-        return False
     comps = component_masks(aug, mask)
     if len(comps) == 1:
         return True
@@ -328,37 +305,29 @@ def _c_eligible_inner(g: Graph, x: int, mode: EligibilityMode, degs, at) -> bool
     return any(rows[z] & c1 and rows[z] & c2 for z in _bits(partners))
 
 
-def _c_eligible_vertices(g: Graph, mode: EligibilityMode):
+def _c_eligible_vertices(g: Graph):
     """The c-eligible vertices of g in increasing order, from one degree
     table."""
     degs, at = degree_thresholds(g.rows)
-    return (x for x in range(g.n) if _c_eligible_inner(g, x, mode, degs, at))
+    return (x for x in range(g.n) if _c_eligible_inner(g, x, degs, at))
 
 
-def c_eligible(g: Graph, x: int, mode: EligibilityMode = EligibilityMode.AMENDED) -> bool:
-    _require_mode(mode)
+def c_eligible(g: Graph, x: int) -> bool:
     _vertex(g.n, x)
     if not _claw_status(g)[1]:
         raise PreconditionError(_C_UNDEFINED)
-    return _c_eligible_inner(g, x, mode, *degree_thresholds(g.rows))
+    return _c_eligible_inner(g, x, *degree_thresholds(g.rows))
 
 
-def c_closure(
-    g: Graph,
-    mode: EligibilityMode = EligibilityMode.AMENDED,
-    policy: str = "min",
-    seed: int = 0,
-) -> tuple[Graph, ClosureTrace]:
-    _require_mode(mode)
+def c_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
     _require_policy_and_seed(policy, seed)
     if not _claw_status(g)[1]:
         raise PreconditionError(_C_UNDEFINED)
-    return _c_fixpoint(g, mode, policy, seed)
+    return _c_fixpoint(g, policy, seed)
 
 
-def _c_fixpoint(g: Graph, mode: EligibilityMode, policy: str, seed: int):
-    return _fixpoint(g, "c-completion", lambda cur: _c_eligible_vertices(cur, mode),
-                     policy, seed)
+def _c_fixpoint(g: Graph, policy: str, seed: int):
+    return _fixpoint(g, "c-completion", _c_eligible_vertices, policy, seed)
 
 
 def is_c_closed(g: Graph) -> bool:
@@ -368,31 +337,30 @@ def is_c_closed(g: Graph) -> bool:
 
 
 def _c_closed(g: Graph) -> bool:
-    """No vertex is c-eligible (amended mode); g must be claw-o-heavy."""
-    return next(_c_eligible_vertices(g, EligibilityMode.AMENDED), None) is None
+    """No vertex is c-eligible; g must be claw-o-heavy."""
+    return next(_c_eligible_vertices(g), None) is None
 
 
 def closures_of(g: Graph, policy: str = "min",
                 seed: int = 0) -> dict[str, tuple[Graph, ClosureTrace]]:
     """The closures defined on g, keyed "o", "r", "c" in that order: r only
-    when g is claw-free, c (amended mode) only when g is claw-o-heavy."""
+    when g is claw-free, c only when g is claw-o-heavy."""
     ladder = {"o": o_closure(g, policy, seed)}
     claw_free, claw_o_heavy = _claw_status(g)
     if claw_free:
         ladder["r"] = _r_fixpoint(g, policy, seed)
     if claw_o_heavy:
-        ladder["c"] = _c_fixpoint(g, EligibilityMode.AMENDED, policy, seed)
+        ladder["c"] = _c_fixpoint(g, policy, seed)
     return ladder
 
 
 def validate_c_trace(trace: ClosureTrace) -> list[str]:
     """Per-step completion laws; an empty list means the trace is clean.
 
-    Checks, for every completion step at x: the vertex was eligible (amended
-    reading) in the pre-step graph, the step added exactly the non-adjacent
-    pairs of N(x), afterwards every neighbor of x has degree at least d(x),
-    and the post-step graph still has an o-heavy pair in each of its
-    induced claws.
+    Checks, for every completion step at x: the vertex was eligible in the
+    pre-step graph, the step added exactly the non-adjacent pairs of N(x),
+    afterwards every neighbor of x has degree at least d(x), and the
+    post-step graph still has an o-heavy pair in each of its induced claws.
     """
     problems = []
     cur = trace.initial
@@ -404,8 +372,7 @@ def validate_c_trace(trace: ClosureTrace) -> list[str]:
         if not 0 <= x < cur.n:
             problems.append(f"step {i}: vertex {x} out of range")
             break
-        if not _c_eligible_inner(cur, x, EligibilityMode.AMENDED,
-                                 *degree_thresholds(cur.rows)):
+        if not _c_eligible_inner(cur, x, *degree_thresholds(cur.rows)):
             problems.append(f"step {i}: vertex {x} was not eligible")
         if set(step.edges_added) != set(_neighborhood_missing(cur, x)):
             problems.append(f"step {i}: added edges are not the missing pairs of N({x})")

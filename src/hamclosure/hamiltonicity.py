@@ -77,7 +77,14 @@ def _sides(rows) -> tuple[int, int] | None:
 def is_hamiltonian(g: Graph, node_budget: int | None = None) -> HamiltonicityCertificate:
     """Exact search; cycles are validated before they are returned. A None
     budget means ``DEFAULT_NODE_BUDGET``; any other budget must be a
-    nonnegative int."""
+    nonnegative int.
+
+    The search enters each (visited, end) state at most once: a state whose
+    subtree failed is in the memo, and a success ends the search. Vertex 0
+    is always visited and the end is another visited vertex, so
+    ``nodes_explored`` is at most 1 + (n - 1) * 2^(n - 2). That is 4,980,737
+    at n = 20, under ``DEFAULT_NODE_BUDGET``: up to n = 20 the default
+    budget never runs out, and only a smaller budget can give UNDECIDED."""
     budget = DEFAULT_NODE_BUDGET if node_budget is None else _budget(node_budget, "node budget")
     if g.n < 3:
         return HamiltonicityCertificate(False, None, 0, note="fewer than 3 vertices")

@@ -53,8 +53,10 @@ def test_criterion_04_closure_contracts():
 def test_criterion_05_heaviness_propagation():
     def check_counts(result):
         for note in result.notes:
+            # "p4: 100 accepted, 100 complete closures"
             kind, count = note.split(": ")
             assert int(count.split()[0]) >= 100, f"{kind}: filter must yield 100 instances"
+            assert count.endswith(" complete closures"), f"{kind}: trivial share not reported"
 
     _run("heaviness-propagation", check_counts)
 

@@ -6,7 +6,6 @@ import pytest
 
 from hamclosure.closures import (
     ClosureTrace,
-    EligibilityMode,
     bc_local,
     c_closure,
     c_eligible,
@@ -52,16 +51,6 @@ def test_seed_that_is_not_an_int_rejected(closure, seed, policy):
     # K4 is already closed, so no pick ever happens: the seed is checked at entry
     with pytest.raises(InputError, match="closure seed .* is not an int"):
         closure(complete_graph(4), policy=policy, seed=seed)
-
-
-def test_unknown_eligibility_mode_rejected():
-    # with a mode that is neither enum member, neither eligibility test fires:
-    # K4's vertices would read as eligible, and the c-closure of C4 would pick
-    # such a vertex forever without adding an edge
-    with pytest.raises(InputError, match="eligibility mode"):
-        c_eligible(complete_graph(4), 0, "amended")
-    with pytest.raises(InputError, match="eligibility mode"):
-        c_closure(empty_graph(3), "amended")
 
 
 _C_UNDEFINED = "input has an induced claw with no o-heavy pair: degree-sum completion undefined"
@@ -155,14 +144,18 @@ class TestCEligibility:
         assert bc_local(net, 0) == []
         assert bc_local(complete_graph(4), 0) == []
 
-    def test_c4_discriminates_the_modes(self):
+    def test_c4_is_eligible_though_its_augmented_neighbourhood_is_complete(self):
+        # the o-heavy pair 13 completes N(0) = {1, 3}, so asking for a
+        # non-clique after the degree-sum edges are added finds no vertex
+        # eligible and keeps C4 with that pair; N(0) is not a clique of C4
+        # itself, so 0 is eligible and the closure reaches the oracle's K4
         c4 = cycle_graph(4)
-        assert c_eligible(c4, 0, EligibilityMode.AMENDED)
-        assert not c_eligible(c4, 0, EligibilityMode.LITERAL)
+        assert bc_local(c4, 0) == [(1, 3)]
+        assert c_eligible(c4, 0)
+        assert c_closure(c4)[0] == minimum_supergraph_oracle(c4) == complete_graph(4)
 
     def test_net_corner_not_eligible(self, net):
-        assert not c_eligible(net, 0, EligibilityMode.AMENDED)
-        assert not c_eligible(net, 0, EligibilityMode.LITERAL)
+        assert not c_eligible(net, 0)
 
     def test_precondition_checked(self):
         with pytest.raises(PreconditionError):
@@ -176,12 +169,6 @@ class TestCClosure:
         assert c_closure(g8)[0] == g8
         assert is_c_closed(net) and is_c_closed(g8)
         assert not is_c_closed(cycle_graph(4))
-
-    def test_literal_mode_keeps_c4(self):
-        amended, _ = c_closure(cycle_graph(4), EligibilityMode.AMENDED)
-        literal, _ = c_closure(cycle_graph(4), EligibilityMode.LITERAL)
-        assert amended == complete_graph(4)
-        assert literal == cycle_graph(4)
 
     def test_small_graphs_unchanged(self):
         for n in range(3):

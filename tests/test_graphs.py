@@ -481,13 +481,25 @@ def test_vertex_arguments_are_checked(call, message):
     (lambda: is_hamiltonian(cycle_graph(5), node_budget=True), "node budget True is not an int"),
     (lambda: supergraph_search(cycle_graph(4), budget=True),
      "supergraph search budget True is not an int"),
+    (lambda: run_suite("detector-oracle", seed=True), "suite seed True is not an int"),
 ], ids=["order", "row", "complete-order", "from_edges", "add_edges", "is_heavy", "induced",
         "c_eligible", "interior_vertices", "sample-seed", "sample-limit", "sample-p",
-        "o_closure-seed", "node-budget", "supergraph-budget"])
+        "o_closure-seed", "node-budget", "supergraph-budget", "suite-seed"])
 def test_a_bool_is_not_an_int(call, message):
     # isinstance(True, int) holds, so every typed argument refuses bool by name
     with pytest.raises(InputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("a", "suite seed 'a' is not an int"),
+    (None, "suite seed None is not an int"),
+    (1.5, "suite seed 1.5 is not an int"),
+], ids=["str", "none", "float"])
+def test_a_suite_seed_is_typed(seed, message):
+    # refused at entry, not as a sample seed the suite folded it into
+    with pytest.raises(InputError, match=message):
+        run_suite("detector-oracle", seed=seed)
 
 
 @pytest.mark.parametrize("call, message", [

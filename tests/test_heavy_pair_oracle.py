@@ -15,7 +15,6 @@ import pytest
 
 from hamclosure import closures
 from hamclosure.closures import (
-    EligibilityMode,
     _c_eligible_vertices,
     _claw_status,
     bc_local,
@@ -94,19 +93,14 @@ def _plain_components(adj: dict[int, set[int]]) -> list[set[int]]:
     return out
 
 
-def plain_c_eligible(g: Graph, x: int, mode: EligibilityMode) -> bool:
+def plain_c_eligible(g: Graph, x: int) -> bool:
     nbrs = g.neighbors(x)
-    if not nbrs:
+    if not nbrs or all(g.has_edge(u, v) for u, v in itertools.combinations(nbrs, 2)):
         return False
     aug = {v: {u for u in nbrs if g.has_edge(u, v)} for v in nbrs}
     for u, v in plain_bc_local(g, x):
         aug[u].add(v)
         aug[v].add(u)
-    if mode is EligibilityMode.AMENDED:
-        if all(g.has_edge(u, v) for u, v in itertools.combinations(nbrs, 2)):
-            return False
-    elif all(aug[v] == set(nbrs) - {v} for v in nbrs):
-        return False
     comps = _plain_components(aug)
     if len(comps) == 1:
         return True
@@ -123,8 +117,8 @@ def plain_c_eligible(g: Graph, x: int, mode: EligibilityMode) -> bool:
     return False
 
 
-def plain_c_eligible_vertices(g: Graph, mode: EligibilityMode) -> list[int]:
-    return [x for x in range(g.n) if plain_c_eligible(g, x, mode)]
+def plain_c_eligible_vertices(g: Graph) -> list[int]:
+    return [x for x in range(g.n) if plain_c_eligible(g, x)]
 
 
 def plain_r_eligible(g: Graph, x: int) -> bool:
@@ -172,12 +166,9 @@ def plain_r_closure(g: Graph, policy: str, seed: int):
     )
 
 
-def plain_c_closure(g: Graph, mode: EligibilityMode, policy: str, seed: int):
-    return plain_fixpoint(
-        g, "c-completion",
-        lambda cur: plain_c_eligible_vertices(cur, mode),
-        plain_missing, policy, seed,
-    )
+def plain_c_closure(g: Graph, policy: str, seed: int):
+    return plain_fixpoint(g, "c-completion", plain_c_eligible_vertices, plain_missing,
+                          policy, seed)
 
 
 def _as_plain(closure):
@@ -218,21 +209,18 @@ def test_heavy_pair_questions_match_the_pairwise_oracle(inputs):
         for x in range(g.n):
             assert bc_local(g, x) == plain_bc_local(g, x), (label, x)
         if claw_status[1]:
-            for mode in EligibilityMode:
-                assert list(_c_eligible_vertices(g, mode)) == \
-                    plain_c_eligible_vertices(g, mode), (label, mode)
+            assert list(_c_eligible_vertices(g)) == plain_c_eligible_vertices(g), label
 
 
 def test_checked_c_eligibility_matches_the_pairwise_oracle(corpus):
     for g in corpus:
         if plain_claw_status(g)[1]:
-            for mode in EligibilityMode:
-                assert [x for x in range(g.n) if c_eligible(g, x, mode)] == \
-                    plain_c_eligible_vertices(g, mode), (emit_graph6(g), mode)
+            assert [x for x in range(g.n) if c_eligible(g, x)] == \
+                plain_c_eligible_vertices(g), emit_graph6(g)
 
 
-# Order 6 passes too, but with all three policies and both modes it takes
-# about 50 s on a 2-vCPU guest, so the suite stops at order 5.
+# Order 6 passes too, but with all three policies it takes about 20 s on a
+# 2-vCPU guest (order 5: 0.5 s), so the suite stops at order 5.
 @pytest.mark.parametrize("inputs", ["labelled-order-5", "corpus"])
 def test_closures_match_the_rescanning_oracle(inputs):
     seeds = {"min": 0, "max": 0, "random": RANDOM_SEED}
@@ -248,10 +236,9 @@ def test_closures_match_the_rescanning_oracle(inputs):
                     plain_r_closure(g, policy, seed), (label, policy)
         if not claw_o_heavy:
             continue
-        for mode in EligibilityMode:
-            for policy, seed in seeds.items():
-                assert _as_plain(c_closure(g, mode, policy, seed)) == \
-                    plain_c_closure(g, mode, policy, seed), (label, mode, policy)
+        for policy, seed in seeds.items():
+            assert _as_plain(c_closure(g, policy, seed)) == \
+                plain_c_closure(g, policy, seed), (label, policy)
 
 
 @pytest.mark.parametrize("kind", ["r", "c"])

@@ -18,7 +18,7 @@ from hamclosure.graphs import (
     path_graph,
     sample_graphs,
 )
-from hamclosure.hamiltonicity import is_hamiltonian, validate_cycle
+from hamclosure.hamiltonicity import DEFAULT_NODE_BUDGET, is_hamiltonian, validate_cycle
 from hamclosure.patterns import PatternKind, REFERENCE, is_free
 from hamclosure.verify import (
     acceptance_grids,
@@ -249,6 +249,25 @@ def test_heavy_grid_member_decides_within_a_small_budget():
     assert cert.result is True
     assert validate_cycle(g, cert.cycle)
     assert cert.cache_hits > 0
+
+
+def state_bound(n: int) -> int:
+    """The root plus one node per (visited, end) state: vertex 0 is always
+    visited and the end is one of the other n - 1 visited vertices."""
+    return 1 + (n - 1) * 2 ** (n - 2)
+
+
+def test_nodes_explored_stays_under_the_state_bound(corpus):
+    # a state whose subtree failed is in the memo and a success ends the
+    # search, so no state is entered twice
+    assert state_bound(20) == 4_980_737 < DEFAULT_NODE_BUDGET
+    for g in corpus:
+        if g.n >= 3:
+            assert is_hamiltonian(g).nodes_explored <= state_bound(g.n), emit_graph6(g)
+    # one edge inside the larger side passes the bipartite gate to the search
+    g, _ = complete_bipartite(6, 8).add_edges([(6, 7)])
+    cert = is_hamiltonian(g)
+    assert (cert.result, cert.nodes_explored, state_bound(14)) == (False, 11_266, 53_249)
 
 
 def plain_component_count(g: Graph, removed) -> int:
