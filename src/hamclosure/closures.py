@@ -28,8 +28,11 @@ the augmented neighborhoods it floods are built from that table. The
 o-closure steps on a row list and keeps its sorted list of o-heavy pairs
 across steps: joining uv removes uv, and since degrees only grow, the
 only new pairs sit at u or v. It builds one graph at the end. The r- and
-c-closures rescan the current graph at every step; under the "min"
-policy the scan stops at the first eligible vertex, which is the pick.
+c-closures rescan the current graph at every step and stop the scan at
+the first eligible vertex, which is the pick. Every closure picks its
+least candidate, the least o-heavy pair or the least eligible vertex;
+the result does not depend on that order, and the ``uniqueness`` suite
+checks this by closing relabelled copies of each graph.
 
 c-eligibility first asks that the neighborhood not be a clique of the
 graph itself. A literal reading of Čada's definition asks this of the
@@ -41,10 +44,9 @@ K4; it is not implemented.
 
 from __future__ import annotations
 
-import random
 from bisect import insort
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import takewhile
 
 from .errors import (
     BudgetError,
@@ -53,7 +55,7 @@ from .errors import (
     NonUniqueMinimumError,
     PreconditionError,
 )
-from .graphs import Edge, Graph, _bits, _budget, _seed, _vertex, component_masks, flood
+from .graphs import Edge, Graph, _bits, _budget, _text, _vertex, component_masks, flood
 from .heaviness import _heavy_pairs_at, degree_thresholds
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
 from .patterns import has_induced  # noqa: F401
@@ -103,7 +105,7 @@ def trace_to_text(trace: ClosureTrace) -> str:
 
 def parse_trace(text: str) -> tuple[TraceStep, ...]:
     steps = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_text(text, "trace text").splitlines(), 1):
         line = line.strip()
         if not line:
             continue
@@ -126,38 +128,13 @@ def parse_trace(text: str) -> tuple[TraceStep, ...]:
     return tuple(steps)
 
 
-def _require_policy_and_seed(policy: str, seed: int) -> None:
-    if policy not in ("min", "max", "random"):
-        raise InputError(f"unknown selection policy {policy!r}")
-    _seed(seed, "closure seed")
-
-
-def _rng(policy: str, seed: int) -> random.Random | None:
-    """The generator a "random" pick draws from; the other policies draw
-    nothing, so they get none."""
-    return random.Random(seed) if policy == "random" else None
-
-
-def _pick(items: list, policy: str, rng: random.Random | None):
-    if policy == "min":
-        return items[0]
-    if policy == "max":
-        return items[-1]
-    return items[rng.randrange(len(items))]
-
-
-def _fixpoint(g: Graph, kind: str, candidates, policy: str, seed: int):
-    """Complete one picked candidate's neighborhood at a time, to a fixpoint.
-    ``candidates(cur)`` yields the eligible vertices of cur in increasing
-    order; the "min" policy reads only the first, the others list them all."""
-    rng = _rng(policy, seed)
+def _fixpoint(g: Graph, kind: str, candidates):
+    """Complete the least candidate's neighborhood, one at a time, to a
+    fixpoint. ``candidates(cur)`` yields the eligible vertices of cur in
+    increasing order; each step reads only the first."""
     cur = g
     steps = []
-    while True:
-        options = list(islice(candidates(cur), 1 if policy == "min" else None))
-        if not options:
-            break
-        subject = _pick(options, policy, rng)
+    while (subject := next(candidates(cur), None)) is not None:
         cur, added = cur.add_edges(_neighborhood_missing(cur, subject))
         steps.append(TraceStep(kind, subject, added))
     return cur, ClosureTrace(g, cur, tuple(steps))
@@ -195,24 +172,21 @@ _C_UNDEFINED = ("input has an induced claw with no o-heavy pair: "
 # -- o-closure ---------------------------------------------------------------
 
 
-def o_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
-    """Join one o-heavy pair at a time, to a fixpoint.
+def o_closure(g: Graph) -> tuple[Graph, ClosureTrace]:
+    """Join the least o-heavy pair, one at a time, to a fixpoint.
 
     The sorted list of o-heavy pairs is kept across steps rather than
     rescanned. Joining uv removes uv and raises only d(u) and d(v), so a
     pair that was o-heavy stays o-heavy, and the new ones are the pairs at
     u or v whose degree sum has just reached n exactly.
     """
-    _require_policy_and_seed(policy, seed)
-    rng = _rng(policy, seed)
     n = g.n
     rows = list(g.rows)
     degs, at = degree_thresholds(rows)
     pairs = _heavy_pairs_at(rows, degs, at, adjacent=False)
     steps = []
     while pairs:
-        u, v = pair = _pick(pairs, policy, rng)
-        pairs.remove(pair)
+        u, v = pair = pairs.pop(0)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         for x in pair:
@@ -252,17 +226,15 @@ def r_eligible(g: Graph, x: int) -> bool:
     return _r_eligible_inner(g, x)
 
 
-def r_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
-    _require_policy_and_seed(policy, seed)
+def r_closure(g: Graph) -> tuple[Graph, ClosureTrace]:
     if not _claw_status(g)[0]:
         raise PreconditionError("input not claw-free: r-closure undefined")
-    return _r_fixpoint(g, policy, seed)
+    return _r_fixpoint(g)
 
 
-def _r_fixpoint(g: Graph, policy: str, seed: int):
+def _r_fixpoint(g: Graph):
     return _fixpoint(g, "r-completion",
-                     lambda cur: (x for x in range(cur.n) if _r_eligible_inner(cur, x)),
-                     policy, seed)
+                     lambda cur: (x for x in range(cur.n) if _r_eligible_inner(cur, x)))
 
 
 # -- degree-sum completion (c-closure) ---------------------------------------
@@ -319,15 +291,14 @@ def c_eligible(g: Graph, x: int) -> bool:
     return _c_eligible_inner(g, x, *degree_thresholds(g.rows))
 
 
-def c_closure(g: Graph, policy: str = "min", seed: int = 0) -> tuple[Graph, ClosureTrace]:
-    _require_policy_and_seed(policy, seed)
+def c_closure(g: Graph) -> tuple[Graph, ClosureTrace]:
     if not _claw_status(g)[1]:
         raise PreconditionError(_C_UNDEFINED)
-    return _c_fixpoint(g, policy, seed)
+    return _c_fixpoint(g)
 
 
-def _c_fixpoint(g: Graph, policy: str, seed: int):
-    return _fixpoint(g, "c-completion", _c_eligible_vertices, policy, seed)
+def _c_fixpoint(g: Graph):
+    return _fixpoint(g, "c-completion", _c_eligible_vertices)
 
 
 def is_c_closed(g: Graph) -> bool:
@@ -341,16 +312,15 @@ def _c_closed(g: Graph) -> bool:
     return next(_c_eligible_vertices(g), None) is None
 
 
-def closures_of(g: Graph, policy: str = "min",
-                seed: int = 0) -> dict[str, tuple[Graph, ClosureTrace]]:
+def closures_of(g: Graph) -> dict[str, tuple[Graph, ClosureTrace]]:
     """The closures defined on g, keyed "o", "r", "c" in that order: r only
     when g is claw-free, c only when g is claw-o-heavy."""
-    ladder = {"o": o_closure(g, policy, seed)}
+    ladder = {"o": o_closure(g)}
     claw_free, claw_o_heavy = _claw_status(g)
     if claw_free:
-        ladder["r"] = _r_fixpoint(g, policy, seed)
+        ladder["r"] = _r_fixpoint(g)
     if claw_o_heavy:
-        ladder["c"] = _c_fixpoint(g, policy, seed)
+        ladder["c"] = _c_fixpoint(g)
     return ladder
 
 

@@ -73,7 +73,7 @@ from operator import or_
 from .closures import _c_closed, _claw_status
 from .errors import InputError, ParameterError
 from .graphs import (
-    Graph, _bits, _seed, component_masks, flood, is_2_connected, maximal_clique_masks,
+    Graph, _bits, _seed, _text, component_masks, flood, is_2_connected, maximal_clique_masks,
     nonseparable,
 )
 from .heaviness import degree_thresholds, heavy_vertices
@@ -92,8 +92,9 @@ class FamilyKind(Enum):
 
     @staticmethod
     def from_name(name: str) -> "FamilyKind":
+        key = _text(name, "family name").strip().upper()
         try:
-            return FamilyKind(name.strip().upper())
+            return FamilyKind(key)
         except ValueError:
             raise InputError(f"unknown family {name!r}") from None
 
@@ -1454,7 +1455,7 @@ def parse_params(text: str) -> FamilyParams:
     junction_sizes: tuple[int, ...] = ()
     declared_t: int | None = None
     components: list[ComponentSpec] = []
-    for raw in text.splitlines():
+    for raw in _text(text, "params text").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

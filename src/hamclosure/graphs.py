@@ -29,6 +29,14 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _text(text, what: str) -> str:
+    """``text`` as the str named ``what`` (a name, or text to parse), or
+    InputError: not a str."""
+    if not isinstance(text, str):
+        raise InputError(f"{what} {text!r} is not a str")
+    return text
+
+
 def _edge(n: int, edge) -> Edge:
     """``edge`` as a vertex pair of a graph on n vertices, or InputError:
     not a pair of vertices, out of range, or a loop."""
@@ -405,7 +413,7 @@ def emit_graph6(g: Graph) -> str:
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
+    s = _text(text, "graph6 text").strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
@@ -475,7 +483,7 @@ def emit_edge_list(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    tokens = text.split()
+    tokens = _text(text, "edge list text").split()
     if len(tokens) < 2:
         raise FormatError("edge list needs an 'n m' header")
     try:

@@ -27,7 +27,7 @@ from enum import Enum
 from itertools import combinations, permutations
 
 from .errors import InputError
-from .graphs import Graph, _is_int
+from .graphs import Graph, _is_int, _text
 from .heaviness import _o_heavy_within, degree_thresholds
 
 
@@ -46,8 +46,9 @@ class PatternKind(Enum):
 
     @staticmethod
     def from_name(name: str) -> "PatternKind":
+        key = _text(name, "pattern name").strip().lower()
         try:
-            return PatternKind(name.strip().lower())
+            return PatternKind(key)
         except ValueError:
             raise InputError(f"unknown pattern {name!r}") from None
 

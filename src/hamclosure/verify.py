@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import islice
@@ -40,6 +41,7 @@ from .graphs import (
     Graph,
     _budget,
     _seed,
+    _text,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -264,7 +266,7 @@ def verify_closure_preservation(
 ) -> bool:
     """True iff the oracle agrees on g and its o-, r-, or c-closure."""
     closures = {"o": o_closure, "r": r_closure, "c": c_closure}
-    if closure_kind not in closures:
+    if _text(closure_kind, "closure kind") not in closures:
         raise InputError(f"unknown closure kind {closure_kind!r}")
     closed, _ = closures[closure_kind](g)
     before = is_hamiltonian(g, node_budget)
@@ -345,17 +347,31 @@ def suite_minimality_oracle(result: SuiteResult, seed: int, node_budget) -> None
             result.failures.append(f"sample {i}: closure disagrees with the supergraph oracle")
 
 
+def _relabel(g: Graph, perm) -> Graph:
+    """g with each vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 @_suite("uniqueness")
 def suite_uniqueness(result: SuiteResult, seed: int, node_budget) -> None:
+    # a closure picks its least candidate, so closing a relabelled copy
+    # pi(g) takes its steps in another order; it must still reach pi of
+    # g's closure. The relabellings are the reversal and one shuffle.
     corpus = full_corpus(seed)
-    policies = ("min", "max", "random")
+    rng = random.Random(seed + 1)
+    total, idle = Counter(), Counter()  # per kind: closures, and closures without a step
     for i, g in enumerate(corpus):
-        ladders = [closures_of(g, policy=p, seed=seed + 1) for p in policies]
-        for kind in ladders[0]:
+        perms = (range(g.n - 1, -1, -1), rng.sample(range(g.n), g.n))
+        relabelled = [(perm, closures_of(_relabel(g, perm))) for perm in perms]
+        for kind, (closed, trace) in closures_of(g).items():
             result.checked += 1
-            if len({ladder[kind][0] for ladder in ladders}) != 1:
+            total[kind] += 1
+            idle[kind] += not trace.steps  # no step, so no order to vary
+            if any(other[kind][0] != _relabel(closed, perm) for perm, other in relabelled):
                 order = "join" if kind == "o" else "completion"
                 result.failures.append(f"graph {i}: {kind}-closure depends on the {order} order")
+    result.notes.extend(f"{kind}: {total[kind]} closures, {idle[kind]} without a step"
+                        for kind in total)
 
 
 @_suite("closure-contracts")
@@ -405,7 +421,7 @@ def suite_heaviness_propagation(result: SuiteResult, seed: int, node_budget) -> 
         complete = 0
         for g in accepted:
             # the predicate has just checked that g is claw-o-heavy
-            closed, _ = _c_fixpoint(g, "min", 0)
+            closed, _ = _c_fixpoint(g)
             # a complete closure is claw-free and net-free, so it passes trivially
             complete += closed.is_clique_mask(closed.full_mask)
             profile = net_profile(closed)
@@ -513,7 +529,7 @@ def suite_region_properties(result: SuiteResult, seed: int, node_budget) -> None
     for i, g in enumerate(corpus):
         if not _claw_status(g)[1]:
             continue
-        closed, _ = _c_fixpoint(g, "min", 0)
+        closed, _ = _c_fixpoint(g)
         problems = region_law_violations(decompose(g, closure=closed))
         result.checked += 1
         if problems:
@@ -565,6 +581,6 @@ def suite_npq_hamiltonicity(result: SuiteResult, seed: int, node_budget) -> None
 
 
 def run_suite(name: str, seed: int = 0, node_budget: int | None = None) -> SuiteResult:
-    if name not in SUITES:
+    if _text(name, "suite name") not in SUITES:
         raise InputError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
     return SUITES[name](seed=seed, node_budget=node_budget)

@@ -43,7 +43,13 @@ def test_criterion_02_minimality_oracle():
 
 
 def test_criterion_03_uniqueness():
-    _run("uniqueness")
+    def check_notes(result):
+        # "o: 538 closures, 239 without a step", one note per kind
+        assert [note.split(":")[0] for note in result.notes] == ["o", "r", "c"]
+        assert all(note.endswith(" without a step") for note in result.notes)
+        assert sum(int(note.split()[1]) for note in result.notes) == result.checked
+
+    _run("uniqueness", check_notes)
 
 
 def test_criterion_04_closure_contracts():

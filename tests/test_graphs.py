@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamclosure.closures import bc_local, c_eligible, o_closure, r_eligible, supergraph_search
+from hamclosure.closures import bc_local, c_eligible, parse_trace, r_eligible, supergraph_search
 from hamclosure.errors import FormatError, InputError
+from hamclosure.families import FamilyKind, parse_params
 from hamclosure.graphs import (
     Graph,
     complete_bipartite,
@@ -32,8 +33,9 @@ from hamclosure.graphs import (
 )
 from hamclosure.hamiltonicity import is_hamiltonian
 from hamclosure.heaviness import is_heavy
+from hamclosure.patterns import PatternKind
 from hamclosure.regions import decompose, generalized_claw_or_net
-from hamclosure.verify import run_suite
+from hamclosure.verify import run_suite, verify_closure_preservation
 
 
 def graphs_strategy(max_n=10):
@@ -477,17 +479,35 @@ def test_vertex_arguments_are_checked(call, message):
     (lambda: sample_graphs(4, 0.5, seed=False, limit=1), "sample seed False is not an int"),
     (lambda: sample_graphs(4, 0.5, seed=0, limit=True), "sample limit True is not an int"),
     (lambda: sample_graphs(4, True, seed=0, limit=1), "edge probability True is not a number"),
-    (lambda: o_closure(cycle_graph(5), seed=True), "closure seed True is not an int"),
     (lambda: is_hamiltonian(cycle_graph(5), node_budget=True), "node budget True is not an int"),
     (lambda: supergraph_search(cycle_graph(4), budget=True),
      "supergraph search budget True is not an int"),
     (lambda: run_suite("detector-oracle", seed=True), "suite seed True is not an int"),
 ], ids=["order", "row", "complete-order", "from_edges", "add_edges", "is_heavy", "induced",
         "c_eligible", "interior_vertices", "sample-seed", "sample-limit", "sample-p",
-        "o_closure-seed", "node-budget", "supergraph-budget", "suite-seed"])
+        "node-budget", "supergraph-budget", "suite-seed"])
 def test_a_bool_is_not_an_int(call, message):
     # isinstance(True, int) holds, so every typed argument refuses bool by name
     with pytest.raises(InputError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_suite(["uniqueness"]), r"suite name \['uniqueness'\] is not a str"),
+    (lambda: verify_closure_preservation(cycle_graph(4), ["o"]),
+     r"closure kind \['o'\] is not a str"),
+    (lambda: PatternKind.from_name(3), "pattern name 3 is not a str"),
+    (lambda: FamilyKind.from_name(None), "family name None is not a str"),
+    (lambda: parse_graph6(5), "graph6 text 5 is not a str"),
+    (lambda: parse_graph6(b"C~"), "graph6 text b'C~' is not a str"),
+    (lambda: parse_edge_list(5), "edge list text 5 is not a str"),
+    (lambda: parse_trace(None), "trace text None is not a str"),
+    (lambda: parse_params(5), "params text 5 is not a str"),
+], ids=["suite-name", "closure-kind", "pattern-name", "family-name", "graph6", "graph6-bytes",
+        "edge-list", "trace", "params"])
+def test_a_name_or_text_that_is_not_a_str_is_refused(call, message):
+    # every name and every text to parse is read through one str test
+    with pytest.raises(InputError, match=f"^{message}$"):
         call()
 
 
@@ -522,4 +542,3 @@ def test_zero_budgets_and_negative_seeds_are_taken():
     assert list(sample_graphs(4, 0.5, seed=1, limit=0)) == []
     # a seed is any int
     assert len(list(sample_graphs(4, 0.5, seed=-3, limit=2))) == 2
-    assert o_closure(cycle_graph(4), policy="random", seed=-1)[0] == complete_graph(4)

@@ -91,3 +91,15 @@ def test_no_module_reads_the_environment():
             if name in ("environ", "getenv", "environb", "getenvb"):
                 readers.append(f"{path.name}:{node.lineno}: {name}")
     assert readers == []
+
+
+def test_readme_library_tour_runs():
+    # the "Library quick tour" block runs as written and its comments hold
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    tour: dict = {}
+    exec(block.split("```", 1)[0], tour)
+    assert tour["closed"] == hamclosure.complete_graph(4) and len(tour["trace"].steps) == 2
+    assert hamclosure.net_profile(tour["g8"]).n_pq_heavy
+    families = hamclosure.recognize(tour["g8"]).families
+    assert sorted(k.value for k in families) == ["C1NPQ", "C2NP", "C3NQ"]
