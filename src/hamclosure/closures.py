@@ -20,18 +20,20 @@ and a decides both branches for every set of that anchor. It shares no
 pattern detector with the closures, every leaf it reaches satisfies the
 target, and the record reports how many tree nodes were entered.
 
-Every degree-sum question reads one table per graph,
-``heaviness.degree_thresholds``: ``at[d]`` is the mask of the vertices of
-degree at least d, so the o-heavy partners of u are ``~rows[u] & at[n -
-d(u)]`` without u. The light-claw search, each c-eligibility scan and
-the augmented neighborhoods it floods are built from that table. The
-o-closure steps on a row list and keeps its sorted list of o-heavy pairs
-across steps: joining uv removes uv, and since degrees only grow, the
-only new pairs sit at u or v. It builds one graph at the end. The r- and
-c-closures rescan the current graph at every step and stop the scan at
-the first eligible vertex, which is the pick. Every closure picks its
-least candidate, the least o-heavy pair or the least eligible vertex;
-the result does not depend on that order, and the ``uniqueness`` suite
+Every degree-sum question reads the graph's one table,
+``Graph.degree_table``, filled on first read: ``at[d]`` is the mask of
+the vertices of degree at least d, so the o-heavy partners of u are
+``~rows[u] & at[n - d(u)]`` without u. The light-claw search, each
+c-eligibility scan and the augmented neighborhoods it floods are built
+from that table. The o-closure and ``supergraph_search`` add edges as
+they go, so each grows a list copy of g's table. The o-closure steps on
+a row list and keeps its sorted list of o-heavy pairs across steps:
+joining uv removes uv, and since degrees only grow, the only new pairs
+sit at u or v. It builds one graph at the end. The r- and c-closures
+rescan the current graph at every step and stop the scan at the first
+eligible vertex, which is the pick. Every closure picks its least
+candidate, the least o-heavy pair or the least eligible vertex; the
+result does not depend on that order, and the ``uniqueness`` suite
 checks this by closing relabelled copies of each graph.
 
 c-eligibility first asks that the neighborhood not be a clique of the
@@ -56,7 +58,7 @@ from .errors import (
     PreconditionError,
 )
 from .graphs import Edge, Graph, _bits, _budget, _text, _vertex, component_masks, flood
-from .heaviness import _heavy_pairs_at, degree_thresholds
+from .heaviness import _heavy_pairs_at
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
 from .patterns import has_induced  # noqa: F401
 
@@ -149,7 +151,7 @@ def _claw_status(g: Graph) -> tuple[bool, bool]:
     v and w avoid u's heavy partners ``at[n - d(u)]`` and w avoids v's.
     Once a claw is found, only v outside u's heavy partners is tried."""
     n, rows = g.n, g.rows
-    degs, at = degree_thresholds(rows)
+    degs, at = g.degree_table
     claw_free = True
     for x in range(n):
         nbrs = rows[x]
@@ -181,9 +183,9 @@ def o_closure(g: Graph) -> tuple[Graph, ClosureTrace]:
     u or v whose degree sum has just reached n exactly.
     """
     n = g.n
+    pairs = _heavy_pairs_at(g, adjacent=False)
     rows = list(g.rows)
-    degs, at = degree_thresholds(rows)
-    pairs = _heavy_pairs_at(rows, degs, at, adjacent=False)
+    degs, at = map(list, g.degree_table)
     steps = []
     while pairs:
         u, v = pair = pairs.pop(0)
@@ -243,25 +245,25 @@ def _r_fixpoint(g: Graph):
 def bc_local(g: Graph, x: int) -> list[Edge]:
     """Nonadjacent neighbor pairs of x with degree sum at least n."""
     _vertex(g.n, x)
-    aug = _bc_rows(g, x, *degree_thresholds(g.rows))
+    aug = _bc_rows(g, x)
     return [(u, v) for u in aug for v in _bits(aug[u] & ~g.row(u) & (-2 << u))]
 
 
-def _bc_rows(g: Graph, x: int, degs, at) -> dict[int, int]:
+def _bc_rows(g: Graph, x: int) -> dict[int, int]:
     """The degree-sum-augmented neighborhood of x: each neighbor's row
-    within N(x), joined to its o-heavy partners there. ``degs`` and ``at``
-    are ``degree_thresholds(g.rows)``."""
+    within N(x), joined to its o-heavy partners there."""
     n, rows = g.n, g.rows
+    degs, at = g.degree_table
     mask = rows[x]
     return {v: mask & (rows[v] | at[n - degs[v]]) & ~(1 << v) for v in _bits(mask)}
 
 
-def _c_eligible_inner(g: Graph, x: int, degs, at) -> bool:
-    """Is x c-eligible? ``degs`` and ``at`` are ``degree_thresholds(g.rows)``."""
+def _c_eligible_inner(g: Graph, x: int) -> bool:
+    """Is x c-eligible?"""
     mask = g.row(x)
     if mask == 0 or g.is_clique_mask(mask):
         return False
-    aug = _bc_rows(g, x, degs, at)
+    aug = _bc_rows(g, x)
     comps = component_masks(aug, mask)
     if len(comps) == 1:
         return True
@@ -273,22 +275,21 @@ def _c_eligible_inner(g: Graph, x: int, degs, at) -> bool:
             if aug[v] != comp ^ (1 << v):
                 return False
     rows = g.rows
+    degs, at = g.degree_table
     partners = ~(rows[x] | 1 << x) & at[g.n - degs[x]]
     return any(rows[z] & c1 and rows[z] & c2 for z in _bits(partners))
 
 
 def _c_eligible_vertices(g: Graph):
-    """The c-eligible vertices of g in increasing order, from one degree
-    table."""
-    degs, at = degree_thresholds(g.rows)
-    return (x for x in range(g.n) if _c_eligible_inner(g, x, degs, at))
+    """The c-eligible vertices of g in increasing order."""
+    return (x for x in range(g.n) if _c_eligible_inner(g, x))
 
 
 def c_eligible(g: Graph, x: int) -> bool:
     _vertex(g.n, x)
     if not _claw_status(g)[1]:
         raise PreconditionError(_C_UNDEFINED)
-    return _c_eligible_inner(g, x, *degree_thresholds(g.rows))
+    return _c_eligible_inner(g, x)
 
 
 def c_closure(g: Graph) -> tuple[Graph, ClosureTrace]:
@@ -299,6 +300,10 @@ def c_closure(g: Graph) -> tuple[Graph, ClosureTrace]:
 
 def _c_fixpoint(g: Graph):
     return _fixpoint(g, "c-completion", _c_eligible_vertices)
+
+
+# The closures by the kind name ``closure --kind`` takes.
+CLOSURES = {"o": o_closure, "r": r_closure, "c": c_closure}
 
 
 def is_c_closed(g: Graph) -> bool:
@@ -342,7 +347,7 @@ def validate_c_trace(trace: ClosureTrace) -> list[str]:
         if not 0 <= x < cur.n:
             problems.append(f"step {i}: vertex {x} out of range")
             break
-        if not _c_eligible_inner(cur, x, *degree_thresholds(cur.rows)):
+        if not _c_eligible_inner(cur, x):
             problems.append(f"step {i}: vertex {x} was not eligible")
         if set(step.edges_added) != set(_neighborhood_missing(cur, x)):
             problems.append(f"step {i}: added edges are not the missing pairs of N({x})")
@@ -451,7 +456,7 @@ def supergraph_search(g: Graph, budget: int = 16) -> SupergraphSearch:
         return SupergraphSearch(g, (), (frozenset(),), 1)
     n = g.n
     rows = list(g.rows)
-    degs, at = degree_thresholds(rows)
+    degs, at = map(list, g.degree_table)
     closing = _closing_sets(g, non_edges)
     last = len(non_edges) - 1
     excluded = [0] * n  # excluded[x]: bitmask of x's excluded partners

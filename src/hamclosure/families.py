@@ -76,7 +76,7 @@ from .graphs import (
     Graph, _bits, _seed, _text, component_masks, flood, is_2_connected, maximal_clique_masks,
     nonseparable,
 )
-from .heaviness import degree_thresholds, heavy_vertices
+from .heaviness import _heavy_mask
 # has_induced is unused here; benchmark/tests/test_harness.py checks it is bound
 from .patterns import has_induced, net_profile  # noqa: F401
 
@@ -811,7 +811,7 @@ def _heavy_pairs_hold(g: Graph, clique: int, u0: int | None) -> bool:
     Without K' (u0 None) a triple is any three frontier vertices; with it,
     u0 plus two other frontier vertices."""
     n, rows = g.n, g.rows
-    degs, at = degree_thresholds(rows)
+    degs, at = g.degree_table
     frontier = [v for v in _bits(clique) if rows[v] & ~clique]
     if u0 is None:
         triples = itertools.combinations(frontier, 3)
@@ -860,7 +860,7 @@ def check_composed_cert(g: Graph, family: FamilyKind, cert: ComposedCert) -> lis
         problems.append("shared vertex outside the graph")
     if problems:
         return problems
-    heavy = _cell_mask(heavy_vertices(g)) if spec.k_holds_heavy else 0
+    heavy = _heavy_mask(g) if spec.k_holds_heavy else 0
     return _composed_problems(g, spec, cert, heavy)
 
 
@@ -1016,7 +1016,7 @@ def recognize(g: Graph) -> FamilyWitness:
     answer the glue searches that span all of g.
     """
     certs: dict[FamilyKind, Certificate] = {}
-    cliques, heavy = maximal_clique_masks(g), _cell_mask(heavy_vertices(g))
+    cliques, heavy = maximal_clique_masks(g), _heavy_mask(g)
     _, crowded = _overlaps(cliques)
     searched: dict = {}
     for kind in FamilyKind:

@@ -87,19 +87,19 @@ def _budget(budget, what: str) -> int:
 
 
 class Graph:
-    """Simple undirected graph; values are immutable and hashable."""
+    """Simple undirected graph; values are immutable and hashable. It owns
+    its one degree-sum table, ``degree_table``, filled on first read."""
 
-    __slots__ = ("n", "_rows", "_hash")
+    __slots__ = ("n", "_rows", "_hash", "_degree_table")
 
     def __init__(self, n: int, rows: tuple[int, ...]):
         _order(n)
         if not isinstance(rows, tuple) or len(rows) != n:
             raise InputError(f"adjacency rows must be a tuple of {n} int masks")
-        full = (1 << n) - 1
         for v, row in enumerate(rows):
             if not _is_int(row):
                 raise InputError(f"row {v} is not an int mask")
-            if row & ~full:
+            if row >> n:  # nonzero for a bit at n or above, and for a negative row
                 raise InputError(f"row {v} references vertices outside 0..{n - 1}")
             if row >> v & 1:
                 raise InputError(f"loop at vertex {v}")
@@ -110,6 +110,7 @@ class Graph:
         self.n = n
         self._rows = rows
         self._hash = hash((n, rows))
+        self._degree_table = None
 
     # -- construction ----------------------------------------------------
 
@@ -120,6 +121,7 @@ class Graph:
         g.n = n
         g._rows = rows
         g._hash = hash((n, rows))
+        g._degree_table = None
         return g
 
     @staticmethod
@@ -161,6 +163,24 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self._rows]
+
+    @property
+    def degree_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(degrees, at): ``at[d]`` is the mask of the vertices of degree at
+        least d, for d in 0..n. Filled on first read and kept."""
+        if self._degree_table is None:
+            self._degree_table = self._build_degree_table()
+        return self._degree_table
+
+    def _build_degree_table(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # a list first: tuple(generator) resizes as it fills, which raised peak RSS
+        degs = tuple([row.bit_count() for row in self._rows])
+        at = [0] * (self.n + 1)
+        for v, d in enumerate(degs):
+            at[d] |= 1 << v
+        for d in range(self.n - 1, -1, -1):
+            at[d] |= at[d + 1]
+        return degs, tuple(at)
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._rows[u] >> v & 1)
@@ -500,8 +520,8 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(str(exc)) from exc
 
 
-def emit_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def emit_dot(g: Graph) -> str:
+    lines = ["graph G {"]
     lines.extend(f"  {v};" for v in range(g.n))
     lines.extend(f"  {u} -- {v};" for u, v in g.edges())
     lines.append("}")

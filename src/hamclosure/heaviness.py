@@ -4,12 +4,12 @@ and per-pattern heavy-subgraph predicates.
 All thresholds use integer arithmetic: v is heavy iff 2*d(v) >= n, and a
 pair is heavy iff d(u) + d(v) >= n.
 
-Every "which pairs are heavy" question is answered from one table per
-call, ``degree_thresholds``: ``at[d]`` is the mask of the vertices of
-degree at least d. The heavy vertices are ``at[ceil(n/2)]``; the heavy
-partners of u are ``at[n - d(u)]`` without u, its adjacent heavy partners
-are those inside ``rows[u]`` and its o-heavy partners those outside, so
-no pair is tested on its own.
+Every "which pairs are heavy" question is answered from g's one degree
+table, ``Graph.degree_table``, filled on first read: ``at[d]`` is the mask
+of the vertices of degree at least d. The heavy vertices are
+``at[ceil(n/2)]``; the heavy partners of u are ``at[n - d(u)]`` without u,
+its adjacent heavy partners are those inside ``rows[u]`` and its o-heavy
+partners those outside, so no pair is tested on its own.
 """
 
 from __future__ import annotations
@@ -27,30 +27,24 @@ class HeavyPair:
     degree_sum: int
 
 
+def _heavy_mask(g: Graph) -> int:
+    """The mask of g's heavy vertices, those of degree at least ceil(n/2)."""
+    return g.degree_table[1][(g.n + 1) // 2]
+
+
 def is_heavy(g: Graph, v: int) -> bool:
-    return 2 * g.degree(_vertex(g.n, v)) >= g.n
+    return bool(_heavy_mask(g) >> _vertex(g.n, v) & 1)
 
 
 def heavy_vertices(g: Graph) -> list[int]:
-    return [v for v in range(g.n) if 2 * g.degree(v) >= g.n]
+    return list(_bits(_heavy_mask(g)))
 
 
-def degree_thresholds(rows) -> tuple[list[int], list[int]]:
-    """(degrees, at) of the adjacency rows: ``at[d]`` is the mask of the
-    vertices of degree at least d, for d in 0..n."""
-    degs = [row.bit_count() for row in rows]
-    at = [0] * (len(rows) + 1)
-    for v, d in enumerate(degs):
-        at[d] |= 1 << v
-    for d in range(len(rows) - 1, -1, -1):
-        at[d] |= at[d + 1]
-    return degs, at
-
-
-def _heavy_pairs_at(rows, degs, at, adjacent: bool) -> list[tuple[int, int]]:
+def _heavy_pairs_at(g: Graph, adjacent: bool) -> list[tuple[int, int]]:
     """The sorted pairs u < v with degree sum at least n, adjacent or not
-    as asked. ``degs`` and ``at`` are ``degree_thresholds(rows)``."""
-    n = len(rows)
+    as asked."""
+    n, rows = g.n, g.rows
+    degs, at = g.degree_table
     out = []
     for u in range(n):
         partners = (rows[u] if adjacent else ~rows[u]) & at[n - degs[u]] & (-2 << u)
@@ -62,11 +56,8 @@ def _heavy_pairs_at(rows, degs, at, adjacent: bool) -> list[tuple[int, int]]:
 
 
 def _pairs(g: Graph, adjacent: bool, kind: str) -> list[HeavyPair]:
-    degs, at = degree_thresholds(g.rows)
-    return [
-        HeavyPair(u, v, kind, degs[u] + degs[v])
-        for u, v in _heavy_pairs_at(g.rows, degs, at, adjacent)
-    ]
+    degs = g.degree_table[0]
+    return [HeavyPair(u, v, kind, degs[u] + degs[v]) for u, v in _heavy_pairs_at(g, adjacent)]
 
 
 def o_heavy_pairs(g: Graph) -> list[HeavyPair]:
@@ -82,15 +73,15 @@ def a_heavy_pairs(g: Graph) -> list[HeavyPair]:
 def satisfies_ore(g: Graph) -> bool:
     """True iff every nonadjacent pair is o-heavy (vacuous for cliques)."""
     n, rows = g.n, g.rows
-    degs, at = degree_thresholds(rows)
+    degs, at = g.degree_table
     full = g.full_mask
     return not any(full & ~(rows[u] | 1 << u | at[n - degs[u]]) for u in range(n))
 
 
-def _o_heavy_within(g: Graph, degs, at, vertices) -> bool:
-    """Do the vertices hold an o-heavy pair of g? ``degs`` and ``at`` are
-    ``degree_thresholds(g.rows)``."""
+def subgraph_is_o_heavy(g: Graph, vertices) -> bool:
+    """Does the vertex set contain an o-heavy pair of the host graph?"""
     n, rows = g.n, g.rows
+    degs, at = g.degree_table
     mask = 0
     for v in vertices:
         mask |= 1 << v
@@ -100,11 +91,6 @@ def _o_heavy_within(g: Graph, degs, at, vertices) -> bool:
     return False
 
 
-def subgraph_is_o_heavy(g: Graph, vertices) -> bool:
-    """Does the vertex set contain an o-heavy pair of the host graph?"""
-    return _o_heavy_within(g, *degree_thresholds(g.rows), vertices)
-
-
 def is_pattern_o_heavy(g: Graph, pattern) -> bool:
     """Every induced copy of the pattern contains an o-heavy pair of g.
 
@@ -112,5 +98,4 @@ def is_pattern_o_heavy(g: Graph, pattern) -> bool:
     """
     from .patterns import embeddings
 
-    degs, at = degree_thresholds(g.rows)
-    return all(_o_heavy_within(g, degs, at, emb) for emb in embeddings(g, pattern))
+    return all(subgraph_is_o_heavy(g, emb) for emb in embeddings(g, pattern))

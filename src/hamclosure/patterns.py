@@ -8,13 +8,14 @@ neighbourhood bitmask algebra and keeps one embedding per orbit by
 symmetry breaking on the automorphism group, which leaves that least
 tuple; every catalog pattern, the claw included, goes through it.
 Each net flag has one reader: ``_net_p_heavy`` (a heavy pair in the
-corner triangle), ``heaviness._o_heavy_within`` (an o-heavy pair among the
-six vertices) and ``_net_q_heavy`` (the q-shape, with its index and c
-neighbours). ``classify_net`` takes one net as a role-ordered tuple,
-checks that it induces a net in g and calls all three. ``net_profile``
-walks the matcher's embeddings once with one ``degree_thresholds`` table:
-it counts every net, reads p for each net while an answer is open, and
-reads o and q only while an answer they feed is still open.
+corner triangle), ``heaviness.subgraph_is_o_heavy`` (an o-heavy pair
+among the six vertices) and ``_net_q_heavy`` (the q-shape, with its
+index and c neighbours). ``classify_net`` takes one net as a
+role-ordered tuple, checks that it induces a net in g and calls all
+three. ``net_profile`` walks the matcher's embeddings once: it counts
+every net, reads p for each net while an answer is open, and reads o and
+q only while an answer they feed is still open. Every reader takes g's
+one degree table, ``Graph.degree_table``, filled on first read.
 ``find_induced_naive`` is the independent subset-enumeration oracle the
 detectors are tested against.
 """
@@ -28,7 +29,7 @@ from itertools import combinations, permutations
 
 from .errors import InputError
 from .graphs import Graph, _is_int, _text
-from .heaviness import _o_heavy_within, degree_thresholds
+from .heaviness import _heavy_mask, subgraph_is_o_heavy
 
 
 class PatternKind(Enum):
@@ -237,33 +238,32 @@ def classify_net(g: Graph, emb: Embedding) -> NetHeaviness:
     for (i, u), (j, v) in combinations(enumerate(emb), 2):
         if g.has_edge(u, v) != net.has_edge(i, j):
             raise InputError(f"vertices {emb} do not induce a net (pair ({u}, {v}) wrong)")
-    degs, at = degree_thresholds(g.rows)
-    q = _net_q_heavy(g, degs, at, emb)
+    q = _net_q_heavy(g, emb)
     q_index, c_neighbors = q or (None, None)
-    return NetHeaviness(_o_heavy_within(g, degs, at, emb), _net_p_heavy(g, degs, at, emb),
+    return NetHeaviness(subgraph_is_o_heavy(g, emb), _net_p_heavy(g, emb),
                         q is not None, q_index, c_neighbors)
 
 
-# The three flag readers of an induced net ``emb`` (a1, a2, a3, b1, b2, b3).
-# ``degs`` and ``at`` are ``degree_thresholds(g.rows)``; the o reader is
-# ``heaviness._o_heavy_within``.
+# The three flag readers of an induced net ``emb`` (a1, a2, a3, b1, b2, b3);
+# the o reader is ``heaviness.subgraph_is_o_heavy``.
 
 
-def _net_p_heavy(g: Graph, degs, at, emb: Embedding) -> bool:
+def _net_p_heavy(g: Graph, emb: Embedding) -> bool:
     """Does the corner triangle hold a heavy pair? a1 meets both other
     corners, so a1's and a2's heavy partners among the corners cover it."""
     n, rows = g.n, g.rows
+    degs, at = g.degree_table
     a1, a2, a3 = emb[0], emb[1], emb[2]
     return bool(rows[a1] & at[n - degs[a1]] & (1 << a2 | 1 << a3)
                 or at[n - degs[a2]] >> a3 & 1)
 
 
-def _net_q_heavy(g: Graph, degs, at, emb: Embedding) -> tuple[int, tuple[int, int]] | None:
+def _net_q_heavy(g: Graph, emb: Embedding) -> tuple[int, tuple[int, int]] | None:
     """(q_index, c_neighbors) at the first i where the net is q-heavy, or None.
 
     q-heavy at i: a_i and b_i heavy and, for both j != i, a_j of degree 3
     and b_j of degree 2, whose other neighbour c_j is heavy."""
-    rows, heavy = g.rows, at[(g.n + 1) // 2]
+    rows, degs, heavy = g.rows, g.degree_table[0], _heavy_mask(g)
     corners, pendants = emb[:3], emb[3:]
     for i in range(3):
         if not heavy >> corners[i] & heavy >> pendants[i] & 1:
@@ -294,19 +294,18 @@ def net_profile(g: Graph) -> NetProfile:
     same pass. A net's o- and q-flags are read only while an answer they
     feed is still open; once all four are false, the rest is only counted."""
     # no flag changes under the net's automorphisms: one embedding per orbit will do
-    degs, at = degree_thresholds(g.rows)
     nets = embeddings(g, PatternKind.NET)
     count = 0
     o_all = p_all = op_all = pq_all = True
     for emb in nets:
         count += 1
-        p = _net_p_heavy(g, degs, at, emb)
+        p = _net_p_heavy(g, emb)
         if not p:
             p_all = False
-        if (o_all or op_all and not p) and not _o_heavy_within(g, degs, at, emb):
+        if (o_all or op_all and not p) and not subgraph_is_o_heavy(g, emb):
             o_all = False
             op_all = op_all and p
-        if pq_all and not p and _net_q_heavy(g, degs, at, emb) is None:
+        if pq_all and not p and _net_q_heavy(g, emb) is None:
             pq_all = False
         if not (o_all or op_all or pq_all):  # p_all fell with op_all
             count += sum(1 for _ in nets)

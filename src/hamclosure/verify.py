@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .closures import (
+    CLOSURES,
     _c_closed,
     _c_fixpoint,
     _claw_status,
-    c_closure,
     closures_of,
-    o_closure,
-    r_closure,
     supergraph_search,
     validate_c_trace,
 )
@@ -265,10 +263,9 @@ def verify_closure_preservation(
     g: Graph, closure_kind: str, node_budget: int | None = None,
 ) -> bool:
     """True iff the oracle agrees on g and its o-, r-, or c-closure."""
-    closures = {"o": o_closure, "r": r_closure, "c": c_closure}
-    if _text(closure_kind, "closure kind") not in closures:
+    if _text(closure_kind, "closure kind") not in CLOSURES:
         raise InputError(f"unknown closure kind {closure_kind!r}")
-    closed, _ = closures[closure_kind](g)
+    closed, _ = CLOSURES[closure_kind](g)
     before = is_hamiltonian(g, node_budget)
     after = is_hamiltonian(closed, node_budget)
     if before.undecided or after.undecided:

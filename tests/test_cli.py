@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 from hamclosure.cli import build_parser, main
-from hamclosure.closures import _c_fixpoint, _claw_status
+from hamclosure.closures import _c_fixpoint, _claw_status, c_closure, replay_steps
+from hamclosure.errors import InputError
 from hamclosure.families import classify_theorem, generate, recognize
 from hamclosure.graphs import (
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -23,7 +25,7 @@ from hamclosure.graphs import (
 from hamclosure.heaviness import HeavyPair
 from hamclosure.patterns import REFERENCE, PatternKind, embeddings, net_profile
 from hamclosure.regions import decompose
-from hamclosure.verify import acceptance_grids, curated_graphs
+from hamclosure.verify import acceptance_grids, curated_graphs, verify_closure_preservation
 
 CLASSIFY_REFERENCE = (
     Path(__file__).resolve().parents[1] / "benchmark" / "reference" / "classify_random.json"
@@ -63,6 +65,19 @@ def count_calls(monkeypatch, fns) -> Counter:
     return calls
 
 
+def count_tables(monkeypatch) -> list:
+    """The graphs whose degree table is built, one entry per build."""
+    built = []
+    build = Graph._build_degree_table
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(Graph, "_build_degree_table", counting)
+    return built
+
+
 class TestClosureCommand:
     def test_o_closure_of_c4_is_k4(self, capsys):
         code, out, _ = run(capsys, "closure", "--kind", "o", C4)
@@ -78,6 +93,16 @@ class TestClosureCommand:
             main(["closure", "--kind", "c", flag, "literal", C4])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["x", "O"])
+    def test_an_unknown_kind_is_refused_by_the_cli_and_the_suite_check(self, capsys, kind):
+        # closure --kind and verify_closure_preservation read one table
+        with pytest.raises(SystemExit) as exc:
+            main(["closure", "--kind", kind, C4])
+        assert exc.value.code == 2
+        assert "choose from 'o', 'r', 'c'" in capsys.readouterr().err
+        with pytest.raises(InputError, match=f"^unknown closure kind '{kind}'$"):
+            verify_closure_preservation(parse_graph6(C4), kind)
 
     def test_readme_command_lines_parse(self):
         # every example in README's "Command line" block names flags that exist
@@ -206,6 +231,13 @@ class TestClassifyCommand:
         assert report["verdict"] == "OUT-OF-RANGE"
         assert report["seed"] == 0 and report["version"]
 
+    def test_classify_takes_no_seed(self, capsys):
+        # no part of the report reads a seed; the report's "seed" stays 0
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--seed", "1", G8])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_deterministic_reports(self, capsys):
         _, first, _ = run(capsys, "classify", G8)
         _, second, _ = run(capsys, "classify", G8)
@@ -277,6 +309,7 @@ class TestClassifyCommand:
     def test_one_classify_computes_each_fact_once(self, capsys, monkeypatch):
         calls = count_calls(monkeypatch, (net_profile, _c_fixpoint, recognize, _claw_status,
                                           decompose, maximal_clique_masks, HeavyPair))
+        tables = count_tables(monkeypatch)
         code, _, _ = run(capsys, "classify", G8)
         assert code == 0
         # one clique enumeration for recognize, on g, and one for decompose,
@@ -284,6 +317,24 @@ class TestClassifyCommand:
         # pairs are listed without building a HeavyPair
         assert calls == {"net_profile": 1, "_c_fixpoint": 1, "recognize": 1, "_claw_status": 1,
                          "decompose": 1, "maximal_clique_masks": 2}
+        # every degree-sum question of the report reads g's one table
+        assert tables == [parse_graph6(G8)]
+
+    def test_a_classify_builds_one_table_per_c_closure_graph(self, capsys, monkeypatch):
+        # g closes in two c-steps: g's table, then one for each graph the
+        # steps make. The last is found closed by a scan that reads its
+        # table, since a neighbourhood there is not a clique (a graph whose
+        # neighbourhoods are all cliques is found closed without one)
+        g6 = "EEjW"
+        g = parse_graph6(g6)
+        steps = c_closure(g)[1].steps
+        assert len(steps) == 2
+        walk = [replay_steps(g, steps[:i]) for i in range(len(steps) + 1)]
+        assert not all(map(walk[-1].is_clique_mask, walk[-1].rows))
+        tables = count_tables(monkeypatch)
+        code, _, _ = run(capsys, "classify", g6)
+        assert code == 0
+        assert tables == walk
 
     @pytest.mark.parametrize("g", [parse_graph6(G8), complete_bipartite(2, 3)],
                              ids=["G8", "K23"])

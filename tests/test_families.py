@@ -634,8 +634,9 @@ class TestRecognize:
                 assert skeleton(found) == skeleton(cert), params.family
 
     def test_one_recognize_asks_each_question_of_g_once(self, monkeypatch):
-        built, searches, heavy_calls, induced = [], Counter(), Counter(), []
+        built, searches, tables, induced = [], Counter(), Counter(), []
         glue_search, induced_subgraph = families._glue_search, Graph.induced
+        build_table = Graph._build_degree_table
 
         def counting_cliques(graph):
             built.append(graph)
@@ -645,9 +646,9 @@ class TestRecognize:
             searches[span, base] += 1
             return glue_search(graph, cliques, span, base, searched)
 
-        def counting_heavy(graph):
-            heavy_calls[graph] += 1
-            return heavy_vertices(graph)
+        def counting_table(graph):
+            tables[graph] += 1
+            return build_table(graph)
 
         def counting_induced(graph, vertices):
             induced.append(vertices)
@@ -655,12 +656,13 @@ class TestRecognize:
 
         monkeypatch.setattr(families, "maximal_clique_masks", counting_cliques)
         monkeypatch.setattr(families, "_glue_search", counting_search)
-        monkeypatch.setattr(families, "heavy_vertices", counting_heavy)
+        monkeypatch.setattr(Graph, "_build_degree_table", counting_table)
         monkeypatch.setattr(Graph, "induced", counting_induced)
         for kind in FAMILY_SPECS:
             g = min((generate(params, seed) for params, seed in acceptance_grids()[kind]),
                     key=lambda member: member.n)
-            for counts in (built, searches, heavy_calls, induced):
+            g = Graph(g.n, g.rows)  # a copy whose degree table is not yet built
+            for counts in (built, searches, tables, induced):
                 counts.clear()
             assert kind in recognize(g).families
             # g's cliques once, shared by every family; a glue search reads
@@ -668,7 +670,8 @@ class TestRecognize:
             assert built == [g], kind
             assert induced == [], kind
             assert searches and max(searches.values()) == 1, kind
-            assert heavy_calls == {g: 1}, kind
+            # every heavy-pair question of g reads its one degree table
+            assert tables == {g: 1}, kind
 
     def test_shared_cliques_and_searches_change_no_answer(self):
         def unshared(g):

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
 from collections import Counter
 
 import networkx as nx
@@ -8,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hamclosure.closures import bc_local, c_eligible, parse_trace, r_eligible, supergraph_search
+from hamclosure.closures import (
+    bc_local,
+    c_eligible,
+    o_closure,
+    parse_trace,
+    r_eligible,
+    supergraph_search,
+)
 from hamclosure.errors import FormatError, InputError
 from hamclosure.families import FamilyKind, parse_params
 from hamclosure.graphs import (
@@ -35,7 +44,7 @@ from hamclosure.hamiltonicity import is_hamiltonian
 from hamclosure.heaviness import is_heavy
 from hamclosure.patterns import PatternKind
 from hamclosure.regions import decompose, generalized_claw_or_net
-from hamclosure.verify import run_suite, verify_closure_preservation
+from hamclosure.verify import full_corpus, run_suite, verify_closure_preservation
 
 
 def graphs_strategy(max_n=10):
@@ -89,6 +98,15 @@ class TestConstruction:
         with pytest.raises(InputError):
             Graph(2, (0b10, 0b00))
 
+    @pytest.mark.parametrize("rows, message", [
+        ((0b100, 0b000), "row 0 references vertices outside 0..1"),
+        ((-1, 0), "row 0 references vertices outside 0..1"),
+        ((0b01, 0), "loop at vertex 0"),
+    ], ids=["bit-past-n", "negative", "loop"])
+    def test_a_bad_row_is_refused_with_its_reason(self, rows, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            Graph(2, rows)
+
     @pytest.mark.parametrize("build", [
         lambda: Graph(2, [0, 0]),
         lambda: Graph(2, (0, "x")),
@@ -136,6 +154,43 @@ class TestConstruction:
         extra = data.draw(st.lists(st.sampled_from(g.non_edges()))) if g.non_edges() else []
         g2, _ = g.add_edges(extra)
         assert Graph(g2.n, g2.rows) == g2
+
+
+def test_the_degree_table_is_kept_beside_the_value():
+    for g in full_corpus(0):
+        degs, at = table = g.degree_table
+        fresh = Graph(g.n, g.rows)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert type(degs) is tuple and type(at) is tuple
+        assert degs == tuple(len(g.neighbors(v)) for v in range(g.n))
+        assert at == tuple(sum(1 << v for v in range(g.n) if degs[v] >= d)
+                           for d in range(g.n + 1))
+        o_closure(g)
+        if len(g.non_edges()) <= 16:
+            supergraph_search(g)
+        assert g.degree_table is table and table == fresh.degree_table
+
+
+def test_threads_reading_one_graph_see_one_table():
+    # a table built twice by racing readers is built from the same rows, so
+    # every reader sees the same value whichever build is kept
+    corpus = full_corpus(0)
+    expected = [Graph(g.n, g.rows).degree_table for g in corpus]
+    shared = [Graph(g.n, g.rows) for g in corpus]
+    seen = [[] for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda out: out.extend(g.degree_table for g in shared),
+                                    args=(out,)) for out in seen]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert all(out == expected for out in seen)
 
 
 class TestInduced:

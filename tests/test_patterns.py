@@ -320,7 +320,7 @@ def test_net_profile_matches_the_plain_aggregates_on_pool_and_dense_graphs():
 
 def _count_reads(monkeypatch) -> dict:
     reads = {"o": 0, "p": 0, "q": 0}
-    for key, name in (("o", "_o_heavy_within"), ("p", "_net_p_heavy"), ("q", "_net_q_heavy")):
+    for key, name in (("o", "subgraph_is_o_heavy"), ("p", "_net_p_heavy"), ("q", "_net_q_heavy")):
         def counted(*args, _key=key, _read=getattr(patterns_module, name)):
             reads[_key] += 1
             return _read(*args)
